@@ -44,9 +44,7 @@ from .sequences import (
     Periodic,
     SequenceSpec,
     Triples,
-    block_index,
     generate,
-    log2_multiplier,
 )
 from .trigpoly import (
     C1Norm,

@@ -22,13 +22,16 @@ as reductions keep a fixed summation order.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .sequences import SequenceSpec, generate
+from .sequences import SequenceSpec
 from .trigpoly import (
+    ZERO,
     C1Norm,
     TrigPoly,
     c1_norm,
@@ -85,11 +88,32 @@ class AngleRecord:
 
 @dataclass(frozen=True)
 class VarianceReport:
-    n: int
-    var_cov: float
-    var_mart: float
-    acc_transversality: float
+    """Per-step records and the three curves over k = 1..n.
+
+    cov_curve and mart_curve are Var(S_k) by the two routes; acc_curve is
+    the running (left-to-right) sum of min-pair sines for k = 1..n-1.
+    """
+
     per_step: tuple[AngleRecord, ...]
+    cov_curve: tuple[float, ...]
+    mart_curve: tuple[float, ...]
+    acc_curve: tuple[float, ...]
+
+    @property
+    def n(self) -> int:
+        return len(self.per_step)
+
+    @property
+    def var_cov(self) -> float:
+        return self.cov_curve[-1]
+
+    @property
+    def var_mart(self) -> float:
+        return self.mart_curve[-1]
+
+    @property
+    def acc_transversality(self) -> float:
+        return self.acc_curve[-1] if self.acc_curve else 0.0
 
     def consistent(self, rtol: float = CROSS_CHECK_RTOL) -> bool:
         """Do the two independent variance routes agree to rtol?"""
@@ -144,20 +168,47 @@ def _sub(f: TrigPoly, g: TrigPoly) -> TrigPoly:
     return linear_combine([(1.0, f), (-1.0, g)])
 
 
+def _backward_images(f: TrigPoly, mults: Iterable[int]) -> Iterator[TrigPoly]:
+    """T*_{b_i} ... T*_{b_1} f for i = 1, 2, ... along mults = b_1, b_2, ...
+
+    Stops before the product b_1 ... b_i exceeds degree(f), past which every
+    image is annihilated exactly, or at the first zero image.  mults is read
+    lazily, so it may be infinite or expensive to evaluate deep down.
+    """
+    deg = f.degree
+    g = f
+    mult = 1
+    for b in mults:
+        mult *= b
+        if mult > deg:
+            return
+        g = transfer(b, g)
+        if g.is_zero:
+            return
+        yield g
+
+
+def _window(spec: SequenceSpec, k: int) -> Iterator[int]:
+    """a_k, a_{k-1}, ..., a_2: the multipliers between index 1 and index k."""
+    return (spec.value_at(j) for j in range(k, 1, -1))
+
+
+def _u_recursion(f: TrigPoly, spec: SequenceSpec, n: int) -> Iterator[TrigPoly]:
+    if n < 1:
+        raise ValueError("horizon n must be >= 1")
+    u = ZERO
+    for k in range(1, n + 1):
+        u = _add(f, transfer(spec.value_at(k), u))
+        yield u
+
+
 def u_sequence(f: TrigPoly, spec: SequenceSpec, n: int) -> list[TrigPoly]:
     """u_1 ... u_n by the recursion u_k = f + T*_{a_k} u_{k-1}, u_0 = 0.
 
     The recursion is exact and degree(u_k) <= degree(f) for every k, since
     transfer operators never raise the degree.
     """
-    if n < 1:
-        raise ValueError("horizon n must be >= 1")
-    out = []
-    u = TrigPoly(())
-    for k in range(1, n + 1):
-        u = _add(f, transfer(generate(spec, k), u))
-        out.append(u)
-    return out
+    return list(_u_recursion(f, spec, n))
 
 
 def u_at(f: TrigPoly, spec: SequenceSpec, k: int) -> TrigPoly:
@@ -170,21 +221,7 @@ def u_at(f: TrigPoly, spec: SequenceSpec, k: int) -> TrigPoly:
     """
     if k < 1:
         raise ValueError("index k must be >= 1")
-    deg = f.degree
-    terms = [f]
-    g = f
-    mult = 1
-    j = k
-    while j >= 2:
-        a = generate(spec, j)
-        mult *= a
-        if mult > deg:
-            break
-        g = transfer(a, g)
-        if g.is_zero:
-            break
-        terms.append(g)
-        j -= 1
+    terms = [f, *_backward_images(f, _window(spec, k))]
     return linear_combine([(1.0, t) for t in reversed(terms)])
 
 
@@ -206,10 +243,10 @@ def _angle_record(k: int, u: TrigPoly, a_next: int) -> AngleRecord:
 
 def angle_profile(f: TrigPoly, spec: SequenceSpec, n: int) -> list[AngleRecord]:
     """Transversality records for k = 1..n (uses a_{k+1} for the projection)."""
-    records = []
-    for k, u in enumerate(u_sequence(f, spec, n), start=1):
-        records.append(_angle_record(k, u, generate(spec, k + 1)))
-    return records
+    return [
+        _angle_record(k, u, spec.value_at(k + 1))
+        for k, u in enumerate(_u_recursion(f, spec, n), start=1)
+    ]
 
 
 def accumulated_transversality(profile: list[AngleRecord], N: int) -> float:
@@ -234,25 +271,13 @@ def variance_covariance_curve(f: TrigPoly, spec: SequenceSpec, n: int) -> list[f
     if n < 1:
         raise ValueError("horizon n must be >= 1")
     norm_sq = l2_inner(f, f)
-    deg = f.degree
     curve = []
     total = 0.0
     comp = 0.0
     for k in range(1, n + 1):
         step = norm_sq
-        g = f
-        mult = 1
-        j = k
-        while j >= 2:
-            a = generate(spec, j)
-            mult *= a
-            if mult > deg:
-                break
-            g = transfer(a, g)
-            if g.is_zero:
-                break
+        for g in _backward_images(f, _window(spec, k)):
             step += 2.0 * l2_inner(g, f)
-            j -= 1
         y = step - comp
         t = total + y
         comp = (t - total) - y
@@ -299,12 +324,16 @@ def variance_martingale(f: TrigPoly, spec: SequenceSpec, n: int) -> float:
 
 
 def variance_report(f: TrigPoly, spec: SequenceSpec, n: int) -> VarianceReport:
-    """Both variance routes plus the transversality profile, in one pass."""
+    """The transversality profile, both variance curves and the running sum
+    of min-pair sines (accumulated transversality) for k = 1..n."""
     profile = angle_profile(f, spec, n)
-    var_cov = variance_covariance_curve(f, spec, n)[-1]
-    var_mart = variance_martingale_curve(f, spec, n, profile)[-1]
-    acc = accumulated_transversality(profile, n - 1)
-    return VarianceReport(n, var_cov, var_mart, acc, tuple(profile))
+    pairs = (min(a.sin_sq, b.sin_sq) for a, b in itertools.pairwise(profile))
+    return VarianceReport(
+        tuple(profile),
+        tuple(variance_covariance_curve(f, spec, n)),
+        tuple(variance_martingale_curve(f, spec, n, profile)),
+        tuple(itertools.accumulate(pairs)),
+    )
 
 
 def verify_decay(f: TrigPoly, maps: list[int]) -> DecayReport:
@@ -334,13 +363,7 @@ def verify_decay(f: TrigPoly, maps: list[int]) -> DecayReport:
 
 def neumann_sum(f: TrigPoly, b: int) -> TrigPoly:
     """sum_{i>=0} (T*_b)^i f, exact: terms vanish once b^i exceeds degree(f)."""
-    terms = [f]
-    g = f
-    while True:
-        g = transfer(b, g)
-        if g.is_zero:
-            break
-        terms.append(g)
+    terms = [f, *_backward_images(f, itertools.repeat(b))]
     return linear_combine([(1.0, t) for t in terms])
 
 
@@ -356,9 +379,9 @@ def block_shadowing_check(
         raise ValueError("run length K must be >= 1")
     if k - K < 1:
         raise ValueError("run must start at index >= 1")
-    b = generate(spec, k)
+    b = spec.value_at(k)
     for j in range(k - K, k + 3):
-        if generate(spec, j) != b:
+        if spec.value_at(j) != b:
             raise ValueError(
                 f"sequence is not constant on [{k - K}, {k + 2}]: a_{j} != {b}"
             )
@@ -424,8 +447,8 @@ def separation_bound_check(
 
     Only meaningful (and only allowed) when min(a_k, a_{k+1}) > cert.L.
     """
-    a_k = generate(spec, k)
-    a_next = generate(spec, k + 1)
+    a_k = spec.value_at(k)
+    a_next = spec.value_at(k + 1)
     if min(a_k, a_next) <= cert.L:
         raise ValueError(
             f"separation bound needs min(a_k, a_k+1) > L={cert.L}, got {min(a_k, a_next)}"

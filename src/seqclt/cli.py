@@ -7,23 +7,28 @@ simulate      exact-orbit Monte Carlo summary (requires samples and seed)
 coboundary    solve f = (u o T_b) - u for the scenario's function
 verify-decay  certified transfer-operator decay over random map words
 
-Exit codes: 0 success; 1 malformed scenario or arguments; 2 I/O failure;
-3 internal consistency failure (variance cross-check or decay bound);
-10 coboundary obstruction (so shell pipelines can branch on the dichotomy).
+Exit codes: 0 success; 1 malformed scenario or arguments (non-finite or
+non-integral where an integer belongs, seed outside [0, 2^64), --threads < 1)
+or a non-finite result; 2 I/O failure; 3 internal consistency failure
+(variance cross-check or decay bound); 10 coboundary obstruction (so shell
+pipelines can branch on the dichotomy).
 
-All real numbers in outputs are printed with 17 significant digits, and
-every output byte is a deterministic function of the inputs and flags.
+All real numbers in outputs are printed with 17 significant digits and are
+finite, and every output byte is a deterministic function of the inputs and
+flags.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 
 from . import analysis, coboundary, montecarlo
-from .sequences import SequenceSpec, sequence_from_obj, sequence_to_obj
+from ._strict import strict_int
+from .sequences import SequenceSpec, sequence_from_obj
 from .trigpoly import TrigPoly, trigpoly_from_obj, trigpoly_to_obj
 
 __all__ = ["Scenario", "scenario_from_obj", "scenario_to_obj", "main", "main_entry"]
@@ -49,27 +54,31 @@ class Scenario:
     standardization: str = "empirical"
 
 
+def _check_seed(seed: int) -> None:
+    # Philox keys are 64-bit: a seed outside [0, 2^64) would alias another.
+    if not 0 <= seed < 1 << 64:
+        raise ScenarioError(f"seed must be in [0, 2^64), got {seed}")
+
+
 def scenario_from_obj(obj) -> Scenario:
     if not isinstance(obj, dict):
         raise ScenarioError("scenario must be a JSON object")
     try:
         function = trigpoly_from_obj(obj["function"])
         sequence = sequence_from_obj(obj["sequence"])
-        n = int(obj["n"])
+        n = strict_int(obj["n"], "n")
+        samples = None if obj.get("samples") is None else strict_int(obj["samples"], "samples")
+        seed = None if obj.get("seed") is None else strict_int(obj["seed"], "seed")
     except (KeyError, ValueError, TypeError) as exc:
         raise ScenarioError(f"bad scenario: {exc}") from exc
     if function.is_zero:
         raise ScenarioError("scenario function must be nonzero")
     if n < 1:
         raise ScenarioError("scenario horizon n must be >= 1")
-    samples = obj.get("samples")
-    if samples is not None:
-        samples = int(samples)
-        if samples < 2:
-            raise ScenarioError("samples must be >= 2")
-    seed = obj.get("seed")
+    if samples is not None and samples < 2:
+        raise ScenarioError("samples must be >= 2")
     if seed is not None:
-        seed = int(seed)
+        _check_seed(seed)
     standardization = obj.get("standardization", "empirical")
     if standardization not in ("empirical", "exact"):
         raise ScenarioError(f"unknown standardization {standardization!r}")
@@ -79,7 +88,7 @@ def scenario_from_obj(obj) -> Scenario:
 def scenario_to_obj(scenario: Scenario) -> dict:
     obj = {
         "function": trigpoly_to_obj(scenario.function),
-        "sequence": sequence_to_obj(scenario.sequence),
+        "sequence": scenario.sequence.to_obj(),
         "n": scenario.n,
     }
     if scenario.samples is not None:
@@ -110,7 +119,10 @@ def _fmt(x) -> str:
         return "true" if x else "false"
     if isinstance(x, int):
         return str(x)
-    return f"{float(x):.17g}"
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"cannot write the non-finite value {x!r}")
+    return f"{x:.17g}"
 
 
 def _dumps(obj, indent: int = 0) -> str:
@@ -185,20 +197,9 @@ def _svg_curves(path: str, n: int, curves) -> None:
 
 
 def cmd_analyze(scenario: Scenario, out_prefix: str) -> int:
-    f, spec, n = scenario.function, scenario.sequence, scenario.n
-    profile = analysis.angle_profile(f, spec, n)
-    cov_curve = analysis.variance_covariance_curve(f, spec, n)
-    mart_curve = analysis.variance_martingale_curve(f, spec, n, profile)
-    acc_curve = []
-    acc = 0.0
-    for k in range(1, n):
-        acc += min(profile[k - 1].sin_sq, profile[k].sin_sq)
-        acc_curve.append(acc)
-    report = analysis.VarianceReport(
-        n, cov_curve[-1], mart_curve[-1],
-        acc_curve[-1] if acc_curve else 0.0, tuple(profile),
-    )
-
+    n = scenario.n
+    report = analysis.variance_report(scenario.function, scenario.sequence, n)
+    profile, acc_curve = report.per_step, report.acc_curve
     lines = [
         "k,u_norm_sq,cos_sq,sin_sq,min_pair_sin_sq,acc_transversality,"
         "var_cov_prefix,var_mart_prefix"
@@ -209,21 +210,21 @@ def cmd_analyze(scenario: Scenario, out_prefix: str) -> int:
         accv = _fmt(acc_curve[k - 1]) if k < n else ""
         lines.append(
             f"{k},{_fmt(rec.u_norm_sq)},{_fmt(rec.cos_sq)},{_fmt(rec.sin_sq)},"
-            f"{pair},{accv},{_fmt(cov_curve[k - 1])},{_fmt(mart_curve[k - 1])}"
+            f"{pair},{accv},{_fmt(report.cov_curve[k - 1])},{_fmt(report.mart_curve[k - 1])}"
         )
-    summary = {
+    summary = _dumps({
         "n": n,
         "var_cov": report.var_cov,
         "var_mart": report.var_mart,
         "acc_transversality": report.acc_transversality,
-    }
+    })
     _write_text(out_prefix + ".csv", "\n".join(lines) + "\n")
-    _write_text(out_prefix + ".json", _dumps(summary) + "\n")
+    _write_text(out_prefix + ".json", summary + "\n")
     _svg_curves(
         out_prefix + ".svg",
         n,
         [
-            ("Var(S_k)", "#1f77b4", cov_curve),
+            ("Var(S_k)", "#1f77b4", report.cov_curve),
             ("accumulated transversality", "#d62728", acc_curve or [0.0]),
         ],
     )
@@ -266,6 +267,7 @@ def cmd_coboundary(scenario: Scenario, base: int) -> int:
 def cmd_verify_decay(scenario: Scenario, k: int, trials: int, seed: int) -> int:
     if k < 1 or trials < 1:
         raise ScenarioError("verify-decay needs --k >= 1 and --trials >= 1")
+    _check_seed(seed)
     f = scenario.function
     worst = 0.0
     for trial in range(trials):
@@ -308,6 +310,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.threads < 1:
+            raise ScenarioError(f"--threads must be >= 1, got {args.threads}")
         scenario = _load_scenario(args.scenario)
         if args.command == "analyze":
             if not args.out:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis
-from .sequences import SequenceSpec, generate, log2_multiplier
+from .sequences import SequenceSpec, generate
 from .trigpoly import TrigPoly
 
 __all__ = [
@@ -84,7 +84,7 @@ def required_bits(spec: SequenceSpec, n: int, guard: int = 64) -> int:
     """Numerator width that keeps the top 53 orbit bits exact for n steps."""
     if n < 1:
         raise ValueError("horizon n must be >= 1")
-    return math.ceil(log2_multiplier(spec, n)) + guard
+    return math.ceil(spec.log2_multiplier(n)) + guard
 
 
 def counter_generator(seed: int, index: int) -> np.random.Generator:

@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ._strict import strict_int
+
 __all__ = [
     "SequenceSpec",
     "Constant",
@@ -30,9 +32,6 @@ __all__ = [
     "Triples",
     "Blocks",
     "generate",
-    "block_index",
-    "log2_multiplier",
-    "sequence_to_obj",
     "sequence_from_obj",
 ]
 
@@ -203,8 +202,8 @@ class Blocks(SequenceSpec):
 
     def __post_init__(self):
         object.__setattr__(self, "D", float(self.D))
-        if not self.D > 1.0:
-            raise ValueError("block schedule needs growth D > 1")
+        if not (math.isfinite(self.D) and self.D > 1.0):
+            raise ValueError(f"block schedule needs a finite growth D > 1, got {self.D!r}")
         # Blocks must not overlap anywhere we may ever be asked to evaluate.
         prev_end = 0
         for l in range(1, 4096):
@@ -268,22 +267,6 @@ def generate(spec: SequenceSpec, k: int) -> int:
     return spec.value_at(k)
 
 
-def block_index(spec: Blocks, n: int) -> int:
-    """Largest l with d_l <= n for a blocks spec."""
-    if not isinstance(spec, Blocks):
-        raise ValueError("block_index is only defined for blocks specs")
-    return spec.block_index(n)
-
-
-def log2_multiplier(spec: SequenceSpec, n: int) -> float:
-    """log2(a_1 * ... * a_n), the expanding factor of the n-step composition."""
-    return spec.log2_multiplier(n)
-
-
-def sequence_to_obj(spec: SequenceSpec) -> dict:
-    return spec.to_obj()
-
-
 def sequence_from_obj(obj) -> SequenceSpec:
     """Parse the serialized {"kind": ..., ...} form."""
     if not isinstance(obj, dict) or "kind" not in obj:
@@ -291,15 +274,16 @@ def sequence_from_obj(obj) -> SequenceSpec:
     kind = obj["kind"]
     try:
         if kind == "constant":
-            return Constant(int(obj["b"]))
+            return Constant(strict_int(obj["b"], "b"))
         if kind == "periodic":
-            return Periodic(tuple(int(v) for v in obj["values"]))
+            return Periodic(tuple(strict_int(v, "values") for v in obj["values"]))
         if kind == "explicit":
             return Explicit(
-                tuple(int(v) for v in obj["values"]), sequence_from_obj(obj["tail"])
+                tuple(strict_int(v, "values") for v in obj["values"]),
+                sequence_from_obj(obj["tail"]),
             )
         if kind == "triples":
-            return Triples(int(obj["b0"]), int(obj["B"]), int(obj["p0"]), int(obj["r"]))
+            return Triples(*(strict_int(obj[key], key) for key in ("b0", "B", "p0", "r")))
         if kind == "blocks":
             return Blocks(float(obj["D"]))
     except KeyError as exc:

@@ -30,6 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._strict import strict_int
+
 __all__ = [
     "TrigPoly",
     "C1Norm",
@@ -99,19 +101,20 @@ def make_trigpoly(entries) -> TrigPoly:
     """Build a canonical TrigPoly from (frequency, coefficient) pairs.
 
     Frequencies must be distinct integers >= 1 (frequency 0 would carry a
-    nonzero mean and is rejected).  Coefficients that are exactly zero are
-    dropped.
+    nonzero mean and is rejected) and coefficients finite.  Coefficients
+    that are exactly zero are dropped.
     """
     out: dict[int, complex] = {}
     for freq, c in entries:
-        n = int(freq)
-        if n != freq:
-            raise ValueError(f"frequency {freq!r} is not an integer")
+        n = strict_int(freq, "frequency")
         if n < 1:
             raise ValueError(f"frequency {n} < 1 (zero mean requires n >= 1)")
         if n in out:
             raise ValueError(f"duplicate frequency {n}")
-        out[n] = complex(c)
+        c = complex(c)
+        if not cmath.isfinite(c):
+            raise ValueError(f"coefficient at frequency {n} is not finite: {c!r}")
+        out[n] = c
     return _canonical(out)
 
 
@@ -209,14 +212,12 @@ def grid_values(g: TrigPoly, size: int) -> np.ndarray:
 class C1Norm:
     """sup|g| + sup|g'| with a certified upper bound alongside the raw grid value.
 
-    ``value`` is an upper bound on the true norm whenever ``certified`` is
-    set; ``grid_estimate`` is the plain grid maximum (a lower bound).  Checks
-    of the form "norm <= bound" should use ``value`` on the left so a pass is
-    trustworthy.
+    ``value`` is an upper bound on the true norm; ``grid_estimate`` is the
+    plain grid maximum (a lower bound).  Checks of the form "norm <= bound"
+    should use ``value`` on the left so a pass is trustworthy.
     """
 
     value: float
-    certified: bool
     grid_estimate: float
 
 
@@ -232,7 +233,7 @@ def c1_norm(g: TrigPoly, grid: int | None = None) -> C1Norm:
         sup|g'| <= grid max + (1/(2G)) * 8*pi^2 * sum n^2 |c_n|
     """
     if g.is_zero:
-        return C1Norm(0.0, True, 0.0)
+        return C1Norm(0.0, 0.0)
     size = grid if grid is not None else max(64 * g.degree, 4096)
     while size < 2 * g.degree + 2:
         size *= 2
@@ -244,7 +245,7 @@ def c1_norm(g: TrigPoly, grid: int | None = None) -> C1Norm:
     lip_der = 8.0 * math.pi**2 * math.fsum(n * n * abs(c) for n, c in g.coeffs)
     grid_estimate = sup_val + sup_der
     value = (sup_val + lip_val / (2.0 * size)) + (sup_der + lip_der / (2.0 * size))
-    return C1Norm(value, True, grid_estimate)
+    return C1Norm(value, grid_estimate)
 
 
 def trigpoly_to_obj(g: TrigPoly) -> list[dict]:

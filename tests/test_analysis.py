@@ -45,6 +45,74 @@ def _direct_u(f, spec, k):
     return linear_combine([(1.0, t) for t in terms])
 
 
+# Reference walks: the covariance curve and the Neumann sum written out as
+# explicit loops, independent of the shared backward-walk generator.  The
+# library must reproduce them bit for bit.
+def _reference_covariance_curve(f, spec, n):
+    norm_sq = l2_inner(f, f)
+    deg = f.degree
+    curve = []
+    total = 0.0
+    comp = 0.0
+    for k in range(1, n + 1):
+        step = norm_sq
+        g = f
+        mult = 1
+        j = k
+        while j >= 2:
+            a = generate(spec, j)
+            mult *= a
+            if mult > deg:
+                break
+            g = transfer(a, g)
+            if g.is_zero:
+                break
+            step += 2.0 * l2_inner(g, f)
+            j -= 1
+        y = step - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        curve.append(total)
+    return curve
+
+
+def _reference_neumann_sum(f, b):
+    terms = [f]
+    g = f
+    while True:
+        g = transfer(b, g)
+        if g.is_zero:
+            break
+        terms.append(g)
+    return linear_combine([(1.0, t) for t in terms])
+
+
+ALL_KINDS = [
+    Constant(2),
+    Periodic((2, 3, 2, 5)),
+    Explicit((5, 2, 3), Periodic((2, 2, 3))),
+    Triples(b0=2, B=9, p0=4, r=2),
+    Blocks(1.7),
+]
+
+
+@pytest.mark.parametrize("spec", ALL_KINDS, ids=lambda spec: spec.kind)
+def test_covariance_curve_matches_reference_walk(spec):
+    rng = np.random.default_rng(40)
+    for max_degree, n in ((32, 2000), (9, 300)):
+        f = random_poly(rng, max_degree=max_degree, density=0.9)
+        assert variance_covariance_curve(f, spec, n) == _reference_covariance_curve(f, spec, n)
+
+
+def test_neumann_sum_matches_reference_walk():
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        f = random_poly(rng, max_degree=64, density=0.5)
+        for b in (2, 3, 5, 7):
+            assert neumann_sum(f, b) == _reference_neumann_sum(f, b)
+
+
 def test_u_sequence_cos_constant2(f1):
     us = u_sequence(COS, Constant(2), 5)
     assert all(u == COS for u in us)
@@ -200,6 +268,38 @@ def test_variance_report_fields(f1):
     assert rep.acc_transversality == pytest.approx(
         accumulated_transversality(prof, 79)
     )
+
+
+def test_variance_report_curves(f1):
+    spec = Blocks(2.0)
+    rep = variance_report(f1, spec, 60)
+    assert rep.cov_curve == tuple(variance_covariance_curve(f1, spec, 60))
+    assert rep.mart_curve == tuple(variance_martingale_curve(f1, spec, 60))
+    assert (rep.var_cov, rep.var_mart) == (rep.cov_curve[-1], rep.mart_curve[-1])
+    acc, running = 0.0, []
+    for a, b in zip(rep.per_step, rep.per_step[1:]):
+        acc += min(a.sin_sq, b.sin_sq)
+        running.append(acc)
+    assert rep.acc_curve == tuple(running)
+    assert rep.acc_transversality == running[-1]
+
+
+def test_variance_report_single_step_has_no_pairs(f1):
+    rep = variance_report(f1, Blocks(4), 1)
+    assert rep.n == 1 and rep.acc_curve == ()
+    assert rep.acc_transversality == 0.0
+
+
+def test_acc_transversality_running_sum_close_to_fsum():
+    # the running sum and the fsum reference differ only by rounding:
+    # at most (n - 1) half-ulps of the total
+    rng = np.random.default_rng(42)
+    f = random_poly(rng, max_degree=64, density=1.0, quantize=7)
+    n = 2000
+    rep = variance_report(f, Blocks(4), n)
+    reference = accumulated_transversality(list(rep.per_step), n - 1)
+    assert reference > 0.0
+    assert abs(rep.acc_transversality - reference) <= n * 2.0**-52 * reference
 
 
 def test_variance_curves_are_prefixes(f1):

@@ -1,8 +1,9 @@
 import json
+import math
 
 import pytest
 
-from seqclt import analysis, cli
+from seqclt import analysis, cli, montecarlo
 from seqclt.cli import (
     EXIT_BAD_SCENARIO,
     EXIT_INCONSISTENT,
@@ -14,8 +15,8 @@ from seqclt.cli import (
     scenario_from_obj,
     scenario_to_obj,
 )
-from seqclt.sequences import Periodic
-from seqclt.trigpoly import cosine
+from seqclt.sequences import Blocks, Periodic
+from seqclt.trigpoly import cosine, trigpoly_from_obj
 
 COS_FUNCTION = [{"freq": 1, "re": 0.5, "im": 0.0}]
 F1_FUNCTION = [{"freq": 1, "re": -0.5, "im": 0.0}, {"freq": 2, "re": 0.5, "im": 0.0}]
@@ -83,6 +84,105 @@ def test_analyze_blocks_scenario(tmp_path):
     summary = json.loads((tmp_path / "blocks.json").read_text())
     assert summary["var_cov"] == pytest.approx(summary["var_mart"], rel=1e-9)
     assert "acc_transversality" in summary
+
+
+def test_analyze_json_is_the_variance_report(tmp_path):
+    function = [{"freq": q, "re": 0.25 * (-1) ** q, "im": 0.125 * q} for q in range(1, 13)]
+    path = write_scenario(tmp_path, function=function, sequence={"kind": "blocks", "D": 4}, n=500)
+    out = str(tmp_path / "rep")
+    assert main(["analyze", path, "--out", out]) == EXIT_OK
+    summary = json.loads((tmp_path / "rep.json").read_text())
+    report = analysis.variance_report(trigpoly_from_obj(function), Blocks(4), 500)
+    assert summary == {
+        "n": 500,
+        "var_cov": report.var_cov,
+        "var_mart": report.var_mart,
+        "acc_transversality": report.acc_transversality,
+    }
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=repr)
+def test_analyze_rejects_non_finite_coefficient(tmp_path, capsys, bad):
+    path = write_scenario(tmp_path, function=[{"freq": 1, "re": bad, "im": 0.0}])
+    out = tmp_path / "nf"
+    assert main(["analyze", path, "--out", str(out)]) == EXIT_BAD_SCENARIO
+    assert not (tmp_path / "nf.json").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=repr)
+def test_dumps_refuses_non_finite(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        cli._dumps({"x": [1.0, bad]})
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        pytest.param({"function": [{"freq": True, "re": 0.5, "im": 0.0}]}, id="freq=true"),
+        pytest.param({"function": [{"freq": 1.5, "re": 0.5, "im": 0.0}]}, id="freq=1.5"),
+        pytest.param({"n": 10.7}, id="n=10.7"),
+        pytest.param({"n": True}, id="n=true"),
+        pytest.param({"n": "100"}, id="n='100'"),
+        pytest.param({"samples": 50.5, "seed": 1}, id="samples=50.5"),
+        pytest.param({"samples": 50, "seed": 1.5}, id="seed=1.5"),
+        pytest.param({"samples": 50, "seed": -1}, id="seed=-1"),
+        pytest.param({"samples": 50, "seed": 2**64}, id="seed=2^64"),
+        pytest.param({"sequence": {"kind": "constant", "b": 2.5}}, id="b=2.5"),
+        pytest.param({"sequence": {"kind": "constant", "b": True}}, id="b=true"),
+        pytest.param({"sequence": {"kind": "periodic", "values": [2, 3.5]}}, id="values=[2,3.5]"),
+        pytest.param(
+            {"sequence": {"kind": "explicit", "values": [2.5], "tail": {"kind": "constant", "b": 2}}},
+            id="explicit-values=[2.5]",
+        ),
+        pytest.param(
+            {"sequence": {"kind": "triples", "b0": 2, "B": 80, "p0": 10.5, "r": 2}}, id="p0=10.5"
+        ),
+        pytest.param(
+            {"sequence": {"kind": "triples", "b0": 2, "B": 80, "p0": 10, "r": 2.5}}, id="r=2.5"
+        ),
+        pytest.param({"sequence": {"kind": "blocks", "D": math.inf}}, id="D=inf"),
+    ],
+)
+def test_scenario_rejects_non_integers(tmp_path, capsys, overrides):
+    path = write_scenario(tmp_path, **overrides)
+    assert main(["analyze", path, "--out", str(tmp_path / "r")]) == EXIT_BAD_SCENARIO
+    assert not (tmp_path / "r.json").exists()
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_scenario_accepts_integral_values_and_largest_seed():
+    obj = {
+        "function": [{"freq": 2.0, "re": 0.5, "im": 0.0}],
+        "sequence": {"kind": "periodic", "values": [2, 3.0]},
+        "n": 8.0,
+        "samples": 10,
+        "seed": 2**64 - 1,
+    }
+    scenario = scenario_from_obj(obj)
+    assert (scenario.n, scenario.seed) == (8, 2**64 - 1)
+    assert scenario.sequence == Periodic((2, 3))
+    assert scenario.function == cosine(2)
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_simulate_rejects_threads_below_one(tmp_path, monkeypatch, threads):
+    def no_work(*args, **kwargs):
+        raise AssertionError("no sampling may start")
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", no_work)
+    monkeypatch.setattr(montecarlo, "birkhoff_samples", no_work)
+    path = write_scenario(tmp_path, n=4, samples=2, seed=1)
+    code = main(["simulate", path, "--out", str(tmp_path / "t"), "--threads", threads])
+    assert code == EXIT_BAD_SCENARIO
+    assert not (tmp_path / "t.mc.json").exists()
+
+
+def test_verify_decay_rejects_negative_seed(tmp_path):
+    path = write_scenario(tmp_path)
+    code = main(["verify-decay", path, "--k", "3", "--trials", "2", "--seed", "-1"])
+    assert code == EXIT_BAD_SCENARIO
 
 
 def test_analyze_unwritable_path(tmp_path):

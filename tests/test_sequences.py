@@ -8,11 +8,8 @@ from seqclt.sequences import (
     Explicit,
     Periodic,
     Triples,
-    block_index,
     generate,
-    log2_multiplier,
     sequence_from_obj,
-    sequence_to_obj,
 )
 
 
@@ -40,19 +37,19 @@ def test_triples_spike_placement():
 
 def test_block_index_examples():
     spec = Blocks(4)
-    assert block_index(spec, 20) == 2
-    assert block_index(spec, 64) == 3
+    assert spec.block_index(20) == 2
+    assert spec.block_index(64) == 3
     with pytest.raises(ValueError):
-        block_index(spec, 3)
+        spec.block_index(3)
 
 
 def test_log2_multiplier_constant():
-    assert log2_multiplier(Constant(2), 10) == pytest.approx(10.0, rel=1e-6)
-    assert log2_multiplier(Constant(3), 4) == pytest.approx(4 * math.log2(3), rel=1e-6)
+    assert Constant(2).log2_multiplier(10) == pytest.approx(10.0, rel=1e-6)
+    assert Constant(3).log2_multiplier(4) == pytest.approx(4 * math.log2(3), rel=1e-6)
 
 
 def test_log2_multiplier_blocks():
-    assert log2_multiplier(Blocks(4), 5) == pytest.approx(4 + math.log2(3), rel=1e-6)
+    assert Blocks(4).log2_multiplier(5) == pytest.approx(4 + math.log2(3), rel=1e-6)
 
 
 def test_log2_multiplier_matches_direct_sum():
@@ -66,7 +63,7 @@ def test_log2_multiplier_matches_direct_sum():
     for spec in specs:
         for n in (1, 2, 37, 300):
             direct = math.fsum(math.log2(generate(spec, k)) for k in range(1, n + 1))
-            assert log2_multiplier(spec, n) == pytest.approx(direct, rel=1e-6)
+            assert spec.log2_multiplier(n) == pytest.approx(direct, rel=1e-6)
 
 
 def test_blocks_count_closed_form_matches_scan():
@@ -121,6 +118,7 @@ def test_generate_is_pure():
         lambda: Triples(b0=2, B=2, p0=10, r=2),
         lambda: Triples(b0=2, B=5, p0=1, r=2),  # spikes would overlap
         lambda: Blocks(1.0),
+        lambda: Blocks(math.inf),
     ],
 )
 def test_invalid_specs_rejected(bad):
@@ -137,7 +135,7 @@ def test_serialization_round_trips():
         Explicit((4, 5, 6), Explicit((2,), Blocks(1.9))),
     ]
     for spec in specs:
-        assert sequence_from_obj(sequence_to_obj(spec)) == spec
+        assert sequence_from_obj(spec.to_obj()) == spec
 
 
 def test_serialization_rejects_unknown_kind():
