@@ -1,8 +1,9 @@
-"""Strict integer conversion for counts, seeds and multipliers read from JSON.
+"""Strict number conversion for values read from JSON.
 
-JSON delivers booleans, floats and integers alike, and ``int()`` would read
-``true`` as 1 and truncate ``2.5`` to 2.  Input that does not mean what it
-says is rejected instead.
+JSON delivers booleans, floats and integers alike; ``int()`` would read
+``true`` as 1 and truncate ``2.5`` to 2, and ``float()`` would read ``true``
+as 1.0 and ``"0.25"`` as 0.25.  Input that does not mean what it says is
+rejected instead.
 """
 
 from __future__ import annotations
@@ -17,3 +18,13 @@ def strict_int(value, what: str) -> int:
     if isinstance(value, float) and value.is_integer():
         return int(value)
     raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def strict_float(value, what: str) -> float:
+    """value as a float; booleans, strings and integers beyond float range raise ValueError."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ValueError(f"{what} must be a number, got {value!r}")

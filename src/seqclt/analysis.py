@@ -64,6 +64,9 @@ __all__ = [
 
 CROSS_CHECK_RTOL = 1e-9
 
+# Coefficients the u memo may hold before it starts over (tens of MB).
+_U_MEMO_COEFFS = 1 << 18
+
 # Resolution of the arc search grid for threshold certificates.
 _ARC_GRID = 1 << 12
 _ARC_EPS_EXPONENTS = range(1, 11)
@@ -188,18 +191,62 @@ def _backward_images(f: TrigPoly, mults: Iterable[int]) -> Iterator[TrigPoly]:
         yield g
 
 
-def _window(spec: SequenceSpec, k: int) -> Iterator[int]:
-    """a_k, a_{k-1}, ..., a_2: the multipliers between index 1 and index k."""
-    return (spec.value_at(j) for j in range(k, 1, -1))
+def _walks(
+    spec: SequenceSpec, degree: int, n: int
+) -> Iterator[tuple[int, int, int, tuple[int, ...]]]:
+    """(k, a_k, a_{k+1}, walk_k) for k = 1..n, reading the sequence once.
+
+    walk_k = (a_k, ..., a_2) cut before the running product exceeds degree.
+    u_k, the k-th covariance increment and (with a_{k+1}) the k-th angle
+    record depend on f only through walk_k: deeper multipliers reach no
+    stored frequency, and a walk that ends at index 2 uncut adds the same
+    terms as one cut there, because u_0 = 0.
+    """
+    values = spec.iter_values()
+    a_k = next(values)
+    walk: tuple[int, ...] = ()
+    for k in range(1, n + 1):
+        a_next = next(values)
+        yield k, a_k, a_next, walk
+        walk, mult = (a_next, *walk), 1
+        for i, b in enumerate(walk):
+            mult *= b
+            if mult > degree:
+                walk = walk[:i]
+                break
+        a_k = a_next
 
 
-def _u_recursion(f: TrigPoly, spec: SequenceSpec, n: int) -> Iterator[TrigPoly]:
+def _u_recursion(
+    f: TrigPoly, spec: SequenceSpec, n: int
+) -> Iterator[tuple[int, int, tuple[int, ...], TrigPoly]]:
+    """(k, a_{k+1}, walk_k, u_k) for k = 1..n.
+
+    u_k is a function of walk_k alone, so a repeated walk reuses the u_k
+    stored under it; otherwise one recursion step from u_{k-1} gives the
+    same floats as walking from the start.  A u is stored only when its walk
+    comes round a second time, and the memo starts over before it would hold
+    more than _U_MEMO_COEFFS coefficients (each u has at most degree(f)), so
+    a word whose walks rarely repeat does not fill memory with polynomials
+    it never reuses.
+    """
     if n < 1:
         raise ValueError("horizon n must be >= 1")
+    memo: dict[tuple[int, ...], TrigPoly] = {}
+    seen: set[tuple[int, ...]] = set()
     u = ZERO
-    for k in range(1, n + 1):
-        u = _add(f, transfer(spec.value_at(k), u))
-        yield u
+    for k, a_k, a_next, walk in _walks(spec, f.degree, n):
+        hit = memo.get(walk)
+        if hit is None:
+            hit = _add(f, transfer(a_k, u))
+            if walk in seen:
+                if (len(memo) + 1) * f.degree > _U_MEMO_COEFFS:
+                    memo.clear()
+                memo[walk] = hit
+            else:
+                seen.add(walk)
+        u = hit
+        yield k, a_next, walk, u
 
 
 def u_sequence(f: TrigPoly, spec: SequenceSpec, n: int) -> list[TrigPoly]:
@@ -208,7 +255,7 @@ def u_sequence(f: TrigPoly, spec: SequenceSpec, n: int) -> list[TrigPoly]:
     The recursion is exact and degree(u_k) <= degree(f) for every k, since
     transfer operators never raise the degree.
     """
-    return list(_u_recursion(f, spec, n))
+    return [u for *_, u in _u_recursion(f, spec, n)]
 
 
 def u_at(f: TrigPoly, spec: SequenceSpec, k: int) -> TrigPoly:
@@ -221,32 +268,41 @@ def u_at(f: TrigPoly, spec: SequenceSpec, k: int) -> TrigPoly:
     """
     if k < 1:
         raise ValueError("index k must be >= 1")
-    terms = [f, *_backward_images(f, _window(spec, k))]
+    window = (spec.value_at(j) for j in range(k, 1, -1))
+    terms = [f, *_backward_images(f, window)]
     return linear_combine([(1.0, t) for t in reversed(terms)])
 
 
-def _proj_norm_sq(u: TrigPoly, a: int) -> float:
-    return math.fsum(
-        2.0 * (c.real * c.real + c.imag * c.imag) for n, c in u.coeffs if n % a == 0
-    )
+def _angle_fields(u: TrigPoly, a_next: int) -> tuple[float, float, float, float]:
+    """AngleRecord's u_norm_sq, proj_norm_sq, cos_sq and sin_sq.
 
-
-def _angle_record(k: int, u: TrigPoly, a_next: int) -> AngleRecord:
-    u_norm_sq = l2_inner(u, u)
-    proj_norm_sq = _proj_norm_sq(u, a_next)
+    Both norms are fsums of the terms l2_inner(u, u) sums, squared once.
+    """
+    sq = [2.0 * (c.real * c.real + c.imag * c.imag) for _, c in u.coeffs]
+    u_norm_sq = math.fsum(sq)
+    proj_norm_sq = math.fsum(t for (n, _), t in zip(u.coeffs, sq) if n % a_next == 0)
     if u_norm_sq > 0.0:
         cos_sq = min(proj_norm_sq / u_norm_sq, 1.0)
     else:
         cos_sq = 1.0
-    return AngleRecord(k, u_norm_sq, proj_norm_sq, cos_sq, 1.0 - cos_sq)
+    return u_norm_sq, proj_norm_sq, cos_sq, 1.0 - cos_sq
 
 
 def angle_profile(f: TrigPoly, spec: SequenceSpec, n: int) -> list[AngleRecord]:
-    """Transversality records for k = 1..n (uses a_{k+1} for the projection)."""
-    return [
-        _angle_record(k, u, spec.value_at(k + 1))
-        for k, u in enumerate(_u_recursion(f, spec, n), start=1)
-    ]
+    """Transversality records for k = 1..n (uses a_{k+1} for the projection).
+
+    A record is a function of (walk_k, a_{k+1}), so its floats are computed
+    once per distinct pair.
+    """
+    memo: dict[tuple[tuple[int, ...], int], tuple[float, float, float, float]] = {}
+    out = []
+    for k, a_next, walk, u in _u_recursion(f, spec, n):
+        key = (walk, a_next)
+        fields = memo.get(key)
+        if fields is None:
+            fields = memo[key] = _angle_fields(u, a_next)
+        out.append(AngleRecord(k, *fields))
+    return out
 
 
 def accumulated_transversality(profile: list[AngleRecord], N: int) -> float:
@@ -266,18 +322,22 @@ def variance_covariance_curve(f: TrigPoly, spec: SequenceSpec, n: int) -> list[f
     cov(j, k) = <T*_{[j+1..k]} f, f> depends only on the product of the
     multipliers between the two indices and vanishes exactly once that
     product exceeds degree(f), so each new index contributes only a short
-    backward walk.
+    backward walk, and the increment is computed once per distinct walk.
     """
     if n < 1:
         raise ValueError("horizon n must be >= 1")
     norm_sq = l2_inner(f, f)
+    steps: dict[tuple[int, ...], float] = {}
     curve = []
     total = 0.0
     comp = 0.0
-    for k in range(1, n + 1):
-        step = norm_sq
-        for g in _backward_images(f, _window(spec, k)):
-            step += 2.0 * l2_inner(g, f)
+    for _, _, _, walk in _walks(spec, f.degree, n):
+        step = steps.get(walk)
+        if step is None:
+            step = norm_sq
+            for g in _backward_images(f, walk):
+                step += 2.0 * l2_inner(g, f)
+            steps[walk] = step
         y = step - comp
         t = total + y
         comp = (t - total) - y
@@ -453,6 +513,5 @@ def separation_bound_check(
         raise ValueError(
             f"separation bound needs min(a_k, a_k+1) > L={cert.L}, got {min(a_k, a_next)}"
         )
-    u = u_at(f, spec, k)
-    defect = l2_inner(u, u) - _proj_norm_sq(u, a_next)
-    return defect >= cert.delta**2 * cert.eps / 64.0
+    u_norm_sq, proj_norm_sq, _, _ = _angle_fields(u_at(f, spec, k), a_next)
+    return u_norm_sq - proj_norm_sq >= cert.delta**2 * cert.eps / 64.0

@@ -7,11 +7,13 @@ simulate      exact-orbit Monte Carlo summary (requires samples and seed)
 coboundary    solve f = (u o T_b) - u for the scenario's function
 verify-decay  certified transfer-operator decay over random map words
 
-Exit codes: 0 success; 1 malformed scenario or arguments (non-finite or
-non-integral where an integer belongs, seed outside [0, 2^64), --threads < 1)
-or a non-finite result; 2 I/O failure; 3 internal consistency failure
-(variance cross-check or decay bound); 10 coboundary obstruction (so shell
-pipelines can branch on the dichotomy).
+Exit codes: 0 success; 1 malformed scenario or arguments (a non-finite
+number, a boolean or string where a number belongs, non-integral where an
+integer belongs, seed outside [0, 2^64), --threads < 1); 2 I/O failure;
+3 internal failure: a consistency check (variance cross-check or decay
+bound) or an error raised while computing, such as a result that overflows
+to a non-finite value; 10 coboundary obstruction (so shell pipelines can
+branch on the dichotomy).
 
 All real numbers in outputs are printed with 17 significant digits and are
 finite, and every output byte is a deterministic function of the inputs and
@@ -105,7 +107,7 @@ def _load_scenario(path: str) -> Scenario:
             obj = json.load(fh)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise ScenarioError(f"scenario file is not valid JSON: {exc}") from exc
     return scenario_from_obj(obj)
 
@@ -331,7 +333,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_BAD_SCENARIO
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_SCENARIO
+        return EXIT_INCONSISTENT
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

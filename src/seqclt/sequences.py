@@ -4,7 +4,8 @@ Each spec kind is a small immutable rule mapping an index k >= 1 to an
 integer multiplier >= 2 (the slope of the k-th circle map).  Random access
 matters: downstream analyses jump to arbitrary indices (spike neighbourhoods,
 block interiors) without iterating from the start, and Monte Carlo workers
-evaluate the same sequence concurrently.
+evaluate the same sequence concurrently.  Scans from the start use
+``iter_values`` instead, which costs O(1) per index for every kind.
 
 Kinds
 -----
@@ -19,10 +20,12 @@ blocks      background 2 with runs of 3 of length l starting at ceil(D^l),
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
-from ._strict import strict_int
+from ._strict import strict_float, strict_int
 
 __all__ = [
     "SequenceSpec",
@@ -46,6 +49,10 @@ class SequenceSpec:
 
     def value_at(self, k: int) -> int:
         raise NotImplementedError
+
+    def iter_values(self) -> Iterator[int]:
+        """a_1, a_2, ... in order, endlessly; equal to value_at at every index."""
+        return map(self.value_at, itertools.count(1))
 
     def log2_multiplier(self, n: int) -> float:
         raise NotImplementedError
@@ -131,6 +138,9 @@ class Explicit(SequenceSpec):
             return self.values[k - 1]
         return self.tail.value_at(k - len(self.values))
 
+    def iter_values(self) -> Iterator[int]:
+        return itertools.chain(self.values, self.tail.iter_values())
+
     def log2_multiplier(self, n: int) -> float:
         _check_index(n)
         head = math.fsum(math.log2(v) for v in self.values[:n])
@@ -183,6 +193,13 @@ class Triples(SequenceSpec):
                 return self.B
         return self.b0
 
+    def iter_values(self) -> Iterator[int]:
+        k = 1
+        for p in self.spike_positions(math.inf):
+            yield from itertools.repeat(self.b0, p - k)
+            yield from itertools.repeat(self.B, 3)
+            k = p + 3
+
     def log2_multiplier(self, n: int) -> float:
         _check_index(n)
         s = self.spiked_count(n)
@@ -232,6 +249,14 @@ class Blocks(SequenceSpec):
             if k < d + l:
                 return 3
             l += 1
+
+    def iter_values(self) -> Iterator[int]:
+        k = 1
+        for l in itertools.count(1):
+            d = self.block_start(l)
+            yield from itertools.repeat(2, d - k)
+            yield from itertools.repeat(3, d + l - max(d, k))
+            k = max(k, d + l)
 
     def three_count(self, n: int) -> int:
         """Number of indices k <= n with value 3 (closed form over blocks)."""
@@ -285,7 +310,7 @@ def sequence_from_obj(obj) -> SequenceSpec:
         if kind == "triples":
             return Triples(*(strict_int(obj[key], key) for key in ("b0", "B", "p0", "r")))
         if kind == "blocks":
-            return Blocks(float(obj["D"]))
+            return Blocks(strict_float(obj["D"], "D"))
     except KeyError as exc:
         raise ValueError(f"sequence kind {kind!r} is missing field {exc}") from exc
     raise ValueError(f"unknown sequence kind {kind!r}")

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._strict import strict_int
+from ._strict import strict_float, strict_int
 
 __all__ = [
     "TrigPoly",
@@ -261,5 +261,6 @@ def trigpoly_from_obj(obj) -> TrigPoly:
     for item in obj:
         if not isinstance(item, dict) or not {"freq", "re", "im"} <= set(item):
             raise ValueError(f"bad coefficient entry {item!r}")
-        entries.append((item["freq"], complex(float(item["re"]), float(item["im"]))))
+        re, im = strict_float(item["re"], "re"), strict_float(item["im"], "im")
+        entries.append((item["freq"], complex(re, im)))
     return make_trigpoly(entries)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import random_poly
+from seqclt import analysis
 from seqclt.analysis import (
+    AngleRecord,
     accumulated_transversality,
     angle_profile,
     block_shadowing_check,
@@ -22,6 +24,7 @@ from seqclt.analysis import (
 )
 from seqclt.sequences import Blocks, Constant, Explicit, Periodic, Triples, generate
 from seqclt.trigpoly import (
+    ZERO,
     c1_norm,
     cosine,
     l2_inner,
@@ -77,6 +80,30 @@ def _reference_covariance_curve(f, spec, n):
     return curve
 
 
+# The plain u-recursion and angle records, one full step per index: the
+# window-memoised versions must reproduce them bit for bit.
+def _reference_u_sequence(f, spec, n):
+    us = []
+    u = ZERO
+    for k in range(1, n + 1):
+        u = linear_combine([(1.0, f), (1.0, transfer(generate(spec, k), u))])
+        us.append(u)
+    return us
+
+
+def _reference_angle_profile(f, spec, n):
+    records = []
+    for k, u in enumerate(_reference_u_sequence(f, spec, n), start=1):
+        a_next = generate(spec, k + 1)
+        u_norm_sq = l2_inner(u, u)
+        proj_norm_sq = math.fsum(
+            2.0 * (c.real * c.real + c.imag * c.imag) for q, c in u.coeffs if q % a_next == 0
+        )
+        cos_sq = min(proj_norm_sq / u_norm_sq, 1.0) if u_norm_sq > 0.0 else 1.0
+        records.append(AngleRecord(k, u_norm_sq, proj_norm_sq, cos_sq, 1.0 - cos_sq))
+    return records
+
+
 def _reference_neumann_sum(f, b):
     terms = [f]
     g = f
@@ -97,12 +124,45 @@ ALL_KINDS = [
 ]
 
 
-@pytest.mark.parametrize("spec", ALL_KINDS, ids=lambda spec: spec.kind)
-def test_covariance_curve_matches_reference_walk(spec):
-    rng = np.random.default_rng(40)
-    for max_degree, n in ((32, 2000), (9, 300)):
-        f = random_poly(rng, max_degree=max_degree, density=0.9)
+_rng = np.random.default_rng(40)
+RANDOM_CASES = tuple(
+    (random_poly(_rng, max_degree=max_degree, density=0.9), n)
+    for max_degree, n in ((32, 2000), (9, 300))
+)
+# Walks that rarely repeat: a dense degree-300 observable on a random word.
+RANDOM_WORD = Explicit(
+    tuple(int(b) for b in np.random.default_rng(43).integers(2, 30, size=1200)), Constant(2)
+)
+DEGREE_300 = random_poly(np.random.default_rng(44), max_degree=300, density=1.0)
+# Frequencies 3^i: any even multiplier annihilates the images long before the
+# product of multipliers reaches the degree.
+POWERS_OF_3 = make_trigpoly([(3**i, complex(0.5**i, 0.25 * i)) for i in range(6)])
+
+WALK_CASES = [pytest.param(spec, RANDOM_CASES, id=spec.kind) for spec in ALL_KINDS] + [
+    pytest.param(RANDOM_WORD, ((DEGREE_300, 1200),), id="random-word-degree-300"),
+    pytest.param(Periodic((3, 2, 3, 5)), ((POWERS_OF_3, 400),), id="zero-images-periodic"),
+    pytest.param(Blocks(1.7), ((POWERS_OF_3, 400),), id="zero-images-blocks"),
+]
+
+
+@pytest.mark.parametrize("spec, cases", WALK_CASES)
+def test_covariance_curve_matches_reference_walk(spec, cases):
+    for f, n in cases:
         assert variance_covariance_curve(f, spec, n) == _reference_covariance_curve(f, spec, n)
+
+
+@pytest.mark.parametrize("spec, cases", WALK_CASES)
+def test_memoised_u_recursion_matches_plain_recursion(spec, cases, monkeypatch):
+    for f, n in cases:
+        us = _reference_u_sequence(f, spec, n)
+        records = _reference_angle_profile(f, spec, n)
+        assert u_sequence(f, spec, n) == us
+        assert angle_profile(f, spec, n) == records
+        # a memo that starts over every few walks gives the same floats
+        monkeypatch.setattr(analysis, "_U_MEMO_COEFFS", 3 * f.degree)
+        assert u_sequence(f, spec, n) == us
+        assert angle_profile(f, spec, n) == records
+        monkeypatch.undo()
 
 
 def test_neumann_sum_matches_reference_walk():
@@ -300,6 +360,14 @@ def test_acc_transversality_running_sum_close_to_fsum():
     reference = accumulated_transversality(list(rep.per_step), n - 1)
     assert reference > 0.0
     assert abs(rep.acc_transversality - reference) <= n * 2.0**-52 * reference
+
+
+def test_blocks4_variance_grows_like_log_squared(f1):
+    # Var(S_{4^l}) = l(l-1)/2 + 2 on the D=4 schedule: far below the cap
+    # 8 * 4^(l-1) of the suppression criterion, read off one curve to 4^10
+    curve = variance_covariance_curve(f1, Blocks(4), 4**10)
+    for l in range(3, 11):
+        assert abs(curve[4**l - 1] - (l * (l - 1) / 2 + 2)) <= 1e-9
 
 
 def test_variance_curves_are_prefixes(f1):

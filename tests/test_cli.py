@@ -143,6 +143,10 @@ def test_dumps_refuses_non_finite(bad):
             {"sequence": {"kind": "triples", "b0": 2, "B": 80, "p0": 10, "r": 2.5}}, id="r=2.5"
         ),
         pytest.param({"sequence": {"kind": "blocks", "D": math.inf}}, id="D=inf"),
+        pytest.param({"sequence": {"kind": "blocks", "D": "4"}}, id="D='4'"),
+        pytest.param({"function": [{"freq": 1, "re": True, "im": 0.0}]}, id="re=true"),
+        pytest.param({"function": [{"freq": 1, "re": 0.5, "im": "0.25"}]}, id="im='0.25'"),
+        pytest.param({"function": [{"freq": 1, "re": 10**400, "im": 0.0}]}, id="re=10^400"),
     ],
 )
 def test_scenario_rejects_non_integers(tmp_path, capsys, overrides):
@@ -150,6 +154,23 @@ def test_scenario_rejects_non_integers(tmp_path, capsys, overrides):
     assert main(["analyze", path, "--out", str(tmp_path / "r")]) == EXIT_BAD_SCENARIO
     assert not (tmp_path / "r.json").exists()
     assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_unreadable_scenario_text_is_bad_input(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"n": 1, "note": "\xe9"}')
+    assert main(["analyze", str(path), "--out", str(tmp_path / "r")]) == EXIT_BAD_SCENARIO
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_overflowing_result_is_an_internal_failure(tmp_path, capsys):
+    # a valid coefficient whose squared norm overflows: not bad input (1) but
+    # a failure of the computation (3), reported before any file is written
+    path = write_scenario(tmp_path, function=[{"freq": 1, "re": 1e300, "im": 0.0}])
+    assert main(["analyze", path, "--out", str(tmp_path / "big")]) == EXIT_INCONSISTENT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not list(tmp_path.glob("big*"))
 
 
 def test_scenario_accepts_integral_values_and_largest_seed():

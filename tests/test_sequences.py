@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -88,6 +89,26 @@ def test_triples_every_spike_is_three_long():
 def test_explicit_head_then_tail():
     spec = Explicit((4, 5), Periodic((2, 3)))
     assert [generate(spec, k) for k in range(1, 7)] == [4, 5, 2, 3, 2, 3]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        Constant(3),
+        Periodic((2, 3, 2, 5)),
+        Explicit((5, 2, 3), Blocks(4)),
+        Triples(b0=2, B=9, p0=4, r=2),
+        Triples(b0=2, B=9, p0=625, r=2),  # spike 5000..5002 straddles the horizon
+        Blocks(4),
+        Blocks(2.5),  # non-integral D: ceil boundaries
+        Blocks(1.7),
+    ],
+    ids=repr,
+)
+def test_iter_values_matches_value_at(spec):
+    horizon = 5000
+    expected = [spec.value_at(k) for k in range(1, horizon + 1)]
+    assert list(itertools.islice(spec.iter_values(), horizon)) == expected
 
 
 def test_generate_values_always_at_least_two():
