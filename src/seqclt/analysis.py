@@ -31,7 +31,6 @@ import numpy as np
 
 from .sequences import SequenceSpec
 from .trigpoly import (
-    ZERO,
     C1Norm,
     TrigPoly,
     c1_norm,
@@ -64,9 +63,6 @@ __all__ = [
 
 CROSS_CHECK_RTOL = 1e-9
 
-# Coefficients the u memo may hold before it starts over (tens of MB).
-_U_MEMO_COEFFS = 1 << 18
-
 # Resolution of the arc search grid for threshold certificates.
 _ARC_GRID = 1 << 12
 _ARC_EPS_EXPONENTS = range(1, 11)
@@ -74,15 +70,15 @@ _ARC_EPS_EXPONENTS = range(1, 11)
 
 @dataclass(frozen=True)
 class AngleRecord:
-    """Per-step transversality data at index k.
+    """Transversality data of one index k; a profile holds it at position k-1.
 
     cos_sq is ||P u_k||^2 / ||u_k||^2 with P the projection onto functions
     measurable for the (k+1)-th map's preimage algebra; when u_k = 0 the
     angle is undefined and we take cos_sq = 1 (zero transversality), the
-    conservative convention.
+    conservative convention.  A record depends only on (walk_k, a_{k+1}), so
+    indices that share the pair share one record object.
     """
 
-    k: int
     u_norm_sq: float
     proj_norm_sq: float
     cos_sq: float
@@ -163,10 +159,6 @@ class DecayReport:
         return math.exp(math.fsum(math.log(r) for r in factors) / len(factors))
 
 
-def _add(f: TrigPoly, g: TrigPoly) -> TrigPoly:
-    return linear_combine([(1.0, f), (1.0, g)])
-
-
 def _sub(f: TrigPoly, g: TrigPoly) -> TrigPoly:
     return linear_combine([(1.0, f), (-1.0, g)])
 
@@ -191,10 +183,8 @@ def _backward_images(f: TrigPoly, mults: Iterable[int]) -> Iterator[TrigPoly]:
         yield g
 
 
-def _walks(
-    spec: SequenceSpec, degree: int, n: int
-) -> Iterator[tuple[int, int, int, tuple[int, ...]]]:
-    """(k, a_k, a_{k+1}, walk_k) for k = 1..n, reading the sequence once.
+def _walks(spec: SequenceSpec, degree: int, n: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(walk_k, a_{k+1}) for k = 1..n, reading the sequence once.
 
     walk_k = (a_k, ..., a_2) cut before the running product exceeds degree.
     u_k, the k-th covariance increment and (with a_{k+1}) the k-th angle
@@ -202,79 +192,59 @@ def _walks(
     stored frequency, and a walk that ends at index 2 uncut adds the same
     terms as one cut there, because u_0 = 0.
     """
+    if n < 1:
+        raise ValueError("horizon n must be >= 1")
     values = spec.iter_values()
-    a_k = next(values)
+    next(values)  # a_1 is in no walk
     walk: tuple[int, ...] = ()
-    for k in range(1, n + 1):
+    for _ in range(n):
         a_next = next(values)
-        yield k, a_k, a_next, walk
+        yield walk, a_next
         walk, mult = (a_next, *walk), 1
         for i, b in enumerate(walk):
             mult *= b
             if mult > degree:
                 walk = walk[:i]
                 break
-        a_k = a_next
 
 
-def _u_recursion(
-    f: TrigPoly, spec: SequenceSpec, n: int
-) -> Iterator[tuple[int, int, tuple[int, ...], TrigPoly]]:
-    """(k, a_{k+1}, walk_k, u_k) for k = 1..n.
+def _u_of_walk(f: TrigPoly, walk: Iterable[int]) -> TrigPoly:
+    """u_k: f plus its backward images along walk = (a_k, ..., a_2).
 
-    u_k is a function of walk_k alone, so a repeated walk reuses the u_k
-    stored under it; otherwise one recursion step from u_{k-1} gives the
-    same floats as walking from the start.  A u is stored only when its walk
-    comes round a second time, and the memo starts over before it would hold
-    more than _U_MEMO_COEFFS coefficients (each u has at most degree(f)), so
-    a word whose walks rarely repeat does not fill memory with polynomials
-    it never reuses.
+    Only the part of the walk whose running product stays within degree(f)
+    contributes; deeper terms are annihilated exactly.  Terms are summed
+    deepest-first, which reproduces the float arithmetic of the recursion
+    u_k = f + T*_{a_k} u_{k-1}, u_0 = 0, bit for bit.
     """
-    if n < 1:
-        raise ValueError("horizon n must be >= 1")
-    memo: dict[tuple[int, ...], TrigPoly] = {}
-    seen: set[tuple[int, ...]] = set()
-    u = ZERO
-    for k, a_k, a_next, walk in _walks(spec, f.degree, n):
-        hit = memo.get(walk)
-        if hit is None:
-            hit = _add(f, transfer(a_k, u))
-            if walk in seen:
-                if (len(memo) + 1) * f.degree > _U_MEMO_COEFFS:
-                    memo.clear()
-                memo[walk] = hit
-            else:
-                seen.add(walk)
-        u = hit
-        yield k, a_next, walk, u
-
-
-def u_sequence(f: TrigPoly, spec: SequenceSpec, n: int) -> list[TrigPoly]:
-    """u_1 ... u_n by the recursion u_k = f + T*_{a_k} u_{k-1}, u_0 = 0.
-
-    The recursion is exact and degree(u_k) <= degree(f) for every k, since
-    transfer operators never raise the degree.
-    """
-    return [u for *_, u in _u_recursion(f, spec, n)]
-
-
-def u_at(f: TrigPoly, spec: SequenceSpec, k: int) -> TrigPoly:
-    """u_k without iterating from the start.
-
-    Only the suffix of the sequence whose running product of multipliers
-    stays within degree(f) contributes; deeper terms are annihilated
-    exactly.  Terms are summed deepest-first, which reproduces the
-    recursion's float arithmetic bit for bit.
-    """
-    if k < 1:
-        raise ValueError("index k must be >= 1")
-    window = (spec.value_at(j) for j in range(k, 1, -1))
-    terms = [f, *_backward_images(f, window)]
+    terms = [f, *_backward_images(f, walk)]
     return linear_combine([(1.0, t) for t in reversed(terms)])
 
 
-def _angle_fields(u: TrigPoly, a_next: int) -> tuple[float, float, float, float]:
-    """AngleRecord's u_norm_sq, proj_norm_sq, cos_sq and sin_sq.
+def u_sequence(f: TrigPoly, spec: SequenceSpec, n: int) -> list[TrigPoly]:
+    """u_1 ... u_n, each computed once per distinct walk.
+
+    The u_k are exact and degree(u_k) <= degree(f) for every k, since
+    transfer operators never raise the degree.
+    """
+    memo: dict[tuple[int, ...], TrigPoly] = {}
+    out = []
+    for walk, _ in _walks(spec, f.degree, n):
+        u = memo.get(walk)
+        if u is None:
+            u = memo[walk] = _u_of_walk(f, walk)
+        out.append(u)
+    return out
+
+
+def u_at(f: TrigPoly, spec: SequenceSpec, k: int) -> TrigPoly:
+    """u_k without scanning from the start: reads a_k, a_{k-1}, ... lazily."""
+    if k < 1:
+        raise ValueError("index k must be >= 1")
+    return _u_of_walk(f, (spec.value_at(j) for j in range(k, 1, -1)))
+
+
+def _angle_record(u: TrigPoly, a_next: int) -> AngleRecord:
+    """The angle between u and the functions measurable for x -> a_next x.
 
     Both norms are fsums of the terms l2_inner(u, u) sums, squared once.
     """
@@ -285,23 +255,22 @@ def _angle_fields(u: TrigPoly, a_next: int) -> tuple[float, float, float, float]
         cos_sq = min(proj_norm_sq / u_norm_sq, 1.0)
     else:
         cos_sq = 1.0
-    return u_norm_sq, proj_norm_sq, cos_sq, 1.0 - cos_sq
+    return AngleRecord(u_norm_sq, proj_norm_sq, cos_sq, 1.0 - cos_sq)
 
 
 def angle_profile(f: TrigPoly, spec: SequenceSpec, n: int) -> list[AngleRecord]:
     """Transversality records for k = 1..n (uses a_{k+1} for the projection).
 
-    A record is a function of (walk_k, a_{k+1}), so its floats are computed
-    once per distinct pair.
+    A record is a function of (walk_k, a_{k+1}): it is computed once per
+    distinct pair, and every index with that pair holds the same object.
     """
-    memo: dict[tuple[tuple[int, ...], int], tuple[float, float, float, float]] = {}
+    memo: dict[tuple[tuple[int, ...], int], AngleRecord] = {}
     out = []
-    for k, a_next, walk, u in _u_recursion(f, spec, n):
-        key = (walk, a_next)
-        fields = memo.get(key)
-        if fields is None:
-            fields = memo[key] = _angle_fields(u, a_next)
-        out.append(AngleRecord(k, *fields))
+    for key in _walks(spec, f.degree, n):
+        rec = memo.get(key)
+        if rec is None:
+            rec = memo[key] = _angle_record(_u_of_walk(f, key[0]), key[1])
+        out.append(rec)
     return out
 
 
@@ -324,14 +293,12 @@ def variance_covariance_curve(f: TrigPoly, spec: SequenceSpec, n: int) -> list[f
     product exceeds degree(f), so each new index contributes only a short
     backward walk, and the increment is computed once per distinct walk.
     """
-    if n < 1:
-        raise ValueError("horizon n must be >= 1")
     norm_sq = l2_inner(f, f)
     steps: dict[tuple[int, ...], float] = {}
     curve = []
     total = 0.0
     comp = 0.0
-    for _, _, _, walk in _walks(spec, f.degree, n):
+    for walk, _ in _walks(spec, f.degree, n):
         step = steps.get(walk)
         if step is None:
             step = norm_sq
@@ -513,5 +480,5 @@ def separation_bound_check(
         raise ValueError(
             f"separation bound needs min(a_k, a_k+1) > L={cert.L}, got {min(a_k, a_next)}"
         )
-    u_norm_sq, proj_norm_sq, _, _ = _angle_fields(u_at(f, spec, k), a_next)
-    return u_norm_sq - proj_norm_sq >= cert.delta**2 * cert.eps / 64.0
+    rec = _angle_record(u_at(f, spec, k), a_next)
+    return rec.u_norm_sq - rec.proj_norm_sq >= cert.delta**2 * cert.eps / 64.0

@@ -12,12 +12,14 @@ number, a boolean or string where a number belongs, non-integral where an
 integer belongs, seed outside [0, 2^64), --threads < 1); 2 I/O failure;
 3 internal failure: a consistency check (variance cross-check or decay
 bound) or an error raised while computing, such as a result that overflows
-to a non-finite value; 10 coboundary obstruction (so shell pipelines can
-branch on the dichotomy).
+to a non-finite value (the message names the CSV column and k, or the JSON
+key); 10 coboundary obstruction (so shell pipelines can branch on the
+dichotomy).
 
 All real numbers in outputs are printed with 17 significant digits and are
 finite, and every output byte is a deterministic function of the inputs and
-flags.
+flags.  simulate --threads N starts at most min(N, cpu count, samples)
+worker processes; N changes wall time only.
 """
 
 from __future__ import annotations
@@ -132,9 +134,12 @@ def _dumps(obj, indent: int = 0) -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        rows = [
-            f'{pad}  {json.dumps(k)}: {_dumps(v, indent + 1)}' for k, v in obj.items()
-        ]
+        rows = []
+        for k, v in obj.items():
+            try:
+                rows.append(f'{pad}  {json.dumps(k)}: {_dumps(v, indent + 1)}')
+            except ValueError as exc:
+                raise ValueError(f"{exc} in {k}") from None
         return "{\n" + ",\n".join(rows) + f"\n{pad}}}"
     if isinstance(obj, (list, tuple)):
         if not obj:
@@ -197,23 +202,38 @@ def _svg_curves(path: str, n: int, curves) -> None:
 # ---------------------------------------------------------------------------
 # commands
 
+_CSV_COLUMNS = (
+    "u_norm_sq", "cos_sq", "sin_sq", "min_pair_sin_sq", "acc_transversality",
+    "var_cov_prefix", "var_mart_prefix",
+)
+
+
+def _csv_row(k: int, cells) -> str:
+    """Row k of the analyze CSV; None is an empty cell."""
+    try:
+        return f"{k}," + ",".join(["" if c is None else _fmt(c) for c in cells])
+    except ValueError as exc:
+        bad = next(
+            name for name, c in zip(_CSV_COLUMNS, cells)
+            if c is not None and not math.isfinite(c)
+        )
+        raise ValueError(f"{exc} in {bad} at k={k}") from None
+
 
 def cmd_analyze(scenario: Scenario, out_prefix: str) -> int:
     n = scenario.n
     report = analysis.variance_report(scenario.function, scenario.sequence, n)
     profile, acc_curve = report.per_step, report.acc_curve
-    lines = [
-        "k,u_norm_sq,cos_sq,sin_sq,min_pair_sin_sq,acc_transversality,"
-        "var_cov_prefix,var_mart_prefix"
-    ]
+    lines = ["k," + ",".join(_CSV_COLUMNS)]
     for k in range(1, n + 1):
         rec = profile[k - 1]
-        pair = _fmt(min(rec.sin_sq, profile[k].sin_sq)) if k < n else ""
-        accv = _fmt(acc_curve[k - 1]) if k < n else ""
-        lines.append(
-            f"{k},{_fmt(rec.u_norm_sq)},{_fmt(rec.cos_sq)},{_fmt(rec.sin_sq)},"
-            f"{pair},{accv},{_fmt(report.cov_curve[k - 1])},{_fmt(report.mart_curve[k - 1])}"
-        )
+        last = k == n
+        lines.append(_csv_row(k, (
+            rec.u_norm_sq, rec.cos_sq, rec.sin_sq,
+            None if last else min(rec.sin_sq, profile[k].sin_sq),
+            None if last else acc_curve[k - 1],
+            report.cov_curve[k - 1], report.mart_curve[k - 1],
+        )))
     summary = _dumps({
         "n": n,
         "var_cov": report.var_cov,
@@ -333,6 +353,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_BAD_SCENARIO
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INCONSISTENT
+    except OverflowError as exc:  # a float power or fsum beyond float range
+        print(f"error: overflow: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -18,14 +18,16 @@ is deterministic by construction.
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import analysis
-from .sequences import SequenceSpec, generate
+from .sequences import SequenceSpec
 from .trigpoly import TrigPoly
 
 __all__ = [
@@ -151,7 +153,7 @@ def orbit_birkhoff(f: TrigPoly, spec: SequenceSpec, n: int, x0: DyadicPoint) -> 
     need = required_bits(spec, n, 0) + 53
     if x0.bits < need:
         raise ValueError(f"x0 has {x0.bits} bits, needs >= {need} for n={n}")
-    mults = [generate(spec, k) for k in range(1, n + 1)]
+    mults = list(itertools.islice(spec.iter_values(), n))
     return _birkhoff_sum(x0.numerator, x0.bits, mults, _coef_table(f))
 
 
@@ -174,21 +176,23 @@ def birkhoff_samples(
     """m values of S_n at counter-seeded uniform dyadic initial points.
 
     The result is a pure function of (f, spec, n, m, seed): worker count
-    only affects wall time, never bytes.
+    only affects wall time, never bytes.  At most min(threads, cpu count, m)
+    worker processes start; with one, the samples are drawn in this process.
     """
     if m < 1:
         raise ValueError("sample count must be >= 1")
     bits = required_bits(spec, n, 64)
-    mults = [generate(spec, k) for k in range(1, n + 1)]
+    mults = list(itertools.islice(spec.iter_values(), n))
     coef = _coef_table(f)
-    if threads <= 1:
+    workers = min(threads, os.cpu_count() or 1, m)
+    if workers <= 1:
         return _sum_range((coef, mults, bits, seed, 0, m))
-    chunk = max(1, -(-m // (4 * threads)))
+    chunk = -(-m // (4 * workers))
     tasks = [
         (coef, mults, bits, seed, lo, min(lo + chunk, m)) for lo in range(0, m, chunk)
     ]
     out: list[float] = []
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         for part in pool.map(_sum_range, tasks):
             out.extend(part)
     return out

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from conftest import random_poly
-from seqclt import analysis
 from seqclt.analysis import (
     AngleRecord,
     accumulated_transversality,
@@ -100,7 +99,7 @@ def _reference_angle_profile(f, spec, n):
             2.0 * (c.real * c.real + c.imag * c.imag) for q, c in u.coeffs if q % a_next == 0
         )
         cos_sq = min(proj_norm_sq / u_norm_sq, 1.0) if u_norm_sq > 0.0 else 1.0
-        records.append(AngleRecord(k, u_norm_sq, proj_norm_sq, cos_sq, 1.0 - cos_sq))
+        records.append(AngleRecord(u_norm_sq, proj_norm_sq, cos_sq, 1.0 - cos_sq))
     return records
 
 
@@ -152,17 +151,10 @@ def test_covariance_curve_matches_reference_walk(spec, cases):
 
 
 @pytest.mark.parametrize("spec, cases", WALK_CASES)
-def test_memoised_u_recursion_matches_plain_recursion(spec, cases, monkeypatch):
+def test_memoised_u_recursion_matches_plain_recursion(spec, cases):
     for f, n in cases:
-        us = _reference_u_sequence(f, spec, n)
-        records = _reference_angle_profile(f, spec, n)
-        assert u_sequence(f, spec, n) == us
-        assert angle_profile(f, spec, n) == records
-        # a memo that starts over every few walks gives the same floats
-        monkeypatch.setattr(analysis, "_U_MEMO_COEFFS", 3 * f.degree)
-        assert u_sequence(f, spec, n) == us
-        assert angle_profile(f, spec, n) == records
-        monkeypatch.undo()
+        assert u_sequence(f, spec, n) == _reference_u_sequence(f, spec, n)
+        assert angle_profile(f, spec, n) == _reference_angle_profile(f, spec, n)
 
 
 def test_neumann_sum_matches_reference_walk():
@@ -200,13 +192,14 @@ def test_u_sequence_matches_direct_sum_exactly():
 
 
 def test_u_at_matches_recursion():
-    rng = np.random.default_rng(22)
-    spec = Blocks(1.8)
-    for _ in range(5):
-        f = random_poly(rng, max_degree=16, density=0.7)
-        us = u_sequence(f, spec, 40)
-        for k in (1, 2, 7, 25, 40):
-            assert u_at(f, spec, k) == us[k - 1]
+    # random access against the plain recursion, not against u_sequence,
+    # which shares u_at's summation code
+    for param in WALK_CASES:
+        spec, cases = param.values
+        for f, n in cases:
+            us = _reference_u_sequence(f, spec, n)
+            for k in (1, 2, 3, n // 3, n - 1, n):
+                assert u_at(f, spec, k) == us[k - 1]
 
 
 def test_degree_never_grows():
@@ -364,10 +357,13 @@ def test_acc_transversality_running_sum_close_to_fsum():
 
 def test_blocks4_variance_grows_like_log_squared(f1):
     # Var(S_{4^l}) = l(l-1)/2 + 2 on the D=4 schedule: far below the cap
-    # 8 * 4^(l-1) of the suppression criterion, read off one curve to 4^10
-    curve = variance_covariance_curve(f1, Blocks(4), 4**10)
+    # 8 * 4^(l-1) of the suppression criterion.  The accumulated
+    # transversality over k < 4^l grows beside it as ((l-1)^2 + 2)/2, so
+    # Var - Acc = (l+1)/2: both grow like (log n)^2 / 2.  One report to 4^10.
+    rep = variance_report(f1, Blocks(4), 4**10)
     for l in range(3, 11):
-        assert abs(curve[4**l - 1] - (l * (l - 1) / 2 + 2)) <= 1e-9
+        assert abs(rep.cov_curve[4**l - 1] - (l * (l - 1) / 2 + 2)) <= 1e-9
+        assert abs(rep.acc_curve[4**l - 2] - ((l - 1) ** 2 + 2) / 2) <= 1e-9
 
 
 def test_variance_curves_are_prefixes(f1):

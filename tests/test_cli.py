@@ -170,6 +170,26 @@ def test_overflowing_result_is_an_internal_failure(tmp_path, capsys):
     assert main(["analyze", path, "--out", str(tmp_path / "big")]) == EXIT_INCONSISTENT
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert "inf in u_norm_sq at k=1" in err
+    assert not list(tmp_path.glob("big*"))
+
+
+@pytest.mark.parametrize(
+    "re, named",
+    [
+        pytest.param(1e300, "error: overflow: ", id="overflow-in-variance"),
+        pytest.param(1e308, "nan in mean", id="non-finite-key"),
+    ],
+)
+def test_overflowing_samples_are_an_internal_failure(tmp_path, capsys, re, named):
+    path = write_scenario(
+        tmp_path, function=[{"freq": 1, "re": re, "im": 0.0}], n=8, samples=10, seed=1
+    )
+    code = main(["simulate", path, "--out", str(tmp_path / "big"), "--dump-samples"])
+    assert code == EXIT_INCONSISTENT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
     assert not list(tmp_path.glob("big*"))
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
+from seqclt import montecarlo
 from seqclt.montecarlo import (
     DyadicPoint,
     birkhoff_samples,
@@ -166,6 +167,41 @@ def test_sample_birkhoff_reproducible_across_threads():
     r1 = sample_birkhoff(cosine(1), Constant(2), **kwargs)
     r2 = sample_birkhoff(cosine(1), Constant(2), **kwargs, threads=3)
     assert r1 == r2
+
+
+@pytest.mark.parametrize(
+    "threads, cpus, m, workers",
+    [
+        pytest.param(10_000, 4, 50, 4, id="cpu-count"),
+        pytest.param(3, 4, 50, 3, id="threads"),
+        pytest.param(8, 4, 2, 2, id="samples"),
+        pytest.param(8, 1, 50, None, id="one-cpu-inline"),
+        pytest.param(8, None, 50, None, id="unknown-cpus-inline"),
+    ],
+)
+def test_birkhoff_samples_bounds_worker_count(monkeypatch, threads, cpus, m, workers):
+    # the pool is a fake that records its size and runs the tasks here:
+    # no process is ever started
+    pools = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+    args = (cosine(1), Periodic((2, 3)), 16, m, 7)
+    assert birkhoff_samples(*args, threads) == birkhoff_samples(*args, 1)
+    assert pools == ([] if workers is None else [workers])
 
 
 def test_sample_birkhoff_variance_near_exact():
