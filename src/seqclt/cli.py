@@ -354,7 +354,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
-    except OverflowError as exc:  # a float power or fsum beyond float range
+    except OverflowError as exc:  # e.g. an fsum whose running sum leaves float range
         print(f"error: overflow: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
     except OSError as exc:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 
@@ -177,7 +178,7 @@ def test_overflowing_result_is_an_internal_failure(tmp_path, capsys):
 @pytest.mark.parametrize(
     "re, named",
     [
-        pytest.param(1e300, "error: overflow: ", id="overflow-in-variance"),
+        pytest.param(1e300, "inf in var_hat", id="overflow-in-variance"),
         pytest.param(1e308, "nan in mean", id="non-finite-key"),
     ],
 )
@@ -190,6 +191,17 @@ def test_overflowing_samples_are_an_internal_failure(tmp_path, capsys, re, named
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert named in err
+    assert not list(tmp_path.glob("big*"))
+
+
+def test_overflowing_sum_of_samples_is_an_internal_failure(tmp_path, capsys):
+    # every sample is finite, but their running sum for the mean is not
+    path = write_scenario(
+        tmp_path, function=[{"freq": 1, "re": 8e307, "im": 0.0}], n=1, samples=10, seed=1
+    )
+    assert main(["simulate", path, "--out", str(tmp_path / "big")]) == EXIT_INCONSISTENT
+    err = capsys.readouterr().err
+    assert err == "error: overflow: intermediate overflow in fsum\n"
     assert not list(tmp_path.glob("big*"))
 
 
@@ -212,7 +224,7 @@ def test_simulate_rejects_threads_below_one(tmp_path, monkeypatch, threads):
     def no_work(*args, **kwargs):
         raise AssertionError("no sampling may start")
 
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", no_work)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_work)
     monkeypatch.setattr(montecarlo, "birkhoff_samples", no_work)
     path = write_scenario(tmp_path, n=4, samples=2, seed=1)
     code = main(["simulate", path, "--out", str(tmp_path / "t"), "--threads", threads])

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 
 import numpy as np
@@ -197,7 +198,7 @@ def test_birkhoff_samples_bounds_worker_count(monkeypatch, threads, cpus, m, wor
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
     args = (cosine(1), Periodic((2, 3)), 16, m, 7)
     assert birkhoff_samples(*args, threads) == birkhoff_samples(*args, 1)
