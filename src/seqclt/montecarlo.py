@@ -22,16 +22,23 @@ _TILE_SAMPLES orbits at a time:
    uint64 numpy, equal word for word to numpy.random.Philox, which is never
    imported on this path;
 2. for each block of _TILE_STEPS multipliers, each orbit steps exactly in
-   Python integers and writes its top 53 bits into an int64 tile;
-3. numpy scales the tile by 2^-53, adds amp*cos(w*x + ph) to 0.0 term by
+   Python integers, but only at the block's events: a step by a power of
+   two only shifts the numerator, so runs of them fold into the next event
+   while the bits they shift stay inside a 63-bit window.  Each orbit
+   writes the top 63 bits of its state at the block start and after each
+   event into an int64 window; numpy gathers, for every step, the window
+   row it reads and shifts out its top 53 bits;
+3. numpy scales those by 2^-53, adds amp*cos(w*x + ph) to 0.0 term by
    term in coefficient order, then runs the Kahan update across samples,
    one step at a time.
 
 Each sample thus sees the operations of the scalar loop in its order, and
 numpy's cos equals math.cos on these arguments (a tier-1 test guards this),
 so every S_n is bit-identical to a pure-Python loop.  The tile holds four
-_TILE_STEPS x _TILE_SAMPLES arrays (2 MB), whatever n and m are.  The bigint
-step is most of what remains of `simulate`'s cost.
+_TILE_STEPS x _TILE_SAMPLES arrays (2 MB), whatever n and m are.  On
+doubling runs one bigint step in eleven remains, and the float work is most
+of the kernel's cost; odd multipliers still pay one bigint step each, which
+is then most of it.
 """
 
 from __future__ import annotations
@@ -178,32 +185,76 @@ def _coef_table(f: TrigPoly) -> tuple[tuple[float, float, float], ...]:
     )
 
 
+def _fold_powers_of_two(block: list[int], width: int) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """The steps of one block that need the exact bigint step, and where the
+    others read their top 53 bits.
+
+    A step by 2^t only shifts the numerator left, so it is folded while the
+    bits dz it has shifted since the last event stay in the window's
+    spare = width - 53 low bits; any other step, and the last of the block,
+    is an event whose multiplier is the product of the steps since the
+    previous event.  Returns the event multipliers, and per step the window
+    row it reads (0: the block's start, e: after the e-th event) and the
+    right shift spare - dz that puts its top 53 bits lowest.
+    """
+    spare = width - 53
+    events: list[int] = []
+    rows: list[int] = []
+    shifts: list[int] = []
+    dz = 0
+    last = len(block) - 1
+    for i, a in enumerate(block):
+        t = a.bit_length() - 1
+        if a == 1 << t and dz + t <= spare and i < last:
+            dz += t
+        else:
+            events.append(a << dz)
+            dz = 0
+        rows.append(len(events))
+        shifts.append(spare - dz)
+    return events, np.array(rows, dtype=np.intp), np.array(shifts, dtype=np.int64)
+
+
 def _orbit_sums(coef, mults: list[int], bits: int, nums: list[int]) -> list[float]:
     """S_n from each initial numerator in nums (at most _TILE_SAMPLES).
 
     For each block of _TILE_STEPS multipliers, every orbit steps exactly in
-    Python integers and writes its top 53 bits into one row of `tops`.
-    numpy then evaluates f on the whole block, step-major, and runs one
-    Kahan update per step across the samples: per sample, the operations of
-    the scalar loop in its order, so every sum is bit-identical to it.
+    Python integers over the block's events only (`_fold_powers_of_two`)
+    and writes the top width = min(63, bits) bits of each state into its
+    column of `win`, whose row 0 holds the state the block starts from.
+    numpy gathers each step's row and shifts it right by spare - dz: for
+    a state s of bits bits, (s >> (bits - width)) >> (width - 53 - dz) &
+    (2^53 - 1) is the top 53 bits of s * 2^dz mod 2^bits, the state dz
+    folded bits after s.  numpy then evaluates f on the whole block,
+    step-major, and runs one Kahan update per step across the samples: per
+    sample, the operations of the scalar loop in its order, so every sum is
+    bit-identical to it.
     """
     mask = (1 << bits) - 1
-    shift = bits - 53
+    width = min(63, bits)
+    shift = bits - width
     count = len(nums)
     nums = list(nums)
-    tops = np.empty((count, _TILE_STEPS), dtype=np.int64)
+    win = np.empty((_TILE_STEPS + 1, count), dtype=np.int64)
+    win[0] = [num >> shift for num in nums]
     x, term, value = np.empty((3, _TILE_STEPS, count))
+    tops = term.view(np.int64)  # the gather reuses term's memory
     total, comp, y, t = np.zeros((4, count))
     with np.errstate(all="ignore"):  # overflow and nan pass silently, as in Python floats
         for lo in range(0, len(mults), _TILE_STEPS):
-            block = mults[lo : lo + _TILE_STEPS]
-            steps = len(block)
+            events, rows, shifts = _fold_powers_of_two(mults[lo : lo + _TILE_STEPS], width)
+            steps, end = len(rows), len(events)
             for j in range(count):
                 num = nums[j]
-                tops[j, :steps] = [(num := (a * num) & mask) >> shift for a in block]
+                win[1 : end + 1, j] = [(num := (a * num) & mask) >> shift for a in events]
                 nums[j] = num
+            top = tops[:steps]
+            np.take(win, rows, axis=0, out=top, mode="clip")  # "raise" would buffer out
+            win[0] = win[end]  # every block ends on an event
+            np.right_shift(top, shifts[:, None], out=top)
+            top &= (1 << 53) - 1
             xs, v, fx = x[:steps], term[:steps], value[:steps]
-            np.multiply(tops[:, :steps].T, 2.0**-53, out=xs)
+            np.multiply(top, 2.0**-53, out=xs)
             fx.fill(0.0)
             for amp, w, ph in coef:
                 np.multiply(xs, w, out=v)

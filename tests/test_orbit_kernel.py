@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_poly
 from seqclt import montecarlo
@@ -83,6 +85,8 @@ def _reference_samples(f, spec, n: int, seed: int, indices) -> list[float]:
 RAND5 = random_poly(np.random.default_rng(70), 5, density=1.0)
 F1 = linear_combine([(1.0, cosine(2)), (-1.0, cosine(1))])
 WORD = Explicit(tuple(int(v) for v in np.random.default_rng(71).integers(2, 10, 90)), Constant(3))
+# steps 245..274 double: a run of folded steps across the 256-step block edge
+STRADDLE = Explicit((3, 5) * 122 + (2,) * 30, Constant(9))
 
 CASES = [
     pytest.param(cosine(1), Constant(2), id="cos-constant2"),
@@ -90,6 +94,10 @@ CASES = [
     pytest.param(RAND5, Blocks(4), id="rand5-blocks4"),
     pytest.param(RAND5, Triples(b0=2, B=80, p0=10, r=2), id="rand5-triples80"),
     pytest.param(RAND5, WORD, id="rand5-explicit"),
+    pytest.param(cosine(1), Constant(2**10), id="cos-constant1024"),
+    pytest.param(cosine(1), Constant(2**11), id="cos-constant2048"),
+    pytest.param(F1, Periodic((4, 2, 8, 3)), id="f1-periodic4283"),
+    pytest.param(RAND5, STRADDLE, id="rand5-doubling-across-blocks"),
 ]
 
 SHAPES = [
@@ -127,6 +135,55 @@ def test_orbit_birkhoff_matches_scalar_loop(f, spec):
         num = int.from_bytes(rng.bytes(bits // 8 + 1), "big") % (1 << bits)
         x0 = DyadicPoint(bits=bits, numerator=num)
         assert orbit_birkhoff(f, spec, n, x0) == _reference_birkhoff_sum(num, bits, mults, coef)
+
+
+def test_orbit_birkhoff_on_narrow_numerators():
+    # bits = n + 53 < 63: the window is the whole numerator, with n spare bits
+    spec = Constant(2)
+    coef = montecarlo._coef_table(RAND5)
+    rng = np.random.default_rng(74)
+    for n in range(1, 10):
+        bits = required_bits(spec, n, 0) + 53
+        num = int(rng.integers(0, 1 << bits))
+        x0 = DyadicPoint(bits=bits, numerator=num)
+        assert orbit_birkhoff(RAND5, spec, n, x0) == _reference_birkhoff_sum(num, bits, [2] * n, coef)
+
+
+@pytest.mark.parametrize("spec", [Constant(3), Periodic((3, 5))], ids=["constant3", "periodic35"])
+def test_odd_words_are_all_events(spec):
+    # no step folds: the exact loop does the scalar loop's multiplies, one per step
+    block = list(itertools.islice(spec.iter_values(), TILE_STEPS))
+    events, rows, shifts = montecarlo._fold_powers_of_two(block, 63)
+    assert events == block
+    assert rows.tolist() == list(range(1, TILE_STEPS + 1))
+    assert shifts.tolist() == [10] * TILE_STEPS
+
+
+def test_doubling_block_folds_ten_of_eleven_steps():
+    events, rows, shifts = montecarlo._fold_powers_of_two([2] * TILE_STEPS, 63)
+    assert len(events) == -(-TILE_STEPS // 11)
+    assert events == [2**11] * (TILE_STEPS // 11) + [2 ** (TILE_STEPS % 11)]
+    assert rows[:12].tolist() == [0] * 10 + [1, 1]
+    assert shifts[:12].tolist() == list(range(9, -1, -1)) + [10, 9]
+    assert rows[-1] == len(events) and shifts[-1] == 10
+
+
+ALPHABET = [2, 3, 4, 5, 6, 7, 8, 9, 16, 1024, 2048, 2**40]
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.data())
+def test_kernel_matches_scalar_loop_on_random_words(data):
+    # words drawn as runs, so that runs of powers of two cross block edges
+    runs = data.draw(
+        st.lists(st.tuples(st.sampled_from(ALPHABET), st.integers(1, 90)), min_size=1, max_size=12)
+    )
+    mults = [a for a, length in runs for _ in range(length)][:600]
+    bits = (math.prod(mults) - 1).bit_length() + 53 + data.draw(st.integers(0, 80))
+    nums = data.draw(st.lists(st.integers(0, (1 << bits) - 1), min_size=1, max_size=4))
+    coef = montecarlo._coef_table(F1)
+    got = montecarlo._orbit_sums(coef, mults, bits, nums)
+    assert got == [_reference_birkhoff_sum(num, bits, mults, coef) for num in nums]
 
 
 @pytest.mark.parametrize("re", [1e300, 1e308], ids=["huge", "infinite-amplitude"])
