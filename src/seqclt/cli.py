@@ -111,7 +111,12 @@ def _load_scenario(path: str) -> Scenario:
         raise ScenarioError(f"cannot read scenario file: {exc}") from exc
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise ScenarioError(f"scenario file is not valid JSON: {exc}") from exc
-    return scenario_from_obj(obj)
+    except RecursionError:  # json.load recurses once per nested object
+        raise ScenarioError("scenario file nests too deeply") from None
+    try:
+        return scenario_from_obj(obj)
+    except RecursionError:  # so does sequence_from_obj, once per explicit tail
+        raise ScenarioError("scenario sequence nests too deeply") from None
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,13 @@
 
 Multiply-by-a maps lose one to two mantissa bits per step, so floating-point
 orbit iteration is meaningless after a few dozen steps.  Initial points are
-therefore dyadic rationals num / 2^B with B about log2(a_1*...*a_n) + guard
-bits: the map x -> a*x mod 1 acts exactly on the numerator as
-num -> (a*num) mod 2^B, and after n steps the top 53 bits of the point are
-still untouched by the initial truncation.  The observable is evaluated at
-that 53-bit truncation and accumulated with compensated summation, leaving
-S_n exact to evaluation precision.
+therefore dyadic rationals num / 2^B with B = ceil(log2(a_1*...*a_n)) + guard
+bits, read exactly off the integer product of the multipliers: the map
+x -> a*x mod 1 acts exactly on the numerator as num -> (a*num) mod 2^B, and
+after n steps the top 53 bits of the point are still untouched by the
+initial truncation.  The observable is evaluated at that 53-bit truncation
+and accumulated with compensated summation, leaving S_n exact to evaluation
+precision.
 
 Sampling is counter-based: each sample's initial numerator is drawn from a
 Philox stream keyed by (seed, sample index), so results are reproducible
@@ -114,10 +115,13 @@ class MCReport:
 
 
 def required_bits(spec: SequenceSpec, n: int, guard: int = 64) -> int:
-    """Numerator width that keeps the top 53 orbit bits exact for n steps."""
+    """Numerator width that keeps the top 53 orbit bits exact for n steps:
+    ceil(log2(a_1*...*a_n)) + guard, read off the exact product P as the
+    bit length of P - 1 (so a power of two 2^w gives w, not w + 1).
+    """
     if n < 1:
         raise ValueError("horizon n must be >= 1")
-    return math.ceil(spec.log2_multiplier(n)) + guard
+    return (math.prod(itertools.islice(spec.iter_values(), n)) - 1).bit_length() + guard
 
 
 def counter_generator(seed: int, index: int) -> np.random.Generator:

@@ -5,7 +5,8 @@ integer multiplier >= 2 (the slope of the k-th circle map).  Random access
 matters: downstream analyses jump to arbitrary indices (spike neighbourhoods,
 block interiors) without iterating from the start, and Monte Carlo workers
 evaluate the same sequence concurrently.  Scans from the start use
-``iter_values`` instead, which costs O(1) per index for every kind.
+``iter_values`` instead, which costs O(1) per index for every kind; prefix
+aggregates (the product that sizes an exact orbit) are taken over that scan.
 
 Kinds
 -----
@@ -38,12 +39,11 @@ __all__ = [
     "sequence_from_obj",
 ]
 
-_LOG2_3 = math.log2(3.0)
 _VALIDATE_HORIZON = 1 << 48
 
 
 class SequenceSpec:
-    """Base class; concrete kinds implement value_at and log2_multiplier."""
+    """Base class; concrete kinds implement value_at and to_obj."""
 
     kind: str = "?"
 
@@ -53,9 +53,6 @@ class SequenceSpec:
     def iter_values(self) -> Iterator[int]:
         """a_1, a_2, ... in order, endlessly; equal to value_at at every index."""
         return map(self.value_at, itertools.count(1))
-
-    def log2_multiplier(self, n: int) -> float:
-        raise NotImplementedError
 
     def to_obj(self) -> dict:
         raise NotImplementedError
@@ -85,10 +82,6 @@ class Constant(SequenceSpec):
         _check_index(k)
         return self.b
 
-    def log2_multiplier(self, n: int) -> float:
-        _check_index(n)
-        return n * math.log2(self.b)
-
     def to_obj(self) -> dict:
         return {"kind": "constant", "b": self.b}
 
@@ -107,12 +100,6 @@ class Periodic(SequenceSpec):
     def value_at(self, k: int) -> int:
         _check_index(k)
         return self.values[(k - 1) % len(self.values)]
-
-    def log2_multiplier(self, n: int) -> float:
-        _check_index(n)
-        logs = [math.log2(v) for v in self.values]
-        full, rest = divmod(n, len(self.values))
-        return full * math.fsum(logs) + math.fsum(logs[:rest])
 
     def to_obj(self) -> dict:
         return {"kind": "periodic", "values": list(self.values)}
@@ -140,13 +127,6 @@ class Explicit(SequenceSpec):
 
     def iter_values(self) -> Iterator[int]:
         return itertools.chain(self.values, self.tail.iter_values())
-
-    def log2_multiplier(self, n: int) -> float:
-        _check_index(n)
-        head = math.fsum(math.log2(v) for v in self.values[:n])
-        if n <= len(self.values):
-            return head
-        return head + self.tail.log2_multiplier(n - len(self.values))
 
     def to_obj(self) -> dict:
         return {"kind": "explicit", "values": list(self.values), "tail": self.tail.to_obj()}
@@ -182,10 +162,6 @@ class Triples(SequenceSpec):
             yield p
             p *= self.r
 
-    def spiked_count(self, n: int) -> int:
-        """Number of indices k <= n carrying the spike value."""
-        return sum(min(3, n - p + 1) for p in self.spike_positions(n))
-
     def value_at(self, k: int) -> int:
         _check_index(k)
         for p in self.spike_positions(k):
@@ -199,11 +175,6 @@ class Triples(SequenceSpec):
             yield from itertools.repeat(self.b0, p - k)
             yield from itertools.repeat(self.B, 3)
             k = p + 3
-
-    def log2_multiplier(self, n: int) -> float:
-        _check_index(n)
-        s = self.spiked_count(n)
-        return s * math.log2(self.B) + (n - s) * math.log2(self.b0)
 
     def to_obj(self) -> dict:
         return {"kind": "triples", "b0": self.b0, "B": self.B, "p0": self.p0, "r": self.r}
@@ -257,31 +228,6 @@ class Blocks(SequenceSpec):
             yield from itertools.repeat(2, d - k)
             yield from itertools.repeat(3, d + l - max(d, k))
             k = max(k, d + l)
-
-    def three_count(self, n: int) -> int:
-        """Number of indices k <= n with value 3 (closed form over blocks)."""
-        total = 0
-        l = 1
-        while True:
-            d = self.block_start(l)
-            if d > n:
-                return total
-            total += min(l, n - d + 1)
-            l += 1
-
-    def block_index(self, n: int) -> int:
-        """l_n = max{l : d_l <= n}; undefined (error) below the first block."""
-        if n < self.block_start(1):
-            raise ValueError(f"n={n} precedes the first block start {self.block_start(1)}")
-        l = 1
-        while self.block_start(l + 1) <= n:
-            l += 1
-        return l
-
-    def log2_multiplier(self, n: int) -> float:
-        _check_index(n)
-        t = self.three_count(n)
-        return t * _LOG2_3 + (n - t)
 
     def to_obj(self) -> dict:
         return {"kind": "blocks", "D": self.D}

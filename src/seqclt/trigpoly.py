@@ -72,13 +72,6 @@ class TrigPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coeff(self, n: int) -> complex:
-        """Stored coefficient at frequency n (0 if absent)."""
-        for freq, c in self.coeffs:
-            if freq == n:
-                return c
-        return 0j
-
     def as_dict(self) -> dict[int, complex]:
         return dict(self.coeffs)
 

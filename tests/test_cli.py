@@ -3,6 +3,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqclt import analysis, cli, montecarlo
 from seqclt.cli import (
@@ -16,8 +18,8 @@ from seqclt.cli import (
     scenario_from_obj,
     scenario_to_obj,
 )
-from seqclt.sequences import Blocks, Periodic
-from seqclt.trigpoly import cosine, trigpoly_from_obj
+from seqclt.sequences import Blocks, Constant, Explicit, Periodic, Triples
+from seqclt.trigpoly import cosine, make_trigpoly, trigpoly_from_obj
 
 COS_FUNCTION = [{"freq": 1, "re": 0.5, "im": 0.0}]
 F1_FUNCTION = [{"freq": 1, "re": -0.5, "im": 0.0}, {"freq": 2, "re": 0.5, "im": 0.0}]
@@ -45,6 +47,56 @@ def test_scenario_round_trip():
         standardization="exact",
     )
     assert scenario_from_obj(scenario_to_obj(scenario)) == scenario
+
+
+_MULTIPLIER = st.integers(2, 2**70)
+_WORD = st.lists(_MULTIPLIER, min_size=1, max_size=5).map(tuple)
+
+
+@st.composite
+def _triples(draw):
+    b0 = draw(st.integers(2, 9))
+    r = draw(st.integers(2, 5))
+    p0 = draw(st.integers(-(-3 // (r - 1)), 50))  # spikes must not overlap
+    return Triples(b0, b0 + draw(st.integers(1, 100)), p0, r)
+
+
+_LEAF_SPEC = st.one_of(
+    st.builds(Constant, _MULTIPLIER),
+    st.builds(Periodic, _WORD),
+    _triples(),
+    st.builds(Blocks, st.floats(2.0, 16.0)),  # D >= 2 never overlaps
+)
+
+
+def _specs(depth):
+    if depth == 0:
+        return _LEAF_SPEC
+    return st.one_of(_LEAF_SPEC, st.builds(Explicit, _WORD, _specs(depth - 1)))
+
+
+_DYADIC = st.integers(-64, 64).map(lambda k: k / 128)
+_POLY = st.dictionaries(
+    st.integers(1, 64), st.tuples(_DYADIC, _DYADIC), min_size=1, max_size=8
+).map(lambda cs: make_trigpoly((n, complex(*c)) for n, c in cs.items())).filter(
+    lambda g: not g.is_zero
+)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(
+    st.builds(
+        Scenario,
+        function=_POLY,
+        sequence=_specs(3),
+        n=st.integers(1, 10**6),
+        samples=st.none() | st.integers(2, 10**6),
+        seed=st.none() | st.integers(0, 2**64 - 1),
+        standardization=st.sampled_from(["empirical", "exact"]),
+    )
+)
+def test_scenario_round_trips_through_json(scenario):
+    assert scenario_from_obj(json.loads(json.dumps(scenario_to_obj(scenario)))) == scenario
 
 
 def test_scenario_rejects_zero_function(tmp_path):
@@ -162,6 +214,28 @@ def test_unreadable_scenario_text_is_bad_input(tmp_path, capsys):
     path.write_bytes(b'{"n": 1, "note": "\xe9"}')
     assert main(["analyze", str(path), "--out", str(tmp_path / "r")]) == EXIT_BAD_SCENARIO
     assert capsys.readouterr().err.count("\n") == 1
+
+
+def _nested_scenario(tmp_path, depth):
+    # built by concatenation: json.dumps would itself recurse once per level
+    sequence = '{"kind": "constant", "b": 2}'
+    for _ in range(depth):
+        sequence = '{"kind": "explicit", "values": [3], "tail": ' + sequence + "}"
+    path = tmp_path / f"nested{depth}.json"
+    path.write_text(f'{{"function": {json.dumps(COS_FUNCTION)}, "sequence": {sequence}, "n": 8}}')
+    return str(path)
+
+
+def test_deeply_nested_scenario_is_bad_input(tmp_path, capsys):
+    argv = ["analyze", _nested_scenario(tmp_path, 5000), "--out", str(tmp_path / "r")]
+    assert main(argv) == EXIT_BAD_SCENARIO
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("r.*"))
+    argv[1] = _nested_scenario(tmp_path, 500)
+    assert main(argv) == EXIT_OK
+    assert (tmp_path / "r.json").exists()
 
 
 def test_overflowing_result_is_an_internal_failure(tmp_path, capsys):

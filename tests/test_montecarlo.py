@@ -17,7 +17,7 @@ from seqclt.montecarlo import (
     required_bits,
     sample_birkhoff,
 )
-from seqclt.sequences import Blocks, Constant, Periodic, generate
+from seqclt.sequences import Blocks, Constant, Explicit, Periodic, Triples, generate
 from seqclt.trigpoly import cosine, evaluate
 
 
@@ -25,6 +25,71 @@ def test_required_bits_examples():
     assert required_bits(Constant(2), 1000) == 1064
     assert required_bits(Constant(3), 100) == math.ceil(100 * math.log2(3)) + 64 == 223
     assert required_bits(Blocks(4), 5) == 70
+
+
+def _log2_closed_form(spec, n):
+    """log2(a_1*...*a_n) by the float closed forms the width was once the
+    ceil of, one per kind; the oracle for the exact width."""
+    if isinstance(spec, Constant):
+        return n * math.log2(spec.b)
+    if isinstance(spec, Periodic):
+        logs = [math.log2(v) for v in spec.values]
+        full, rest = divmod(n, len(spec.values))
+        return full * math.fsum(logs) + math.fsum(logs[:rest])
+    if isinstance(spec, Explicit):
+        head = math.fsum(math.log2(v) for v in spec.values[:n])
+        if n <= len(spec.values):
+            return head
+        return head + _log2_closed_form(spec.tail, n - len(spec.values))
+    if isinstance(spec, Triples):
+        spiked = sum(min(3, n - p + 1) for p in spec.spike_positions(n))
+        return spiked * math.log2(spec.B) + (n - spiked) * math.log2(spec.b0)
+    threes, l = 0, 1
+    while (d := spec.block_start(l)) <= n:
+        threes += min(l, n - d + 1)
+        l += 1
+    return threes * math.log2(3.0) + (n - threes)
+
+
+WIDTH_SPECS = {
+    "constant5": Constant(5),
+    "periodic2325": Periodic((2, 3, 2, 5)),
+    "triples11": Triples(b0=2, B=11, p0=4, r=2),
+    "blocks1.7": Blocks(1.7),
+    "explicit729-periodic23": Explicit((7, 2, 9), Periodic((2, 3))),
+    "triples80": Triples(b0=2, B=80, p0=10, r=2),  # demo cos_triples80
+    "blocks2.5": Blocks(2.5),
+    "constant2": Constant(2),  # demo cos_constant2, workload mc-cos-const2
+    "blocks4": Blocks(4),  # demo f1_blocks4, workload an-rand64-blocks4
+    "periodic23": Periodic((2, 3)),  # workload mc-f1-p23-w2
+}
+
+
+@pytest.mark.parametrize("spec", WIDTH_SPECS.values(), ids=WIDTH_SPECS.keys())
+def test_required_bits_equals_float_closed_form(spec):
+    for n in [*range(1, 301), 1024, 2000, 4096]:
+        for guard in (0, 64):
+            assert required_bits(spec, n, guard) == math.ceil(_log2_closed_form(spec, n)) + guard
+
+
+@pytest.mark.parametrize(
+    "spec, n, bits",
+    [
+        (Constant(2**40), 3, 120),
+        (Periodic((2, 4, 8)), 3, 6),
+        (Explicit((3, 5), Constant(2)), 2, 4),  # product 15
+        (Explicit((2, 8), Constant(2)), 2, 4),  # product 16
+        (Explicit((17,), Constant(2)), 1, 5),
+    ],
+)
+def test_required_bits_exact_cases(spec, n, bits):
+    assert required_bits(spec, n, 0) == bits == math.ceil(_log2_closed_form(spec, n))
+    assert required_bits(spec, n, 64) == bits + 64
+
+
+def test_required_bits_rejects_empty_horizon():
+    with pytest.raises(ValueError):
+        required_bits(Constant(2), 0)
 
 
 def test_dyadic_point_validation():

@@ -36,45 +36,6 @@ def test_triples_spike_placement():
     assert generate(spec, 9) == 2
 
 
-def test_block_index_examples():
-    spec = Blocks(4)
-    assert spec.block_index(20) == 2
-    assert spec.block_index(64) == 3
-    with pytest.raises(ValueError):
-        spec.block_index(3)
-
-
-def test_log2_multiplier_constant():
-    assert Constant(2).log2_multiplier(10) == pytest.approx(10.0, rel=1e-6)
-    assert Constant(3).log2_multiplier(4) == pytest.approx(4 * math.log2(3), rel=1e-6)
-
-
-def test_log2_multiplier_blocks():
-    assert Blocks(4).log2_multiplier(5) == pytest.approx(4 + math.log2(3), rel=1e-6)
-
-
-def test_log2_multiplier_matches_direct_sum():
-    specs = [
-        Constant(5),
-        Periodic((2, 3, 2, 5)),
-        Triples(b0=2, B=11, p0=4, r=2),
-        Blocks(1.7),
-        Explicit((7, 2, 9), Periodic((2, 3))),
-    ]
-    for spec in specs:
-        for n in (1, 2, 37, 300):
-            direct = math.fsum(math.log2(generate(spec, k)) for k in range(1, n + 1))
-            assert spec.log2_multiplier(n) == pytest.approx(direct, rel=1e-6)
-
-
-def test_blocks_count_closed_form_matches_scan():
-    for D in (1.7, 2.0, 4.0):
-        spec = Blocks(D)
-        for n in (1, 5, 50, 400):
-            scan = sum(1 for k in range(1, n + 1) if generate(spec, k) == 3)
-            assert spec.three_count(n) == scan
-
-
 def test_triples_every_spike_is_three_long():
     spec = Triples(b0=2, B=9, p0=5, r=3)
     run = 0
