@@ -22,13 +22,15 @@ _TILE_SAMPLES orbits at a time:
 1. the Philox4x64-10 words of the whole tile come from `_philox_words` in
    uint64 numpy, equal word for word to numpy.random.Philox, which is never
    imported on this path;
-2. for each block of _TILE_STEPS multipliers, each orbit steps exactly in
-   Python integers, but only at the block's events: a step by a power of
-   two only shifts the numerator, so runs of them fold into the next event
-   while the bits they shift stay inside a 63-bit window.  Each orbit
-   writes the top 63 bits of its state at the block start and after each
-   event into an int64 window; numpy gathers, for every step, the window
-   row it reads and shifts out its top 53 bits;
+2. each orbit steps exactly in Python integers, but only at events: a
+   step by a power of two only shifts the numerator, so it folds into the
+   next event's multiplier.  `_plan` lays out once per run where each
+   step finds its top 53 bits: in the 63-bit window that each event writes
+   into an int64 array, if the run's shifts since the event fit its 10
+   spare bits, or else in an export of the last exact numerator as big-endian
+   uint64 words, taken once when the run starts and kept across blocks.
+   For each block of _TILE_STEPS steps, numpy gathers every step's window
+   row and shifts out its top 53 bits, or joins its two export words;
 3. numpy scales those by 2^-53, adds amp*cos(w*x + ph) to 0.0 term by
    term in coefficient order, then runs the Kahan update across samples,
    one step at a time.
@@ -36,10 +38,10 @@ _TILE_SAMPLES orbits at a time:
 Each sample thus sees the operations of the scalar loop in its order, and
 numpy's cos equals math.cos on these arguments (a tier-1 test guards this),
 so every S_n is bit-identical to a pure-Python loop.  The tile holds four
-_TILE_STEPS x _TILE_SAMPLES arrays (2 MB), whatever n and m are.  On
-doubling runs one bigint step in eleven remains, and the float work is most
-of the kernel's cost; odd multipliers still pay one bigint step each, which
-is then most of it.
+_TILE_STEPS x _TILE_SAMPLES arrays (2 MB), whatever n and m are, and the
+widest export.  A run of powers of two costs no bigint step, whatever its
+length, and the float work is most of the kernel's cost on doubling words;
+odd multipliers still pay one bigint step each, which is then most of it.
 """
 
 from __future__ import annotations
@@ -119,9 +121,23 @@ def required_bits(spec: SequenceSpec, n: int, guard: int = 64) -> int:
     ceil(log2(a_1*...*a_n)) + guard, read off the exact product P as the
     bit length of P - 1 (so a power of two 2^w gives w, not w + 1).
     """
+    return _log2_ceil(_multipliers(spec, n)) + guard
+
+
+def _multipliers(spec: SequenceSpec, n: int) -> list[int]:
     if n < 1:
         raise ValueError("horizon n must be >= 1")
-    return (math.prod(itertools.islice(spec.iter_values(), n)) - 1).bit_length() + guard
+    return list(itertools.islice(spec.iter_values(), n))
+
+
+def _log2_ceil(mults: list[int]) -> int:
+    """ceil(log2(a_1*...*a_n)), exactly, from a balanced product tree: its
+    products pair factors of equal size, where math.prod's left-to-right
+    sweep is quadratic in n."""
+    while len(mults) > 1:
+        pairs = [a * b for a, b in zip(mults[::2], mults[1::2])]
+        mults = pairs + mults[len(pairs) * 2 :]
+    return (mults[0] - 1).bit_length()
 
 
 def counter_generator(seed: int, index: int) -> np.random.Generator:
@@ -189,76 +205,171 @@ def _coef_table(f: TrigPoly) -> tuple[tuple[float, float, float], ...]:
     )
 
 
-def _fold_powers_of_two(block: list[int], width: int) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """The steps of one block that need the exact bigint step, and where the
-    others read their top 53 bits.
+@dataclass(frozen=True)
+class _Block:
+    """The plan of one block of at most _TILE_STEPS steps (see `_plan`).
 
-    A step by 2^t only shifts the numerator left, so it is folded while the
-    bits dz it has shifted since the last event stay in the window's
-    spare = width - 53 low bits; any other step, and the last of the block,
-    is an event whose multiplier is the product of the steps since the
-    previous event.  Returns the event multipliers, and per step the window
-    row it reads (0: the block's start, e: after the e-th event) and the
-    right shift spare - dz that puts its top 53 bits lowest.
+    Each orbit works through parts in order: for each, it takes the export
+    (drop, words) if there is one, then steps by the event multipliers.
+    windows are the step ranges [i0, i1) that read an event window, with
+    per step its row and right shift.  heads are the step ranges that read
+    their head, the top 53 bits, from an export: whether the range reads
+    the block's next export (fresh) or the one carried in from an earlier
+    block, then per step the hi and lo word rows and the left and right
+    shifts.
     """
+
+    steps: int
+    parts: tuple[tuple[tuple[int, int] | None, tuple[int, ...]], ...]
+    windows: tuple[tuple[int, int, np.ndarray, np.ndarray], ...]
+    heads: tuple[tuple[bool, int, int, np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """Where every step of a run reads its top 53 bits; shared by its tiles."""
+
+    bits: int
+    blocks: tuple[_Block, ...]
+
+
+def _plan(mults: list[int], bits: int) -> _Plan:
+    """Plan the orbit of bits-wide numerators under mults, once per run.
+
+    A step by 2^t only shifts the numerator left, so only the other steps
+    are events, exact bigint steps whose multiplier is the product of the
+    steps since the previous event (`a << dz`).  After an event, or at the
+    start, comes a run of power-of-two steps; at shift dz into it, the
+    state's top 53 bits sit dz bits into the last exact state s.  If the
+    run's total shift D fits the spare = width - 53 low bits of the width =
+    min(63, bits) bit event window, each of its steps reads the window row
+    of s (0: the state the block starts from, e: after the block's e-th
+    event) shifted right by spare - dz, as every event does at dz = 0.
+    Otherwise the whole run reads one export of s, taken when the run
+    starts and kept across block edges: the top keep = min(bits, D + 53)
+    bits of s, dropping bits - keep, as words = ceil(keep / 64) big-endian
+    uint64 words behind pad = 64 * words - keep zero bits, then a zero
+    word.  The step at shift dz reads the 64 bits at offset o = pad + dz
+    from words hi = o // 64 and lo = hi + 1 as (hi << r) | (lo >> (64 - r)),
+    r = o % 64.  At r = 0, lo is the zero word shifted by 0, so no shift
+    reaches 64; rows past the export read the zero word, as do the bits a
+    too narrow numerator shifts in from below.
+    """
+    width = min(63, bits)
     spare = width - 53
-    events: list[int] = []
-    rows: list[int] = []
-    shifts: list[int] = []
-    dz = 0
-    last = len(block) - 1
-    for i, a in enumerate(block):
+    run_of, dzs, starts, totals = [], [], [0], [0]  # run 0 follows the start
+    scaled = {}  # step -> event multiplier
+    for i, a in enumerate(mults):
         t = a.bit_length() - 1
-        if a == 1 << t and dz + t <= spare and i < last:
-            dz += t
+        if a == 1 << t:
+            totals[-1] += t
+            run_of.append(len(totals) - 1)
+            dzs.append(totals[-1])
         else:
-            events.append(a << dz)
-            dz = 0
-        rows.append(len(events))
-        shifts.append(spare - dz)
-    return events, np.array(rows, dtype=np.intp), np.array(shifts, dtype=np.int64)
+            scaled[i] = a << totals[-1]
+            run_of.append(-1)
+            dzs.append(0)
+            starts.append(i + 1)
+            totals.append(0)
+    # per step: the run whose export it reads, or -1 if it reads a window
+    source = [-1 if r < 0 or totals[r] <= spare else r for r in run_of]
+    blocks = []
+    for lo in range(0, len(mults), _TILE_STEPS):
+        steps = range(lo, min(lo + _TILE_STEPS, len(mults)))
+        rows = list(itertools.accumulate(run_of[i] < 0 for i in steps))
+        events = [scaled[i] for i in steps if run_of[i] < 0]
+        cuts, exports, windows, heads = [0], [None], [], []
+        for run, group in itertools.groupby(steps, source.__getitem__):
+            span = list(group)
+            i0, i1 = span[0] - lo, span[-1] + 1 - lo
+            if run < 0:
+                shifts = np.array([spare - dzs[i] for i in span], dtype=np.int64)
+                windows.append((i0, i1, np.array(rows[i0:i1], dtype=np.intp), shifts[:, None]))
+                continue
+            keep = min(bits, totals[run] + 53)
+            words = -(-keep // 64)
+            fresh = starts[run] >= lo
+            if fresh:
+                cuts.append(rows[i0])
+                exports.append((bits - keep, words))
+            offsets = [64 * words - keep + dzs[i] for i in span]
+            hi = np.array([min(o >> 6, words) for o in offsets], dtype=np.intp)
+            low = [min((o >> 6) + 1, words) if o & 63 else words for o in offsets]
+            left = np.array([o & 63 for o in offsets], dtype=np.uint64)[:, None]
+            heads.append((fresh, i0, i1, hi, np.array(low, dtype=np.intp), left, (64 - left) & 63))
+        cuts.append(len(events))
+        parts = tuple((x, tuple(events[a:b])) for x, a, b in zip(exports, cuts, cuts[1:]))
+        blocks.append(_Block(len(steps), parts, tuple(windows), tuple(heads)))
+    return _Plan(bits, tuple(blocks))
 
 
-def _orbit_sums(coef, mults: list[int], bits: int, nums: list[int]) -> list[float]:
+def _orbit_sums(coef, plan: _Plan, nums: list[int]) -> list[float]:
     """S_n from each initial numerator in nums (at most _TILE_SAMPLES).
 
-    For each block of _TILE_STEPS multipliers, every orbit steps exactly in
-    Python integers over the block's events only (`_fold_powers_of_two`)
-    and writes the top width = min(63, bits) bits of each state into its
-    column of `win`, whose row 0 holds the state the block starts from.
-    numpy gathers each step's row and shifts it right by spare - dz: for
-    a state s of bits bits, (s >> (bits - width)) >> (width - 53 - dz) &
-    (2^53 - 1) is the top 53 bits of s * 2^dz mod 2^bits, the state dz
-    folded bits after s.  numpy then evaluates f on the whole block,
-    step-major, and runs one Kahan update per step across the samples: per
-    sample, the operations of the scalar loop in its order, so every sum is
+    For each block of the plan, every orbit steps exactly in Python
+    integers over the block's events only, writes the top width =
+    min(63, bits) bits of the state after each into its column of `win`
+    (row 0 holds the last exact state before the block) and, where a long
+    power-of-two run follows, the top bits of the state into a list of
+    big-endian bytes.  numpy reads each step's top 53 bits: from a window
+    row shifted right by spare - dz and masked, or from two words of the
+    current export `words` (a (words + 1) x samples uint64 array) shifted
+    and or-ed, as `_plan` lays out.  For a state s of bits bits, both are
+    the top 53 bits of s * 2^dz mod 2^bits, the state dz shifted bits
+    after s.  numpy then evaluates f on the whole block, step-major, and
+    runs one Kahan update per step across the samples: per sample, the
+    operations of the scalar loop in its order, so every sum is
     bit-identical to it.
     """
+    bits = plan.bits
     mask = (1 << bits) - 1
-    width = min(63, bits)
-    shift = bits - width
+    shift = bits - min(63, bits)
     count = len(nums)
     nums = list(nums)
     win = np.empty((_TILE_STEPS + 1, count), dtype=np.int64)
     win[0] = [num >> shift for num in nums]
     x, term, value = np.empty((3, _TILE_STEPS, count))
-    tops = term.view(np.int64)  # the gather reuses term's memory
+    tops = term.view(np.int64)  # the gathers reuse term's and x's memory
+    heads, lows = term.view(np.uint64), x.view(np.uint64)
     total, comp, y, t = np.zeros((4, count))
     with np.errstate(all="ignore"):  # overflow and nan pass silently, as in Python floats
-        for lo in range(0, len(mults), _TILE_STEPS):
-            events, rows, shifts = _fold_powers_of_two(mults[lo : lo + _TILE_STEPS], width)
-            steps, end = len(rows), len(events)
-            for j in range(count):
-                num = nums[j]
-                win[1 : end + 1, j] = [(num := (a * num) & mask) >> shift for a in events]
-                nums[j] = num
-            top = tops[:steps]
-            np.take(win, rows, axis=0, out=top, mode="clip")  # "raise" would buffer out
-            win[0] = win[end]  # every block ends on an event
-            np.right_shift(top, shifts[:, None], out=top)
-            top &= (1 << 53) - 1
-            xs, v, fx = x[:steps], term[:steps], value[:steps]
-            np.multiply(top, 2.0**-53, out=xs)
+        for block in plan.blocks:
+            end = sum(len(chunk) for _, chunk in block.parts)
+            snaps = [[] for _ in block.parts]
+            if end or len(snaps) > 1:
+                for j in range(count):
+                    num, row = nums[j], 1
+                    for (export, chunk), snap in zip(block.parts, snaps):
+                        if export:
+                            snap.append((num >> export[0]).to_bytes(8 * export[1], "big"))
+                        if chunk:
+                            win[row : row + len(chunk), j] = [
+                                (num := (a * num) & mask) >> shift for a in chunk
+                            ]
+                            row += len(chunk)
+                    nums[j] = num
+            exported = ((e, snap) for (e, _), snap in zip(block.parts, snaps) if e)
+            for fresh, i0, i1, hi, lo, left, right in block.heads:
+                if fresh:  # the block's next export replaces the last one
+                    (_, size), snap = next(exported)
+                    raw = np.frombuffer(b"".join(snap), dtype=">u8").reshape(count, size)
+                    words = np.zeros((size + 1, count), dtype=np.uint64)
+                    words[:size] = raw.T
+                head, low = heads[i0:i1], lows[i0:i1]
+                np.take(words, hi, axis=0, out=head, mode="clip")  # "raise" would buffer out
+                np.take(words, lo, axis=0, out=low, mode="clip")
+                head <<= left
+                low >>= right
+                head |= low
+                head >>= 11
+            for i0, i1, rows, shifts in block.windows:
+                top = tops[i0:i1]
+                np.take(win, rows, axis=0, out=top, mode="clip")
+                np.right_shift(top, shifts, out=top)
+                top &= (1 << 53) - 1
+            win[0] = win[end]
+            xs, v, fx = x[: block.steps], term[: block.steps], value[: block.steps]
+            np.multiply(tops[: block.steps], 2.0**-53, out=xs)
             fx.fill(0.0)
             for amp, w, ph in coef:
                 np.multiply(xs, w, out=v)
@@ -281,19 +392,19 @@ def orbit_birkhoff(f: TrigPoly, spec: SequenceSpec, n: int, x0: DyadicPoint) -> 
     The numerator is iterated exactly; x0 must carry enough bits that the
     truncation of the initial point cannot reach the evaluated 53 bits.
     """
-    need = required_bits(spec, n, 0) + 53
+    mults = _multipliers(spec, n)
+    need = _log2_ceil(mults) + 53
     if x0.bits < need:
         raise ValueError(f"x0 has {x0.bits} bits, needs >= {need} for n={n}")
-    mults = list(itertools.islice(spec.iter_values(), n))
-    return _orbit_sums(_coef_table(f), mults, x0.bits, [x0.numerator])[0]
+    return _orbit_sums(_coef_table(f), _plan(mults, x0.bits), [x0.numerator])[0]
 
 
 def _sum_range(args) -> list[float]:
-    coef, mults, bits, seed, lo, hi = args
+    coef, plan, seed, lo, hi = args
     out: list[float] = []
     for start in range(lo, hi, _TILE_SAMPLES):
         indices = np.arange(start, min(start + _TILE_SAMPLES, hi), dtype=np.uint64)
-        out.extend(_orbit_sums(coef, mults, bits, _draw_numerators(seed, indices, bits)))
+        out.extend(_orbit_sums(coef, plan, _draw_numerators(seed, indices, plan.bits)))
     return out
 
 
@@ -313,17 +424,17 @@ def birkhoff_samples(
     """
     if m < 1:
         raise ValueError("sample count must be >= 1")
-    bits = required_bits(spec, n, 64)
-    mults = list(itertools.islice(spec.iter_values(), n))
+    mults = _multipliers(spec, n)
+    plan = _plan(mults, _log2_ceil(mults) + 64)
     coef = _coef_table(f)
     workers = min(threads, os.cpu_count() or 1, m)
     if workers <= 1:
-        return _sum_range((coef, mults, bits, seed, 0, m))
+        return _sum_range((coef, plan, seed, 0, m))
     from concurrent.futures import ProcessPoolExecutor
 
     chunk = -(-m // (4 * workers))
     tasks = [
-        (coef, mults, bits, seed, lo, min(lo + chunk, m)) for lo in range(0, m, chunk)
+        (coef, plan, seed, lo, min(lo + chunk, m)) for lo in range(0, m, chunk)
     ]
     out: list[float] = []
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -1,4 +1,5 @@
 import concurrent.futures
+import itertools
 import math
 
 import numpy as np
@@ -65,6 +66,11 @@ WIDTH_SPECS = {
 }
 
 
+def _prod_width(spec, n):
+    # the left-to-right product the tree in required_bits replaced
+    return (math.prod(itertools.islice(spec.iter_values(), n)) - 1).bit_length()
+
+
 @pytest.mark.parametrize("spec", WIDTH_SPECS.values(), ids=WIDTH_SPECS.keys())
 def test_required_bits_equals_float_closed_form(spec):
     for n in [*range(1, 301), 1024, 2000, 4096]:
@@ -84,7 +90,15 @@ def test_required_bits_equals_float_closed_form(spec):
 )
 def test_required_bits_exact_cases(spec, n, bits):
     assert required_bits(spec, n, 0) == bits == math.ceil(_log2_closed_form(spec, n))
+    assert bits == _prod_width(spec, n)
     assert required_bits(spec, n, 64) == bits + 64
+
+
+def test_required_bits_equals_left_to_right_product():
+    for spec in WIDTH_SPECS.values():
+        for n in (1, 2, 3, 1023, 4097):
+            assert required_bits(spec, n, 0) == _prod_width(spec, n)
+    assert required_bits(Periodic((2, 3)), 10**5, 0) == _prod_width(Periodic((2, 3)), 10**5)
 
 
 def test_required_bits_rejects_empty_horizon():

@@ -87,6 +87,11 @@ F1 = linear_combine([(1.0, cosine(2)), (-1.0, cosine(1))])
 WORD = Explicit(tuple(int(v) for v in np.random.default_rng(71).integers(2, 10, 90)), Constant(3))
 # steps 245..274 double: a run of folded steps across the 256-step block edge
 STRADDLE = Explicit((3, 5) * 122 + (2,) * 30, Constant(9))
+# an odd step, then a doubling run longer than a block, read from one export
+ODD_THEN_RUN = Explicit((3,) + (2,) * 300, Constant(5))
+# a block edge inside a run read from windows (256), then an event right
+# after a run read from an export (512)
+EDGES = Explicit((3,) * 250 + (2,) * 10 + (3,) * 196 + (2,) * 56, Constant(7))
 
 CASES = [
     pytest.param(cosine(1), Constant(2), id="cos-constant2"),
@@ -98,6 +103,9 @@ CASES = [
     pytest.param(cosine(1), Constant(2**11), id="cos-constant2048"),
     pytest.param(F1, Periodic((4, 2, 8, 3)), id="f1-periodic4283"),
     pytest.param(RAND5, STRADDLE, id="rand5-doubling-across-blocks"),
+    pytest.param(cosine(1), Constant(2**40), id="cos-constant2pow40"),
+    pytest.param(RAND5, ODD_THEN_RUN, id="rand5-odd-then-long-run"),
+    pytest.param(F1, EDGES, id="f1-edges"),
 ]
 
 SHAPES = [
@@ -105,6 +113,7 @@ SHAPES = [
     pytest.param(50, 37, id="under-a-tile"),
     pytest.param(TILE_STEPS + 44, TILE_SAMPLES + 45, id="ragged-tiles"),
     pytest.param(1, 5, id="one-step"),
+    pytest.param(2 * TILE_STEPS + 88, 3, id="two-block-edges"),
 ]
 
 
@@ -120,7 +129,7 @@ def test_task_range_off_tile_boundaries(f, spec):
     n, lo, hi = 40, TILE_SAMPLES - 3, 2 * TILE_SAMPLES + 5
     bits = required_bits(spec, n, 64)
     mults = list(itertools.islice(spec.iter_values(), n))
-    task = (montecarlo._coef_table(f), mults, bits, SEED, lo, hi)
+    task = (montecarlo._coef_table(f), montecarlo._plan(mults, bits), SEED, lo, hi)
     assert montecarlo._sum_range(task) == _reference_samples(f, spec, n, SEED, range(lo, hi))
 
 
@@ -149,23 +158,52 @@ def test_orbit_birkhoff_on_narrow_numerators():
         assert orbit_birkhoff(RAND5, spec, n, x0) == _reference_birkhoff_sum(num, bits, [2] * n, coef)
 
 
+def test_narrow_numerators_through_the_export():
+    # bits 53..62 leave at most 9 spare window bits, so a doubling run reads
+    # an export of one word; past bits doublings the state is 0, as in the loop
+    coef = montecarlo._coef_table(RAND5)
+    rng = np.random.default_rng(75)
+    mults = [2] * 20 + [3] + [2] * 70
+    for bits in range(53, 63):
+        plan = montecarlo._plan(mults, bits)
+        assert [x for x, _ in plan.blocks[0].parts if x] == [(0, 1), (0, 1)]
+        nums = [int(v) for v in rng.integers(0, 1 << bits, 3)]
+        got = montecarlo._orbit_sums(coef, plan, nums)
+        assert got == [_reference_birkhoff_sum(num, bits, mults, coef) for num in nums]
+
+
 @pytest.mark.parametrize("spec", [Constant(3), Periodic((3, 5))], ids=["constant3", "periodic35"])
 def test_odd_words_are_all_events(spec):
     # no step folds: the exact loop does the scalar loop's multiplies, one per step
     block = list(itertools.islice(spec.iter_values(), TILE_STEPS))
-    events, rows, shifts = montecarlo._fold_powers_of_two(block, 63)
-    assert events == block
+    (plan,) = montecarlo._plan(block, 63).blocks
+    assert plan.parts == ((None, tuple(block)),) and plan.heads == ()
+    ((i0, i1, rows, shifts),) = plan.windows
+    assert (i0, i1) == (0, TILE_STEPS)
     assert rows.tolist() == list(range(1, TILE_STEPS + 1))
-    assert shifts.tolist() == [10] * TILE_STEPS
+    assert shifts.ravel().tolist() == [10] * TILE_STEPS
 
 
-def test_doubling_block_folds_ten_of_eleven_steps():
-    events, rows, shifts = montecarlo._fold_powers_of_two([2] * TILE_STEPS, 63)
-    assert len(events) == -(-TILE_STEPS // 11)
-    assert events == [2**11] * (TILE_STEPS // 11) + [2 ** (TILE_STEPS % 11)]
-    assert rows[:12].tolist() == [0] * 10 + [1, 1]
-    assert shifts[:12].tolist() == list(range(9, -1, -1)) + [10, 9]
-    assert rows[-1] == len(events) and shifts[-1] == 10
+def test_doubling_word_has_no_events_and_one_export():
+    # Constant(2) at n = 1024: every step reads the one export of the initial
+    # numerator, made in the first block of each tile and carried across edges
+    n = 4 * TILE_STEPS
+    bits = required_bits(Constant(2), n, 64)
+    plan = montecarlo._plan([2] * n, bits)
+    keep = n + 53
+    words = -(-keep // 64)
+    export = (bits - keep, words)
+    assert [block.parts for block in plan.blocks] == [((None, ()), (export, ()))] + [((None, ()),)] * 3
+    assert all(block.windows == () for block in plan.blocks)
+    pad = 64 * words - keep
+    for k, block in enumerate(plan.blocks):
+        ((fresh, i0, i1, hi, lo, left, right),) = block.heads
+        offsets = [pad + k * TILE_STEPS + i for i in range(1, TILE_STEPS + 1)]
+        assert (fresh, i0, i1) == (k == 0, 0, TILE_STEPS)
+        assert hi.tolist() == [o // 64 for o in offsets]
+        assert lo.tolist() == [o // 64 + 1 if o % 64 else words for o in offsets]
+        assert left.ravel().tolist() == [o % 64 for o in offsets]
+        assert right.ravel().tolist() == [(64 - o % 64) % 64 for o in offsets]
 
 
 ALPHABET = [2, 3, 4, 5, 6, 7, 8, 9, 16, 1024, 2048, 2**40]
@@ -174,15 +212,20 @@ ALPHABET = [2, 3, 4, 5, 6, 7, 8, 9, 16, 1024, 2048, 2**40]
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(st.data())
 def test_kernel_matches_scalar_loop_on_random_words(data):
-    # words drawn as runs, so that runs of powers of two cross block edges
+    # words drawn as runs, so that runs of powers of two cross block edges,
+    # some of them two
     runs = data.draw(
-        st.lists(st.tuples(st.sampled_from(ALPHABET), st.integers(1, 90)), min_size=1, max_size=12)
+        st.lists(st.tuples(st.sampled_from(ALPHABET), st.integers(1, 400)), min_size=1, max_size=12)
     )
-    mults = [a for a, length in runs for _ in range(length)][:600]
+    mults = [a for a, length in runs for _ in range(length)][:1200]
     bits = (math.prod(mults) - 1).bit_length() + 53 + data.draw(st.integers(0, 80))
     nums = data.draw(st.lists(st.integers(0, (1 << bits) - 1), min_size=1, max_size=4))
     coef = montecarlo._coef_table(F1)
-    got = montecarlo._orbit_sums(coef, mults, bits, nums)
+    plan = montecarlo._plan(mults, bits)
+    # no uint64 shift reaches 64, whose result C leaves undefined
+    shifts = [s for block in plan.blocks for head in block.heads for s in head[5:]]
+    assert all(s.max(initial=0) < 64 for s in shifts)
+    got = montecarlo._orbit_sums(coef, plan, nums)
     assert got == [_reference_birkhoff_sum(num, bits, mults, coef) for num in nums]
 
 
