@@ -278,6 +278,8 @@ def _plan(mults: list[int], bits: int) -> _Plan:
         steps = range(lo, min(lo + _TILE_STEPS, len(mults)))
         rows = list(itertools.accumulate(run_of[i] < 0 for i in steps))
         events = [scaled[i] for i in steps if run_of[i] < 0]
+        # parts: the events before the block's first export, then each export
+        # with the events after it, cut at the event counts in cuts
         cuts, exports, windows, heads = [0], [None], [], []
         for run, group in itertools.groupby(steps, source.__getitem__):
             span = list(group)
