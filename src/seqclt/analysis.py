@@ -114,9 +114,9 @@ class VarianceReport:
     def acc_transversality(self) -> float:
         return self.acc_curve[-1] if self.acc_curve else 0.0
 
-    def consistent(self, rtol: float = CROSS_CHECK_RTOL) -> bool:
-        """Do the two independent variance routes agree to rtol?"""
-        return abs(self.var_cov - self.var_mart) <= rtol * max(1.0, abs(self.var_cov))
+    def consistent(self) -> bool:
+        """Do the two independent variance routes agree to CROSS_CHECK_RTOL?"""
+        return abs(self.var_cov - self.var_mart) <= CROSS_CHECK_RTOL * max(1.0, abs(self.var_cov))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@ verify-decay  certified transfer-operator decay over random map words
 
 Exit codes: 0 success; 1 malformed scenario or arguments (a non-finite
 number, a boolean or string where a number belongs, non-integral where an
-integer belongs, seed outside [0, 2^64), --threads < 1); 2 I/O failure;
+integer belongs, seed outside [0, 2^64), --threads < 1, a flag that is
+missing, unknown or not read by the command); 2 I/O failure;
 3 internal failure: a consistency check (variance cross-check or decay
 bound) or an error raised while computing, such as a result that overflows
 to a non-finite value (the message names the CSV column and k, or the JSON
@@ -45,7 +46,15 @@ EXIT_OBSTRUCTION = 10
 
 
 class ScenarioError(ValueError):
-    """Scenario file failed to parse or validate."""
+    """Scenario file or command line failed to parse or validate."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a malformed command line as bad input (exit 1); argparse
+    itself would exit 2, the code of an I/O failure."""
+
+    def error(self, message):
+        raise ScenarioError(f"{self.prog}: {message}")
 
 
 @dataclass(frozen=True)
@@ -312,22 +321,25 @@ def cmd_verify_decay(scenario: Scenario, k: int, trials: int, seed: int) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="seqclt",
         description="Exact variance, coboundary and Monte Carlo analysis of "
         "time-dependent expanding circle maps.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("scenario", help="JSON scenario file")
-    common.add_argument("--out", metavar="PREFIX", help="output path prefix")
-    common.add_argument("--threads", type=int, default=1, metavar="N")
-    common.add_argument("--dump-samples", action="store_true")
+    # each command takes only the flags it reads; analyze takes --threads
+    # as well, so that one command line serves both report commands
+    scenario = argparse.ArgumentParser(add_help=False)
+    scenario.add_argument("scenario", help="JSON scenario file")
+    report = argparse.ArgumentParser(add_help=False, parents=[scenario])
+    report.add_argument("--out", required=True, metavar="PREFIX", help="output path prefix")
+    report.add_argument("--threads", type=int, default=1, metavar="N")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("analyze", parents=[common])
-    sub.add_parser("simulate", parents=[common])
-    p_cob = sub.add_parser("coboundary", parents=[common])
+    sub.add_parser("analyze", parents=[report])
+    p_sim = sub.add_parser("simulate", parents=[report])
+    p_sim.add_argument("--dump-samples", action="store_true")
+    p_cob = sub.add_parser("coboundary", parents=[scenario])
     p_cob.add_argument("--base", type=int, required=True, metavar="B")
-    p_dec = sub.add_parser("verify-decay", parents=[common])
+    p_dec = sub.add_parser("verify-decay", parents=[scenario])
     p_dec.add_argument("--k", type=int, required=True, metavar="K")
     p_dec.add_argument("--trials", type=int, required=True, metavar="T")
     p_dec.add_argument("--seed", type=int, required=True, metavar="S")
@@ -335,18 +347,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    """Run one command and return its exit code; --help exits 0 itself."""
     try:
-        if args.threads < 1:
+        args = _build_parser().parse_args(argv)
+        if getattr(args, "threads", 1) < 1:
             raise ScenarioError(f"--threads must be >= 1, got {args.threads}")
         scenario = _load_scenario(args.scenario)
         if args.command == "analyze":
-            if not args.out:
-                raise ScenarioError("analyze needs --out PREFIX")
             return cmd_analyze(scenario, args.out)
         if args.command == "simulate":
-            if not args.out:
-                raise ScenarioError("simulate needs --out PREFIX")
             return cmd_simulate(scenario, args.out, args.threads, args.dump_samples)
         if args.command == "coboundary":
             return cmd_coboundary(scenario, args.base)

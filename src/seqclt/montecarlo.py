@@ -24,13 +24,12 @@ _TILE_SAMPLES orbits at a time:
    imported on this path;
 2. each orbit steps exactly in Python integers, but only at events: a
    step by a power of two only shifts the numerator, so it folds into the
-   next event's multiplier.  `_plan` lays out once per run where each
-   step finds its top 53 bits: in the 63-bit window that each event writes
-   into an int64 array, if the run's shifts since the event fit its 10
-   spare bits, or else in an export of the last exact numerator as big-endian
-   uint64 words, taken once when the run starts and kept across blocks.
-   For each block of _TILE_STEPS steps, numpy gathers every step's window
-   row and shifts out its top 53 bits, or joins its two export words;
+   next event's multiplier.  `_blocks` cuts the steps, once per run, into
+   blocks that read only their own states.  A block's first step makes one
+   exact state and exports its top bits as big-endian uint64 words; numpy
+   joins two of them into the top 53 bits of each step up to the block's
+   first event.  Every later step reads the 63-bit window that the block's
+   last event wrote into an int64 array, shifted right and masked;
 3. numpy scales those by 2^-53, adds amp*cos(w*x + ph) to 0.0 term by
    term in coefficient order, then runs the Kahan update across samples,
    one step at a time.
@@ -38,9 +37,9 @@ _TILE_SAMPLES orbits at a time:
 Each sample thus sees the operations of the scalar loop in its order, and
 numpy's cos equals math.cos on these arguments (a tier-1 test guards this),
 so every S_n is bit-identical to a pure-Python loop.  The tile holds four
-_TILE_STEPS x _TILE_SAMPLES arrays (2 MB), whatever n and m are, and the
-widest export.  A run of powers of two costs no bigint step, whatever its
-length, and the float work is most of the kernel's cost on doubling words;
+_TILE_STEPS x _TILE_SAMPLES arrays (2 MB), whatever n and m are, and one
+block's export.  A run of powers of two costs one bigint shift per block
+it spans, and the float work is most of the kernel's cost on doubling words;
 odd multipliers still pay one bigint step each, which is then most of it.
 """
 
@@ -205,173 +204,121 @@ def _coef_table(f: TrigPoly) -> tuple[tuple[float, float, float], ...]:
     )
 
 
-@dataclass(frozen=True)
-class _Block:
-    """The plan of one block of at most _TILE_STEPS steps (see `_plan`).
-
-    Each orbit works through parts in order: for each, it takes the export
-    (drop, words) if there is one, then steps by the event multipliers.
-    windows are the step ranges [i0, i1) that read an event window, with
-    per step its row and right shift.  heads are the step ranges that read
-    their head, the top 53 bits, from an export: whether the range reads
-    the block's next export (fresh) or the one carried in from an earlier
-    block, then per step the hi and lo word rows and the left and right
-    shifts.
-    """
-
-    steps: int
-    parts: tuple[tuple[tuple[int, int] | None, tuple[int, ...]], ...]
-    windows: tuple[tuple[int, int, np.ndarray, np.ndarray], ...]
-    heads: tuple[tuple[bool, int, int, np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
-
-
-@dataclass(frozen=True)
-class _Plan:
-    """Where every step of a run reads its top 53 bits; shared by its tiles."""
-
-    bits: int
-    blocks: tuple[_Block, ...]
-
-
-def _plan(mults: list[int], bits: int) -> _Plan:
-    """Plan the orbit of bits-wide numerators under mults, once per run.
+def _blocks(mults: list[int], bits: int) -> tuple:
+    """Cut the orbit of bits-wide numerators under mults into blocks, once
+    per run, each reading only its own exact states.
 
     A step by 2^t only shifts the numerator left, so only the other steps
-    are events, exact bigint steps whose multiplier is the product of the
-    steps since the previous event (`a << dz`).  After an event, or at the
-    start, comes a run of power-of-two steps; at shift dz into it, the
-    state's top 53 bits sit dz bits into the last exact state s.  If the
-    run's total shift D fits the spare = width - 53 low bits of the width =
-    min(63, bits) bit event window, each of its steps reads the window row
-    of s (0: the state the block starts from, e: after the block's e-th
-    event) shifted right by spare - dz, as every event does at dz = 0.
-    Otherwise the whole run reads one export of s, taken when the run
-    starts and kept across block edges: the top keep = min(bits, D + 53)
-    bits of s, dropping bits - keep, as words = ceil(keep / 64) big-endian
-    uint64 words behind pad = 64 * words - keep zero bits, then a zero
-    word.  The step at shift dz reads the 64 bits at offset o = pad + dz
-    from words hi = o // 64 and lo = hi + 1 as (hi << r) | (lo >> (64 - r)),
-    r = o % 64.  At r = 0, lo is the zero word shifted by 0, so no shift
-    reaches 64; rows past the export read the zero word, as do the bits a
-    too narrow numerator shifts in from below.
+    are events, exact bigint steps.  With spare = min(63, bits) - 53, a
+    block starts every _TILE_STEPS steps and at each event whose following
+    power-of-two run shifts by more than spare.  A block is
+
+        ((a0, t0), (drop, words), events, (hi, lo, left, right), (rows, shifts))
+
+    Its first step makes one exact state s = ((a0 * num) << t0) & mask, a0
+    the step's odd factor and t0 its power of two plus the shift of the
+    previous block's steps after its last exact state.  The export of s is
+    its top keep = min(bits, D + 53) bits, D the shift up to the block's
+    first event: s >> drop as words = ceil(keep / 64) big-endian uint64
+    words behind pad = 64 * words - keep zero bits, then a zero word.  The
+    steps up to the first event read it: at shift dz from s, the 64 bits at
+    offset o = pad + dz, from words hi = o // 64 and lo = hi + 1, are
+    (hi << left) | (lo >> right), left = o % 64.  At left = 0, lo is the
+    zero word shifted by 0, so no shift reaches 64; rows past the export
+    read the zero word, as do the bits a too narrow numerator shifts in
+    from below.  Every later step reads the min(63, bits)-bit window of the
+    state after the block's last event so far (its row), shifted right by
+    spare - dz >= 0, or that event would have started a block.  An event's
+    multiplier is the product of the steps since the last exact state
+    (`a << dz`).
     """
-    width = min(63, bits)
-    spare = width - 53
-    run_of, dzs, starts, totals = [], [], [0], [0]  # run 0 follows the start
-    scaled = {}  # step -> event multiplier
-    for i, a in enumerate(mults):
-        t = a.bit_length() - 1
-        if a == 1 << t:
-            totals[-1] += t
-            run_of.append(len(totals) - 1)
-            dzs.append(totals[-1])
-        else:
-            scaled[i] = a << totals[-1]
-            run_of.append(-1)
-            dzs.append(0)
-            starts.append(i + 1)
-            totals.append(0)
-    # per step: the run whose export it reads, or -1 if it reads a window
-    source = [-1 if r < 0 or totals[r] <= spare else r for r in run_of]
-    blocks = []
-    for lo in range(0, len(mults), _TILE_STEPS):
-        steps = range(lo, min(lo + _TILE_STEPS, len(mults)))
-        rows = list(itertools.accumulate(run_of[i] < 0 for i in steps))
-        events = [scaled[i] for i in steps if run_of[i] < 0]
-        # parts: the events before the block's first export, then each export
-        # with the events after it, cut at the event counts in cuts
-        cuts, exports, windows, heads = [0], [None], [], []
-        for run, group in itertools.groupby(steps, source.__getitem__):
-            span = list(group)
-            i0, i1 = span[0] - lo, span[-1] + 1 - lo
-            if run < 0:
-                shifts = np.array([spare - dzs[i] for i in span], dtype=np.int64)
-                windows.append((i0, i1, np.array(rows[i0:i1], dtype=np.intp), shifts[:, None]))
-                continue
-            keep = min(bits, totals[run] + 53)
-            words = -(-keep // 64)
-            fresh = starts[run] >= lo
-            if fresh:
-                cuts.append(rows[i0])
-                exports.append((bits - keep, words))
-            offsets = [64 * words - keep + dzs[i] for i in span]
-            hi = np.array([min(o >> 6, words) for o in offsets], dtype=np.intp)
-            low = [min((o >> 6) + 1, words) if o & 63 else words for o in offsets]
-            left = np.array([o & 63 for o in offsets], dtype=np.uint64)[:, None]
-            heads.append((fresh, i0, i1, hi, np.array(low, dtype=np.intp), left, (64 - left) & 63))
-        cuts.append(len(events))
-        parts = tuple((x, tuple(events[a:b])) for x, a, b in zip(exports, cuts, cuts[1:]))
-        blocks.append(_Block(len(steps), parts, tuple(windows), tuple(heads)))
-    return _Plan(bits, tuple(blocks))
+    spare = min(63, bits) - 53
+    starts, run = [], 0  # run: the shift of the power-of-two run after step i
+    for i in reversed(range(len(mults))):
+        a = mults[i]
+        if i % _TILE_STEPS == 0 or (a & (a - 1) and run > spare):
+            starts.append(i)
+        run = 0 if a & (a - 1) else run + a.bit_length() - 1
+    starts.reverse()
+    blocks, dz = [], 0
+    for s, e in zip(starts, starts[1:] + [len(mults)]):
+        t = (mults[s] & -mults[s]).bit_length() - 1
+        first, dz = (mults[s] >> t, dz + t), 0
+        events, dzs, rows = [], [0], [-1]  # per step: shift and row since s
+        for a in mults[s + 1 : e]:
+            if a & (a - 1):
+                events.append(a << dz)
+                dz = 0
+            else:
+                dz += a.bit_length() - 1
+            dzs.append(dz)
+            rows.append(len(events) - 1)
+        lead = rows.count(-1)  # the steps that read the export
+        keep = min(bits, dzs[lead - 1] + 53)
+        words = -(-keep // 64)
+        offsets = [64 * words - keep + d for d in dzs[:lead]]
+        hi = np.array([min(o // 64, words) for o in offsets], dtype=np.intp)
+        lo = np.array([min(o // 64 + 1, words) if o % 64 else words for o in offsets], np.intp)
+        left = np.array([o % 64 for o in offsets], dtype=np.uint64)[:, None]
+        shifts = np.array([spare - d for d in dzs[lead:]], dtype=np.int64)[:, None]
+        export = (hi, lo, left, (64 - left) & 63)
+        windows = (np.array(rows[lead:], dtype=np.intp), shifts)
+        blocks.append((first, (bits - keep, words), tuple(events), export, windows))
+    return tuple(blocks)
 
 
-def _orbit_sums(coef, plan: _Plan, nums: list[int]) -> list[float]:
-    """S_n from each initial numerator in nums (at most _TILE_SAMPLES).
+def _orbit_sums(coef, bits: int, blocks: tuple, nums: list[int]) -> list[float]:
+    """S_n from each initial numerator in nums (at most _TILE_SAMPLES) of
+    bits bits, block by block as `_blocks(mults, bits)` lays them out.
 
-    For each block of the plan, every orbit steps exactly in Python
-    integers over the block's events only, writes the top width =
-    min(63, bits) bits of the state after each into its column of `win`
-    (row 0 holds the last exact state before the block) and, where a long
-    power-of-two run follows, the top bits of the state into a list of
-    big-endian bytes.  numpy reads each step's top 53 bits: from a window
-    row shifted right by spare - dz and masked, or from two words of the
-    current export `words` (a (words + 1) x samples uint64 array) shifted
-    and or-ed, as `_plan` lays out.  For a state s of bits bits, both are
-    the top 53 bits of s * 2^dz mod 2^bits, the state dz shifted bits
-    after s.  numpy then evaluates f on the whole block, step-major, and
-    runs one Kahan update per step across the samples: per sample, the
-    operations of the scalar loop in its order, so every sum is
-    bit-identical to it.
+    Every orbit makes the block's first exact state, exports its top bits
+    as big-endian bytes, then steps over the block's events, writing the
+    top min(63, bits) bits of each state into its column of `win`.  numpy
+    joins two export words, or shifts and masks a window row, into each
+    step's top 53 bits.  Every _TILE_STEPS steps and at the end, it
+    evaluates f on them, step-major, and runs one Kahan update per step
+    across the samples: per sample, the operations of the scalar loop in
+    its order, so every sum is bit-identical to it.
     """
-    bits = plan.bits
     mask = (1 << bits) - 1
     shift = bits - min(63, bits)
-    count = len(nums)
-    nums = list(nums)
-    win = np.empty((_TILE_STEPS + 1, count), dtype=np.int64)
-    win[0] = [num >> shift for num in nums]
+    count, nums = len(nums), list(nums)
+    win = np.empty((_TILE_STEPS, count), dtype=np.int64)
     x, term, value = np.empty((3, _TILE_STEPS, count))
     tops = term.view(np.int64)  # the gathers reuse term's and x's memory
     heads, lows = term.view(np.uint64), x.view(np.uint64)
     total, comp, y, t = np.zeros((4, count))
+    at = 0  # the steps of the tile read so far
     with np.errstate(all="ignore"):  # overflow and nan pass silently, as in Python floats
-        for block in plan.blocks:
-            end = sum(len(chunk) for _, chunk in block.parts)
-            snaps = [[] for _ in block.parts]
-            if end or len(snaps) > 1:
-                for j in range(count):
-                    num, row = nums[j], 1
-                    for (export, chunk), snap in zip(block.parts, snaps):
-                        if export:
-                            snap.append((num >> export[0]).to_bytes(8 * export[1], "big"))
-                        if chunk:
-                            win[row : row + len(chunk), j] = [
-                                (num := (a * num) & mask) >> shift for a in chunk
-                            ]
-                            row += len(chunk)
-                    nums[j] = num
-            exported = ((e, snap) for (e, _), snap in zip(block.parts, snaps) if e)
-            for fresh, i0, i1, hi, lo, left, right in block.heads:
-                if fresh:  # the block's next export replaces the last one
-                    (_, size), snap = next(exported)
-                    raw = np.frombuffer(b"".join(snap), dtype=">u8").reshape(count, size)
-                    words = np.zeros((size + 1, count), dtype=np.uint64)
-                    words[:size] = raw.T
-                head, low = heads[i0:i1], lows[i0:i1]
-                np.take(words, hi, axis=0, out=head, mode="clip")  # "raise" would buffer out
-                np.take(words, lo, axis=0, out=low, mode="clip")
-                head <<= left
-                low >>= right
-                head |= low
-                head >>= 11
-            for i0, i1, rows, shifts in block.windows:
-                top = tops[i0:i1]
-                np.take(win, rows, axis=0, out=top, mode="clip")
-                np.right_shift(top, shifts, out=top)
-                top &= (1 << 53) - 1
-            win[0] = win[end]
-            xs, v, fx = x[: block.steps], term[: block.steps], value[: block.steps]
-            np.multiply(tops[: block.steps], 2.0**-53, out=xs)
+        for b, ((a0, t0), (drop, size), events, export, (rows, shifts)) in enumerate(blocks, 1):
+            snap, nbytes, fit = [], 8 * size, mask >> t0  # fit: the bits that stay
+            for j in range(count):
+                num = nums[j]  # a0 = 1 is skipped: 1 * num copies a bigint
+                num = ((a0 * num if a0 > 1 else num) & fit) << t0
+                snap.append((num >> drop).to_bytes(nbytes, "big"))
+                if events:
+                    win[: len(events), j] = [(num := (a * num) & mask) >> shift for a in events]
+                nums[j] = num
+            words = np.zeros((size + 1, count), dtype=np.uint64)
+            words[:size] = np.frombuffer(b"".join(snap), dtype=">u8").reshape(count, size).T
+            hi, lo, left, right = export
+            i1 = at + len(hi)
+            head, low = heads[at:i1], lows[at:i1]
+            np.take(words, hi, axis=0, out=head, mode="clip")  # "raise" would buffer out
+            np.take(words, lo, axis=0, out=low, mode="clip")
+            head <<= left
+            low >>= right
+            head |= low
+            head >>= 11
+            at = i1 + len(rows)
+            top = tops[i1:at]
+            np.take(win, rows, axis=0, out=top, mode="clip")
+            np.right_shift(top, shifts, out=top)
+            top &= (1 << 53) - 1
+            if at < _TILE_STEPS and b < len(blocks):
+                continue
+            xs, v, fx = x[:at], term[:at], value[:at]
+            np.multiply(tops[:at], 2.0**-53, out=xs)
             fx.fill(0.0)
             for amp, w, ph in coef:
                 np.multiply(xs, w, out=v)
@@ -385,6 +332,7 @@ def _orbit_sums(coef, plan: _Plan, nums: list[int]) -> list[float]:
                 np.subtract(t, total, out=comp)
                 comp -= y
                 total, t = t, total
+            at = 0
     return total.tolist()
 
 
@@ -398,15 +346,16 @@ def orbit_birkhoff(f: TrigPoly, spec: SequenceSpec, n: int, x0: DyadicPoint) -> 
     need = _log2_ceil(mults) + 53
     if x0.bits < need:
         raise ValueError(f"x0 has {x0.bits} bits, needs >= {need} for n={n}")
-    return _orbit_sums(_coef_table(f), _plan(mults, x0.bits), [x0.numerator])[0]
+    blocks = _blocks(mults, x0.bits)
+    return _orbit_sums(_coef_table(f), x0.bits, blocks, [x0.numerator])[0]
 
 
 def _sum_range(args) -> list[float]:
-    coef, plan, seed, lo, hi = args
+    coef, bits, blocks, seed, lo, hi = args
     out: list[float] = []
     for start in range(lo, hi, _TILE_SAMPLES):
         indices = np.arange(start, min(start + _TILE_SAMPLES, hi), dtype=np.uint64)
-        out.extend(_orbit_sums(coef, plan, _draw_numerators(seed, indices, plan.bits)))
+        out.extend(_orbit_sums(coef, bits, blocks, _draw_numerators(seed, indices, bits)))
     return out
 
 
@@ -427,16 +376,16 @@ def birkhoff_samples(
     if m < 1:
         raise ValueError("sample count must be >= 1")
     mults = _multipliers(spec, n)
-    plan = _plan(mults, _log2_ceil(mults) + 64)
-    coef = _coef_table(f)
+    bits = _log2_ceil(mults) + 64
+    coef, blocks = _coef_table(f), _blocks(mults, bits)
     workers = min(threads, os.cpu_count() or 1, m)
     if workers <= 1:
-        return _sum_range((coef, plan, seed, 0, m))
+        return _sum_range((coef, bits, blocks, seed, 0, m))
     from concurrent.futures import ProcessPoolExecutor
 
     chunk = -(-m // (4 * workers))
     tasks = [
-        (coef, plan, seed, lo, min(lo + chunk, m)) for lo in range(0, m, chunk)
+        (coef, bits, blocks, seed, lo, min(lo + chunk, m)) for lo in range(0, m, chunk)
     ]
     out: list[float] = []
     with ProcessPoolExecutor(max_workers=workers) as pool:

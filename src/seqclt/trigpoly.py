@@ -214,22 +214,19 @@ class C1Norm:
     grid_estimate: float
 
 
-def c1_norm(g: TrigPoly, grid: int | None = None) -> C1Norm:
+def c1_norm(g: TrigPoly) -> C1Norm:
     """Certified C1 norm sup|g| + sup|g'|.
 
-    Both sups are taken over ``grid`` equispaced points (default
-    max(64*degree, 4096)) and corrected by half a grid step times a
-    coefficient bound on the next derivative, which makes the reported value
-    a true upper bound:
+    Both sups are taken over G = max(64*degree, 4096) equispaced points
+    and corrected by half a grid step times a coefficient bound on the next
+    derivative, which makes the reported value a true upper bound:
 
         sup|g|  <= grid max + (1/(2G)) * 4*pi  * sum n   |c_n|
         sup|g'| <= grid max + (1/(2G)) * 8*pi^2 * sum n^2 |c_n|
     """
     if g.is_zero:
         return C1Norm(0.0, 0.0)
-    size = grid if grid is not None else max(64 * g.degree, 4096)
-    while size < 2 * g.degree + 2:
-        size *= 2
+    size = max(64 * g.degree, 4096)
     vals = grid_values(g, size)
     dvals = grid_values(derivative(g), size)
     sup_val = float(np.max(np.abs(vals)))

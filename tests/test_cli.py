@@ -431,3 +431,56 @@ def test_verify_decay_rejects_k_zero(tmp_path):
     path = write_scenario(tmp_path)
     code = main(["verify-decay", path, "--k", "0", "--trials", "5", "--seed", "3"])
     assert code == EXIT_BAD_SCENARIO
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coboundary", "{path}"],
+        ["analyze", "{path}", "--out", "{out}", "--bogus"],
+        ["simulate", "{path}", "--out", "{out}", "--threads", "x"],
+        ["analyze", "{path}"],
+        [],
+    ],
+    ids=["missing-base", "unknown-flag", "non-integer-threads", "missing-out", "no-command"],
+)
+def test_malformed_command_line_is_bad_input(tmp_path, capsys, argv):
+    path = write_scenario(tmp_path, samples=2, seed=1)
+    argv = [a.format(path=path, out=tmp_path / "o") for a in argv]
+    assert main(argv) == EXIT_BAD_SCENARIO
+    err = capsys.readouterr().err
+    assert err.startswith("error: seqclt") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [tmp_path / "scenario.json"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coboundary", "{path}", "--base", "2", "--out", "{out}"],
+        ["coboundary", "{path}", "--base", "2", "--threads", "2"],
+        ["coboundary", "{path}", "--base", "2", "--dump-samples"],
+        ["verify-decay", "{path}", "--k", "3", "--trials", "2", "--seed", "1", "--out", "{out}"],
+        ["verify-decay", "{path}", "--k", "3", "--trials", "2", "--seed", "1", "--threads", "2"],
+        ["verify-decay", "{path}", "--k", "3", "--trials", "2", "--seed", "1", "--dump-samples"],
+        ["analyze", "{path}", "--out", "{out}", "--dump-samples"],
+    ],
+)
+def test_flags_a_command_does_not_read_are_rejected(tmp_path, capsys, argv):
+    path = write_scenario(tmp_path, function=F1_FUNCTION)
+    argv = [a.format(path=path, out=tmp_path / "o") for a in argv]
+    assert main(argv) == EXIT_BAD_SCENARIO
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments" in captured.err
+
+
+def test_analyze_accepts_threads(tmp_path):
+    path = write_scenario(tmp_path, n=8)
+    assert main(["analyze", path, "--out", str(tmp_path / "a"), "--threads", "1"]) == EXIT_OK
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["simulate", "--help"]])
+def test_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_OK
+    assert capsys.readouterr().out.startswith("usage: seqclt")

@@ -87,7 +87,8 @@ F1 = linear_combine([(1.0, cosine(2)), (-1.0, cosine(1))])
 WORD = Explicit(tuple(int(v) for v in np.random.default_rng(71).integers(2, 10, 90)), Constant(3))
 # steps 245..274 double: a run of folded steps across the 256-step block edge
 STRADDLE = Explicit((3, 5) * 122 + (2,) * 30, Constant(9))
-# an odd step, then a doubling run longer than a block, read from one export
+# an odd step, then a doubling run longer than a block, split between the
+# exports of two blocks
 ODD_THEN_RUN = Explicit((3,) + (2,) * 300, Constant(5))
 # a block edge inside a run read from windows (256), then an event right
 # after a run read from an export (512)
@@ -106,6 +107,7 @@ CASES = [
     pytest.param(cosine(1), Constant(2**40), id="cos-constant2pow40"),
     pytest.param(RAND5, ODD_THEN_RUN, id="rand5-odd-then-long-run"),
     pytest.param(F1, EDGES, id="f1-edges"),
+    pytest.param(RAND5, Periodic((3, 2**11)), id="rand5-periodic3-2048"),
 ]
 
 SHAPES = [
@@ -129,7 +131,7 @@ def test_task_range_off_tile_boundaries(f, spec):
     n, lo, hi = 40, TILE_SAMPLES - 3, 2 * TILE_SAMPLES + 5
     bits = required_bits(spec, n, 64)
     mults = list(itertools.islice(spec.iter_values(), n))
-    task = (montecarlo._coef_table(f), montecarlo._plan(mults, bits), SEED, lo, hi)
+    task = (montecarlo._coef_table(f), bits, montecarlo._blocks(mults, bits), SEED, lo, hi)
     assert montecarlo._sum_range(task) == _reference_samples(f, spec, n, SEED, range(lo, hi))
 
 
@@ -159,51 +161,79 @@ def test_orbit_birkhoff_on_narrow_numerators():
 
 
 def test_narrow_numerators_through_the_export():
-    # bits 53..62 leave at most 9 spare window bits, so a doubling run reads
-    # an export of one word; past bits doublings the state is 0, as in the loop
+    # bits 53..62 leave at most 9 spare window bits, so the 3 starts a block
+    # and each block's doubling run reads an export of the whole numerator
+    # in one word; past bits doublings the state is 0, as in the loop
     coef = montecarlo._coef_table(RAND5)
     rng = np.random.default_rng(75)
     mults = [2] * 20 + [3] + [2] * 70
     for bits in range(53, 63):
-        plan = montecarlo._plan(mults, bits)
-        assert [x for x, _ in plan.blocks[0].parts if x] == [(0, 1), (0, 1)]
+        blocks = montecarlo._blocks(mults, bits)
+        assert [(first, export) for first, export, *_ in blocks] == [((1, 1), (0, 1)), ((3, 19), (0, 1))]
         nums = [int(v) for v in rng.integers(0, 1 << bits, 3)]
-        got = montecarlo._orbit_sums(coef, plan, nums)
+        got = montecarlo._orbit_sums(coef, bits, blocks, nums)
         assert got == [_reference_birkhoff_sum(num, bits, mults, coef) for num in nums]
 
 
+def _export_offsets(block, pad):
+    # the bit offsets into the export that the block's leading steps read
+    hi, lo, left, right = block[3]
+    offsets = [64 * h + int(r) for h, r in zip(hi.tolist(), left.ravel())]
+    words = block[1][1]
+    assert lo.tolist() == [o // 64 + 1 if o % 64 else words for o in offsets]
+    assert right.ravel().tolist() == [(64 - o % 64) % 64 for o in offsets]
+    return [o - pad for o in offsets]
+
+
 @pytest.mark.parametrize("spec", [Constant(3), Periodic((3, 5))], ids=["constant3", "periodic35"])
-def test_odd_words_are_all_events(spec):
-    # no step folds: the exact loop does the scalar loop's multiplies, one per step
-    block = list(itertools.islice(spec.iter_values(), TILE_STEPS))
-    (plan,) = montecarlo._plan(block, 63).blocks
-    assert plan.parts == ((None, tuple(block)),) and plan.heads == ()
-    ((i0, i1, rows, shifts),) = plan.windows
-    assert (i0, i1) == (0, TILE_STEPS)
-    assert rows.tolist() == list(range(1, TILE_STEPS + 1))
-    assert shifts.ravel().tolist() == [10] * TILE_STEPS
+def test_odd_word_blocks_step_exactly_after_their_first_step(spec):
+    # no step folds: each block's first step is exported, every later one is
+    # an event that reads its own window row, shifted right by the 10 spare bits
+    n = 2 * TILE_STEPS + 10
+    mults = list(itertools.islice(spec.iter_values(), n))
+    bits = required_bits(spec, n, 64)
+    blocks = montecarlo._blocks(mults, bits)
+    assert len(blocks) == 3
+    for k, block in enumerate(blocks):
+        first, export, events, _, (rows, shifts) = block
+        steps = mults[k * TILE_STEPS : (k + 1) * TILE_STEPS]
+        assert (first, export, events) == ((steps[0], 0), (bits - 53, 1), tuple(steps[1:]))
+        assert _export_offsets(block, 11) == [0]
+        assert rows.tolist() == list(range(len(steps) - 1))
+        assert shifts.ravel().tolist() == [10] * (len(steps) - 1)
 
 
-def test_doubling_word_has_no_events_and_one_export():
-    # Constant(2) at n = 1024: every step reads the one export of the initial
-    # numerator, made in the first block of each tile and carried across edges
+def test_doubling_word_has_one_export_per_block_and_no_events():
+    # Constant(2) at n = 1024: each of the 4 blocks exports the state its
+    # first step makes, 256 doublings after the last one, and reads all its
+    # steps from it
     n = 4 * TILE_STEPS
     bits = required_bits(Constant(2), n, 64)
-    plan = montecarlo._plan([2] * n, bits)
-    keep = n + 53
+    blocks = montecarlo._blocks([2] * n, bits)
+    keep = TILE_STEPS - 1 + 53
     words = -(-keep // 64)
-    export = (bits - keep, words)
-    assert [block.parts for block in plan.blocks] == [((None, ()), (export, ()))] + [((None, ()),)] * 3
-    assert all(block.windows == () for block in plan.blocks)
-    pad = 64 * words - keep
-    for k, block in enumerate(plan.blocks):
-        ((fresh, i0, i1, hi, lo, left, right),) = block.heads
-        offsets = [pad + k * TILE_STEPS + i for i in range(1, TILE_STEPS + 1)]
-        assert (fresh, i0, i1) == (k == 0, 0, TILE_STEPS)
-        assert hi.tolist() == [o // 64 for o in offsets]
-        assert lo.tolist() == [o // 64 + 1 if o % 64 else words for o in offsets]
-        assert left.ravel().tolist() == [o % 64 for o in offsets]
-        assert right.ravel().tolist() == [(64 - o % 64) % 64 for o in offsets]
+    assert [block[:3] for block in blocks] == [((1, 1), (bits - keep, words), ())] + [
+        ((1, TILE_STEPS), (bits - keep, words), ())
+    ] * 3
+    for block in blocks:
+        assert _export_offsets(block, 64 * words - keep) == list(range(TILE_STEPS))
+        assert block[4][0].size == 0
+
+
+def test_event_before_a_long_shift_starts_a_block():
+    # Periodic((3, 2**11)): the shift of 11 after each 3 exceeds the 10 spare
+    # bits, so every 3 starts a block that reads both its steps from its export
+    n = 4 * TILE_STEPS
+    mults = list(itertools.islice(Periodic((3, 2**11)).iter_values(), n))
+    bits = required_bits(Periodic((3, 2**11)), n, 64)
+    blocks = montecarlo._blocks(mults, bits)
+    assert len(blocks) == n // 2
+    assert [block[:3] for block in blocks] == [((3, 0), (bits - 64, 1), ())] + [
+        ((3, 11), (bits - 64, 1), ())
+    ] * (n // 2 - 1)
+    for block in blocks:
+        assert _export_offsets(block, 0) == [0, 11]
+        assert block[4][0].size == 0
 
 
 ALPHABET = [2, 3, 4, 5, 6, 7, 8, 9, 16, 1024, 2048, 2**40]
@@ -221,11 +251,11 @@ def test_kernel_matches_scalar_loop_on_random_words(data):
     bits = (math.prod(mults) - 1).bit_length() + 53 + data.draw(st.integers(0, 80))
     nums = data.draw(st.lists(st.integers(0, (1 << bits) - 1), min_size=1, max_size=4))
     coef = montecarlo._coef_table(F1)
-    plan = montecarlo._plan(mults, bits)
+    blocks = montecarlo._blocks(mults, bits)
     # no uint64 shift reaches 64, whose result C leaves undefined
-    shifts = [s for block in plan.blocks for head in block.heads for s in head[5:]]
+    shifts = [s for block in blocks for s in block[3][2:]]
     assert all(s.max(initial=0) < 64 for s in shifts)
-    got = montecarlo._orbit_sums(coef, plan, nums)
+    got = montecarlo._orbit_sums(coef, bits, blocks, nums)
     assert got == [_reference_birkhoff_sum(num, bits, mults, coef) for num in nums]
 
 
