@@ -25,20 +25,18 @@ _TILE_SAMPLES orbits at a time:
 2. each orbit steps exactly in Python integers, but only at events: a
    step by a power of two only shifts the numerator, so it folds into the
    next event's multiplier.  `_blocks` cuts the steps, once per run, into
-   blocks that read only their own states.  A block's first step makes one
-   exact state and exports its top bits as big-endian uint64 words; numpy
-   joins two of them into the top 53 bits of each step up to the block's
-   first event.  Every later step reads the 63-bit window that the block's
-   last event wrote into an int64 array, shifted right and masked;
+   blocks that read only their own states.  Each exact state writes its
+   top bits, left-aligned, into its block's frame of uint64 words, and
+   numpy joins two frame words into the top 53 bits of every step;
 3. numpy scales those by 2^-53, adds amp*cos(w*x + ph) to 0.0 term by
    term in coefficient order, then runs the Kahan update across samples,
    one step at a time.
 
 Each sample thus sees the operations of the scalar loop in its order, and
 numpy's cos equals math.cos on these arguments (a tier-1 test guards this),
-so every S_n is bit-identical to a pure-Python loop.  The tile holds four
-_TILE_STEPS x _TILE_SAMPLES arrays (2 MB), whatever n and m are, and one
-block's export.  A run of powers of two costs one bigint shift per block
+so every S_n is bit-identical to a pure-Python loop.  The tile holds three
+_TILE_STEPS x _TILE_SAMPLES arrays (1.5 MB), whatever n and m are, and one
+block's frame.  A run of powers of two costs one bigint shift per block
 it spans, and the float work is most of the kernel's cost on doubling words;
 odd multipliers still pay one bigint step each, which is then most of it.
 """
@@ -209,34 +207,28 @@ def _blocks(mults: list[int], bits: int) -> tuple:
     per run, each reading only its own exact states.
 
     A step by 2^t only shifts the numerator left, so only the other steps
-    are events, exact bigint steps.  With spare = min(63, bits) - 53, a
-    block starts every _TILE_STEPS steps and at each event whose following
-    power-of-two run shifts by more than spare.  A block is
+    are events, exact bigint steps.  A block starts every _TILE_STEPS steps
+    and at each event whose following power-of-two run shifts by more than
+    64 - 53 = 11 bits.  A block is
 
-        ((a0, t0), (drop, words), events, (hi, lo, left, right), (rows, shifts))
+        ((a0, t0), size, events, (hi, lo, left, right))
 
     Its first step makes one exact state s = ((a0 * num) << t0) & mask, a0
     the step's odd factor and t0 its power of two plus the shift of the
-    previous block's steps after its last exact state.  The export of s is
-    its top keep = min(bits, D + 53) bits, D the shift up to the block's
-    first event: s >> drop as words = ceil(keep / 64) big-endian uint64
-    words behind pad = 64 * words - keep zero bits, then a zero word.  The
-    steps up to the first event read it: at shift dz from s, the 64 bits at
-    offset o = pad + dz, from words hi = o // 64 and lo = hi + 1, are
-    (hi << left) | (lo >> right), left = o % 64.  At left = 0, lo is the
-    zero word shifted by 0, so no shift reaches 64; rows past the export
-    read the zero word, as do the bits a too narrow numerator shifts in
-    from below.  Every later step reads the min(63, bits)-bit window of the
-    state after the block's last event so far (its row), shifted right by
-    spare - dz >= 0, or that event would have started a block.  An event's
-    multiplier is the product of the steps since the last exact state
-    (`a << dz`).
+    previous block's steps after its last exact state.  The block's frame
+    holds the top bits of its exact states as left-aligned uint64 words: s
+    in size = ceil((D + 53) / 64) words, D the shift up to the first event,
+    then one word per event, then a zero word.  A step at shift dz from the
+    state in row r joins words hi = r + dz // 64 and lo = hi + 1, or the
+    zero word at left = dz % 64 = 0, as (hi << left) | (lo >> right): no
+    shift reaches 64.  After an event dz <= 11, or that event would have
+    started a block.  An event's multiplier is the product of the steps
+    since the last exact state (`a << dz`).
     """
-    spare = min(63, bits) - 53
     starts, run = [], 0  # run: the shift of the power-of-two run after step i
     for i in reversed(range(len(mults))):
         a = mults[i]
-        if i % _TILE_STEPS == 0 or (a & (a - 1) and run > spare):
+        if i % _TILE_STEPS == 0 or (a & (a - 1) and run > 11):
             starts.append(i)
         run = 0 if a & (a - 1) else run + a.bit_length() - 1
     starts.reverse()
@@ -244,26 +236,20 @@ def _blocks(mults: list[int], bits: int) -> tuple:
     for s, e in zip(starts, starts[1:] + [len(mults)]):
         t = (mults[s] & -mults[s]).bit_length() - 1
         first, dz = (mults[s] >> t, dz + t), 0
-        events, dzs, rows = [], [0], [-1]  # per step: shift and row since s
+        events, reads = [], [(0, 0)]  # per step: the block's events so far, dz
         for a in mults[s + 1 : e]:
             if a & (a - 1):
                 events.append(a << dz)
                 dz = 0
             else:
                 dz += a.bit_length() - 1
-            dzs.append(dz)
-            rows.append(len(events) - 1)
-        lead = rows.count(-1)  # the steps that read the export
-        keep = min(bits, dzs[lead - 1] + 53)
-        words = -(-keep // 64)
-        offsets = [64 * words - keep + d for d in dzs[:lead]]
-        hi = np.array([min(o // 64, words) for o in offsets], dtype=np.intp)
-        lo = np.array([min(o // 64 + 1, words) if o % 64 else words for o in offsets], np.intp)
-        left = np.array([o % 64 for o in offsets], dtype=np.uint64)[:, None]
-        shifts = np.array([spare - d for d in dzs[lead:]], dtype=np.int64)[:, None]
-        export = (hi, lo, left, (64 - left) & 63)
-        windows = (np.array(rows[lead:], dtype=np.intp), shifts)
-        blocks.append((first, (bits - keep, words), tuple(events), export, windows))
+            reads.append((len(events), dz))
+        size = (max(d for k, d in reads if not k) + 116) // 64  # ceil((D + 53) / 64)
+        hi = [(size + k - 1 if k else 0) + d // 64 for k, d in reads]
+        lo = [h + 1 if d % 64 else size + len(events) for h, (_, d) in zip(hi, reads)]
+        left = np.array([d % 64 for _, d in reads], dtype=np.uint64)[:, None]
+        reader = (np.array(hi, dtype=np.intp), np.array(lo, dtype=np.intp), left, (64 - left) & 63)
+        blocks.append((first, size, tuple(events), reader))
     return tuple(blocks)
 
 
@@ -271,54 +257,47 @@ def _orbit_sums(coef, bits: int, blocks: tuple, nums: list[int]) -> list[float]:
     """S_n from each initial numerator in nums (at most _TILE_SAMPLES) of
     bits bits, block by block as `_blocks(mults, bits)` lays them out.
 
-    Every orbit makes the block's first exact state, exports its top bits
-    as big-endian bytes, then steps over the block's events, writing the
-    top min(63, bits) bits of each state into its column of `win`.  numpy
-    joins two export words, or shifts and masks a window row, into each
-    step's top 53 bits.  Every _TILE_STEPS steps and at the end, it
-    evaluates f on them, step-major, and runs one Kahan update per step
-    across the samples: per sample, the operations of the scalar loop in
-    its order, so every sum is bit-identical to it.
+    Every orbit makes the block's first exact state, then steps over its
+    events, writing each state's top bits into its column of the block's
+    frame; numpy joins two frame words into each step's top 53 bits.
+    Every _TILE_STEPS steps and at the end, it evaluates f on them,
+    step-major, and runs one Kahan update per step across the samples: per
+    sample, the operations of the scalar loop in its order, so every sum is
+    bit-identical to it.
     """
     mask = (1 << bits) - 1
-    shift = bits - min(63, bits)
+    shift = max(0, bits - 64)  # an event's word: its state's top 64 bits
     count, nums = len(nums), list(nums)
-    win = np.empty((_TILE_STEPS, count), dtype=np.int64)
     x, term, value = np.empty((3, _TILE_STEPS, count))
-    tops = term.view(np.int64)  # the gathers reuse term's and x's memory
-    heads, lows = term.view(np.uint64), x.view(np.uint64)
+    heads, lows = term.view(np.uint64), x.view(np.uint64)  # the gathers reuse their memory
     total, comp, y, t = np.zeros((4, count))
     at = 0  # the steps of the tile read so far
     with np.errstate(all="ignore"):  # overflow and nan pass silently, as in Python floats
-        for b, ((a0, t0), (drop, size), events, export, (rows, shifts)) in enumerate(blocks, 1):
-            snap, nbytes, fit = [], 8 * size, mask >> t0  # fit: the bits that stay
+        for b, ((a0, t0), size, events, (hi, lo, left, right)) in enumerate(blocks, 1):
+            frame = np.zeros((size + len(events) + 1, count), dtype=np.uint64)
+            snap, drop, fit = [], bits - 64 * size, mask >> t0  # fit: the bits that stay
             for j in range(count):
                 num = nums[j]  # a0 = 1 is skipped: 1 * num copies a bigint
                 num = ((a0 * num if a0 > 1 else num) & fit) << t0
-                snap.append((num >> drop).to_bytes(nbytes, "big"))
+                snap.append((num >> drop if drop >= 0 else num << -drop).to_bytes(8 * size, "big"))
                 if events:
-                    win[: len(events), j] = [(num := (a * num) & mask) >> shift for a in events]
+                    frame[size:-1, j] = [(num := (a * num) & mask) >> shift for a in events]
                 nums[j] = num
-            words = np.zeros((size + 1, count), dtype=np.uint64)
-            words[:size] = np.frombuffer(b"".join(snap), dtype=">u8").reshape(count, size).T
-            hi, lo, left, right = export
-            i1 = at + len(hi)
-            head, low = heads[at:i1], lows[at:i1]
-            np.take(words, hi, axis=0, out=head, mode="clip")  # "raise" would buffer out
-            np.take(words, lo, axis=0, out=low, mode="clip")
+            frame[:size] = np.frombuffer(b"".join(snap), dtype=">u8").reshape(count, size).T
+            if bits < 64:  # left-align the event words of a narrow numerator
+                frame[size:-1] <<= 64 - bits
+            head, low = heads[at : at + len(hi)], lows[at : at + len(hi)]
+            np.take(frame, hi, axis=0, out=head, mode="clip")  # "raise" would buffer out
+            np.take(frame, lo, axis=0, out=low, mode="clip")
             head <<= left
             low >>= right
             head |= low
             head >>= 11
-            at = i1 + len(rows)
-            top = tops[i1:at]
-            np.take(win, rows, axis=0, out=top, mode="clip")
-            np.right_shift(top, shifts, out=top)
-            top &= (1 << 53) - 1
+            at += len(hi)
             if at < _TILE_STEPS and b < len(blocks):
                 continue
             xs, v, fx = x[:at], term[:at], value[:at]
-            np.multiply(tops[:at], 2.0**-53, out=xs)
+            np.multiply(heads[:at], 2.0**-53, out=xs)
             fx.fill(0.0)
             for amp, w, ph in coef:
                 np.multiply(xs, w, out=v)
@@ -373,8 +352,8 @@ def birkhoff_samples(
     only affects wall time, never bytes.  At most min(threads, cpu count, m)
     worker processes start; with one, the samples are drawn in this process.
     """
-    if m < 1:
-        raise ValueError("sample count must be >= 1")
+    if m < 1 or threads < 1:
+        raise ValueError(f"sample count and threads must be >= 1, got {m} and {threads}")
     mults = _multipliers(spec, n)
     bits = _log2_ceil(mults) + 64
     coef, blocks = _coef_table(f), _blocks(mults, bits)
@@ -420,6 +399,8 @@ def report_from_samples(
         var_hat = math.inf
     if standardization == "exact":
         sd = math.sqrt(analysis.variance_covariance(f, spec, n))
+        if sd == 0.0:
+            raise ValueError("the exact variance Var(S_n) is 0.0; cannot standardise by it")
         z = [s / sd for s in sums]
     else:
         sd = math.sqrt(var_hat)

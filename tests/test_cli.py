@@ -279,6 +279,24 @@ def test_overflowing_sum_of_samples_is_an_internal_failure(tmp_path, capsys):
     assert not list(tmp_path.glob("big*"))
 
 
+def test_zero_exact_variance_is_an_internal_failure(tmp_path, capsys):
+    # Var(S_n) of an amplitude of 2e-200 underflows to 0.0, so "exact"
+    # standardisation has nothing to divide by
+    path = write_scenario(
+        tmp_path,
+        function=[{"freq": 1, "re": 1e-200, "im": 0}],
+        n=8,
+        samples=10,
+        seed=1,
+        standardization="exact",
+    )
+    assert main(["simulate", path, "--out", str(tmp_path / "zero")]) == EXIT_INCONSISTENT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "exact variance" in err and "0.0" in err
+    assert not list(tmp_path.glob("zero*"))
+
+
 def test_scenario_accepts_integral_values_and_largest_seed():
     obj = {
         "function": [{"freq": 2.0, "re": 0.5, "im": 0.0}],

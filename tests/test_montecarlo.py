@@ -284,6 +284,14 @@ def test_birkhoff_samples_bounds_worker_count(monkeypatch, threads, cpus, m, wor
     assert pools == ([] if workers is None else [workers])
 
 
+@pytest.mark.parametrize("threads", [0, -3])
+def test_threads_below_one_are_rejected(threads):
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        birkhoff_samples(cosine(1), Constant(2), 8, 4, 1, threads)
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        sample_birkhoff(cosine(1), Constant(2), 8, 4, 1, threads=threads)
+
+
 def test_sample_birkhoff_variance_near_exact():
     rep = sample_birkhoff(cosine(1), Constant(2), 256, 10**4, seed=2024,
                           standardization="exact")

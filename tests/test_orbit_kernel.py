@@ -88,10 +88,10 @@ WORD = Explicit(tuple(int(v) for v in np.random.default_rng(71).integers(2, 10, 
 # steps 245..274 double: a run of folded steps across the 256-step block edge
 STRADDLE = Explicit((3, 5) * 122 + (2,) * 30, Constant(9))
 # an odd step, then a doubling run longer than a block, split between the
-# exports of two blocks
+# first states of two blocks
 ODD_THEN_RUN = Explicit((3,) + (2,) * 300, Constant(5))
-# a block edge inside a run read from windows (256), then an event right
-# after a run read from an export (512)
+# a block edge inside a run read from an event's word (256), then an event
+# right after a run read from a block's first state (512)
 EDGES = Explicit((3,) * 250 + (2,) * 10 + (3,) * 196 + (2,) * 56, Constant(7))
 
 CASES = [
@@ -108,6 +108,7 @@ CASES = [
     pytest.param(RAND5, ODD_THEN_RUN, id="rand5-odd-then-long-run"),
     pytest.param(F1, EDGES, id="f1-edges"),
     pytest.param(RAND5, Periodic((3, 2**11)), id="rand5-periodic3-2048"),
+    pytest.param(RAND5, Periodic((3, 2**12)), id="rand5-periodic3-4096"),
 ]
 
 SHAPES = [
@@ -149,7 +150,7 @@ def test_orbit_birkhoff_matches_scalar_loop(f, spec):
 
 
 def test_orbit_birkhoff_on_narrow_numerators():
-    # bits = n + 53 < 63: the window is the whole numerator, with n spare bits
+    # bits = n + 53 < 64: the frame holds the whole numerator and zeros below it
     spec = Constant(2)
     coef = montecarlo._coef_table(RAND5)
     rng = np.random.default_rng(74)
@@ -161,82 +162,97 @@ def test_orbit_birkhoff_on_narrow_numerators():
 
 
 def test_narrow_numerators_through_the_export():
-    # bits 53..62 leave at most 9 spare window bits, so the 3 starts a block
-    # and each block's doubling run reads an export of the whole numerator
-    # in one word; past bits doublings the state is 0, as in the loop
+    # bits 53..62: the run of 70 after the 3 exceeds the 11 spare bits of an
+    # event's word, so the 3 starts a block, and each block's doubling run
+    # reads its first state from a frame of 2 words, wider than the whole
+    # numerator; past bits doublings the state is 0, as in the loop
     coef = montecarlo._coef_table(RAND5)
     rng = np.random.default_rng(75)
     mults = [2] * 20 + [3] + [2] * 70
     for bits in range(53, 63):
         blocks = montecarlo._blocks(mults, bits)
-        assert [(first, export) for first, export, *_ in blocks] == [((1, 1), (0, 1)), ((3, 19), (0, 1))]
+        assert [(first, size, events) for first, size, events, _ in blocks] == [
+            ((1, 1), 2, ()),
+            ((3, 19), 2, ()),
+        ]
         nums = [int(v) for v in rng.integers(0, 1 << bits, 3)]
         got = montecarlo._orbit_sums(coef, bits, blocks, nums)
         assert got == [_reference_birkhoff_sum(num, bits, mults, coef) for num in nums]
 
 
-def _export_offsets(block, pad):
-    # the bit offsets into the export that the block's leading steps read
-    hi, lo, left, right = block[3]
+def _frame_offsets(block):
+    # the bit offset into the block's frame that each of its steps reads
+    _, size, events, (hi, lo, left, right) = block
     offsets = [64 * h + int(r) for h, r in zip(hi.tolist(), left.ravel())]
-    words = block[1][1]
-    assert lo.tolist() == [o // 64 + 1 if o % 64 else words for o in offsets]
+    zero = size + len(events)  # the frame's last row
+    assert lo.tolist() == [o // 64 + 1 if o % 64 else zero for o in offsets]
     assert right.ravel().tolist() == [(64 - o % 64) % 64 for o in offsets]
-    return [o - pad for o in offsets]
+    return offsets
 
 
 @pytest.mark.parametrize("spec", [Constant(3), Periodic((3, 5))], ids=["constant3", "periodic35"])
 def test_odd_word_blocks_step_exactly_after_their_first_step(spec):
-    # no step folds: each block's first step is exported, every later one is
-    # an event that reads its own window row, shifted right by the 10 spare bits
+    # no step folds: each block's first step reads its first state, one
+    # word, and every later one is an event that reads its own word
     n = 2 * TILE_STEPS + 10
     mults = list(itertools.islice(spec.iter_values(), n))
     bits = required_bits(spec, n, 64)
     blocks = montecarlo._blocks(mults, bits)
     assert len(blocks) == 3
     for k, block in enumerate(blocks):
-        first, export, events, _, (rows, shifts) = block
         steps = mults[k * TILE_STEPS : (k + 1) * TILE_STEPS]
-        assert (first, export, events) == ((steps[0], 0), (bits - 53, 1), tuple(steps[1:]))
-        assert _export_offsets(block, 11) == [0]
-        assert rows.tolist() == list(range(len(steps) - 1))
-        assert shifts.ravel().tolist() == [10] * (len(steps) - 1)
+        assert block[:3] == ((steps[0], 0), 1, tuple(steps[1:]))
+        assert _frame_offsets(block) == [64 * row for row in range(len(steps))]
 
 
 def test_doubling_word_has_one_export_per_block_and_no_events():
-    # Constant(2) at n = 1024: each of the 4 blocks exports the state its
-    # first step makes, 256 doublings after the last one, and reads all its
-    # steps from it
+    # Constant(2) at n = 1024: each of the 4 blocks writes the state its
+    # first step makes, 256 doublings after the last one, into its frame
+    # and reads all its steps from it
     n = 4 * TILE_STEPS
     bits = required_bits(Constant(2), n, 64)
     blocks = montecarlo._blocks([2] * n, bits)
-    keep = TILE_STEPS - 1 + 53
-    words = -(-keep // 64)
-    assert [block[:3] for block in blocks] == [((1, 1), (bits - keep, words), ())] + [
-        ((1, TILE_STEPS), (bits - keep, words), ())
+    size = -(-(TILE_STEPS - 1 + 53) // 64)
+    assert [block[:3] for block in blocks] == [((1, 1), size, ())] + [
+        ((1, TILE_STEPS), size, ())
     ] * 3
     for block in blocks:
-        assert _export_offsets(block, 64 * words - keep) == list(range(TILE_STEPS))
-        assert block[4][0].size == 0
+        assert _frame_offsets(block) == list(range(TILE_STEPS))
 
 
 def test_event_before_a_long_shift_starts_a_block():
-    # Periodic((3, 2**11)): the shift of 11 after each 3 exceeds the 10 spare
-    # bits, so every 3 starts a block that reads both its steps from its export
+    # Periodic((3, 2**12)): the shift of 12 after each 3 exceeds the 11 spare
+    # bits of an event's word, so every 3 starts a block that reads both its
+    # steps from its first state
+    spec = Periodic((3, 2**12))
     n = 4 * TILE_STEPS
-    mults = list(itertools.islice(Periodic((3, 2**11)).iter_values(), n))
-    bits = required_bits(Periodic((3, 2**11)), n, 64)
-    blocks = montecarlo._blocks(mults, bits)
+    mults = list(itertools.islice(spec.iter_values(), n))
+    blocks = montecarlo._blocks(mults, required_bits(spec, n, 64))
     assert len(blocks) == n // 2
-    assert [block[:3] for block in blocks] == [((3, 0), (bits - 64, 1), ())] + [
-        ((3, 11), (bits - 64, 1), ())
-    ] * (n // 2 - 1)
+    assert [block[:3] for block in blocks] == [((3, 0), 2, ())] + [((3, 12), 2, ())] * (
+        n // 2 - 1
+    )
     for block in blocks:
-        assert _export_offsets(block, 0) == [0, 11]
-        assert block[4][0].size == 0
+        assert _frame_offsets(block) == [0, 12]
 
 
-ALPHABET = [2, 3, 4, 5, 6, 7, 8, 9, 16, 1024, 2048, 2**40]
+def test_event_before_an_eleven_bit_shift_stays_in_its_block():
+    # Periodic((3, 2**11)): an event's word holds 11 bits beyond the 53 read,
+    # so a shift of 11 starts no block and each tile is one block; each 2**11
+    # reads the word of the 3 before it at offset 11
+    n = 4 * TILE_STEPS
+    spec = Periodic((3, 2**11))
+    mults = list(itertools.islice(spec.iter_values(), n))
+    blocks = montecarlo._blocks(mults, required_bits(spec, n, 64))
+    assert len(blocks) == n // TILE_STEPS
+    events = (3 << 11,) * (TILE_STEPS // 2 - 1)
+    assert [block[:3] for block in blocks] == [((3, 0), 1, events)] + [((3, 11), 1, events)] * 3
+    offsets = [64 * row + dz for row in range(TILE_STEPS // 2) for dz in (0, 11)]
+    for block in blocks:
+        assert _frame_offsets(block) == offsets
+
+
+ALPHABET = [2, 3, 4, 5, 6, 7, 8, 9, 16, 1024, 2048, 2**12, 2**40]
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
