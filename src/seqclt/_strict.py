@@ -1,4 +1,4 @@
-"""Strict number conversion for values read from JSON.
+"""Strict number conversion for values read from JSON, and shared range rules.
 
 JSON delivers booleans, floats and integers alike; ``int()`` would read
 ``true`` as 1 and truncate ``2.5`` to 2, and ``float()`` would read ``true``
@@ -28,3 +28,17 @@ def strict_float(value, what: str) -> float:
         except OverflowError:
             pass
     raise ValueError(f"{what} must be a number, got {value!r}")
+
+
+def check_multiplier(value, what: str = "map multiplier") -> int:
+    """value, if it is an integer >= 2: a map's slope, a chain base, a spike ratio."""
+    if not isinstance(value, int) or value < 2:
+        raise ValueError(f"{what} must be an integer >= 2, got {value!r}")
+    return value
+
+
+def check_u64(value: int, what: str) -> int:
+    """value, if it is in [0, 2^64): a Philox key word outside would alias another."""
+    if not 0 <= value < 1 << 64:
+        raise ValueError(f"{what} must be in [0, 2^64), got {value}")
+    return value

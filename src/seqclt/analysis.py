@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,10 +159,6 @@ class DecayReport:
         return math.exp(math.fsum(math.log(r) for r in factors) / len(factors))
 
 
-def _sub(f: TrigPoly, g: TrigPoly) -> TrigPoly:
-    return linear_combine([(1.0, f), (-1.0, g)])
-
-
 def _backward_images(f: TrigPoly, mults: Iterable[int]) -> Iterator[TrigPoly]:
     """T*_{b_i} ... T*_{b_1} f for i = 1, 2, ... along mults = b_1, b_2, ...
 
@@ -220,20 +216,34 @@ def _u_of_walk(f: TrigPoly, walk: Iterable[int]) -> TrigPoly:
     return linear_combine([(1.0, t) for t in reversed(terms)])
 
 
+def _by_window(f: TrigPoly, spec: SequenceSpec, n: int, compute: Callable) -> Iterator:
+    """compute(walk_k, a_{k+1}) for k = 1..n: once per distinct pair, one object per pair."""
+    memo: dict[tuple[tuple[int, ...], int], object] = {}
+    for key in _walks(spec, f.degree, n):
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = compute(*key)
+        yield value
+
+
+def _kahan_prefix(values: Iterable[float]) -> Iterator[float]:
+    """The running compensated (Kahan) sums of values, one per value."""
+    total = comp = 0.0
+    for v in values:
+        y = v - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        yield total
+
+
 def u_sequence(f: TrigPoly, spec: SequenceSpec, n: int) -> list[TrigPoly]:
-    """u_1 ... u_n, each computed once per distinct walk.
+    """u_1 ... u_n, each computed once per distinct (window, a_{k+1}) pair.
 
     The u_k are exact and degree(u_k) <= degree(f) for every k, since
     transfer operators never raise the degree.
     """
-    memo: dict[tuple[int, ...], TrigPoly] = {}
-    out = []
-    for walk, _ in _walks(spec, f.degree, n):
-        u = memo.get(walk)
-        if u is None:
-            u = memo[walk] = _u_of_walk(f, walk)
-        out.append(u)
-    return out
+    return list(_by_window(f, spec, n, lambda walk, _: _u_of_walk(f, walk)))
 
 
 def u_at(f: TrigPoly, spec: SequenceSpec, k: int) -> TrigPoly:
@@ -264,14 +274,7 @@ def angle_profile(f: TrigPoly, spec: SequenceSpec, n: int) -> list[AngleRecord]:
     A record is a function of (walk_k, a_{k+1}): it is computed once per
     distinct pair, and every index with that pair holds the same object.
     """
-    memo: dict[tuple[tuple[int, ...], int], AngleRecord] = {}
-    out = []
-    for key in _walks(spec, f.degree, n):
-        rec = memo.get(key)
-        if rec is None:
-            rec = memo[key] = _angle_record(_u_of_walk(f, key[0]), key[1])
-        out.append(rec)
-    return out
+    return list(_by_window(f, spec, n, lambda walk, a: _angle_record(_u_of_walk(f, walk), a)))
 
 
 def accumulated_transversality(profile: list[AngleRecord], N: int) -> float:
@@ -291,26 +294,17 @@ def variance_covariance_curve(f: TrigPoly, spec: SequenceSpec, n: int) -> list[f
     cov(j, k) = <T*_{[j+1..k]} f, f> depends only on the product of the
     multipliers between the two indices and vanishes exactly once that
     product exceeds degree(f), so each new index contributes only a short
-    backward walk, and the increment is computed once per distinct walk.
+    backward walk, computed once per distinct (window, a_{k+1}) pair.
     """
     norm_sq = l2_inner(f, f)
-    steps: dict[tuple[int, ...], float] = {}
-    curve = []
-    total = 0.0
-    comp = 0.0
-    for walk, _ in _walks(spec, f.degree, n):
-        step = steps.get(walk)
-        if step is None:
-            step = norm_sq
-            for g in _backward_images(f, walk):
-                step += 2.0 * l2_inner(g, f)
-            steps[walk] = step
-        y = step - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        curve.append(total)
-    return curve
+
+    def step(walk: tuple[int, ...], _) -> float:
+        total = norm_sq
+        for g in _backward_images(f, walk):
+            total += 2.0 * l2_inner(g, f)
+        return total
+
+    return list(_kahan_prefix(_by_window(f, spec, n, step)))
 
 
 def variance_covariance(f: TrigPoly, spec: SequenceSpec, n: int) -> float:
@@ -334,16 +328,8 @@ def variance_martingale_curve(
         profile = angle_profile(f, spec, n)
     if len(profile) < n:
         raise ValueError("profile too short for requested horizon")
-    curve = []
-    defects = 0.0
-    comp = 0.0
-    for k in range(1, n + 1):
-        curve.append(defects + profile[k - 1].u_norm_sq)
-        y = (profile[k - 1].u_norm_sq - profile[k - 1].proj_norm_sq) - comp
-        t = defects + y
-        comp = (t - defects) - y
-        defects = t
-    return curve
+    defects = itertools.chain((0.0,), _kahan_prefix(r.u_norm_sq - r.proj_norm_sq for r in profile))
+    return [d + r.u_norm_sq for r, d in zip(itertools.islice(profile, n), defects)]
 
 
 def variance_martingale(f: TrigPoly, spec: SequenceSpec, n: int) -> float:
@@ -414,7 +400,8 @@ def block_shadowing_check(
             )
     target = neumann_sum(f, b)
     return max(
-        c1_norm(_sub(u_at(f, spec, j), target)).value for j in (k, k + 1)
+        c1_norm(linear_combine([(1.0, u_at(f, spec, j)), (-1.0, target)])).value
+        for j in (k, k + 1)
     )
 
 

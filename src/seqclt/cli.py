@@ -14,7 +14,7 @@ missing, unknown or not read by the command); 2 I/O failure;
 3 internal failure: a consistency check (variance cross-check or decay
 bound) or an error raised while computing, such as a result that overflows
 to a non-finite value (the message names the CSV column and k, or the JSON
-key); 10 coboundary obstruction (so shell pipelines can branch on the
+key) or an allocation beyond memory; 10 coboundary obstruction (so shell pipelines can branch on the
 dichotomy).
 
 All real numbers in outputs are printed with 17 significant digits and are
@@ -29,10 +29,10 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import analysis, coboundary, montecarlo
-from ._strict import strict_int
+from ._strict import check_u64, strict_int
 from .sequences import SequenceSpec, sequence_from_obj
 from .trigpoly import TrigPoly, trigpoly_from_obj, trigpoly_to_obj
 
@@ -68,9 +68,10 @@ class Scenario:
 
 
 def _check_seed(seed: int) -> None:
-    # Philox keys are 64-bit: a seed outside [0, 2^64) would alias another.
-    if not 0 <= seed < 1 << 64:
-        raise ScenarioError(f"seed must be in [0, 2^64), got {seed}")
+    try:
+        check_u64(seed, "seed")
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from None
 
 
 def scenario_from_obj(obj) -> Scenario:
@@ -286,7 +287,7 @@ def cmd_simulate(
     report = montecarlo.report_from_samples(
         sums, f, spec, n, scenario.seed, scenario.standardization
     )
-    _write_text(out_prefix + ".mc.json", _dumps(montecarlo.mcreport_to_obj(report)) + "\n")
+    _write_text(out_prefix + ".mc.json", _dumps(asdict(report)) + "\n")
     if dump_samples:
         _write_text(out_prefix + ".samples.csv", "\n".join(_fmt(s) for s in sums) + "\n")
     return EXIT_OK
@@ -370,6 +371,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INCONSISTENT
     except OverflowError as exc:  # e.g. an fsum whose running sum leaves float range
         print(f"error: overflow: {exc}", file=sys.stderr)
+        return EXIT_INCONSISTENT
+    except MemoryError as exc:  # e.g. verify-decay with a word too long to hold
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return EXIT_INCONSISTENT
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ._strict import check_multiplier
 from .trigpoly import TrigPoly, koopman, linear_combine, make_trigpoly
 
 __all__ = ["CoboundaryResult", "solve", "verify", "result_to_obj"]
@@ -52,8 +53,7 @@ def solve(f: TrigPoly, b: int) -> CoboundaryResult:
     frequency chain sums to zero; otherwise the smallest violating chain
     root together with its nonzero total.
     """
-    if not isinstance(b, int) or b < 2:
-        raise ValueError(f"base must be an integer >= 2, got {b!r}")
+    check_multiplier(b, "base")
     coeffs = f.as_dict()
     deg = f.degree
     tol = RESIDUAL_RTOL * f.abs_coeff_sum()

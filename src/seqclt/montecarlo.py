@@ -2,8 +2,8 @@
 
 Multiply-by-a maps lose one to two mantissa bits per step, so floating-point
 orbit iteration is meaningless after a few dozen steps.  Initial points are
-therefore dyadic rationals num / 2^B with B = ceil(log2(a_1*...*a_n)) + guard
-bits, read exactly off the integer product of the multipliers: the map
+therefore dyadic rationals num / 2^B with B = ceil(log2(a_1*...*a_n)) + 64
+guard bits (_GUARD_BITS), read exactly off the integer product: the map
 x -> a*x mod 1 acts exactly on the numerator as num -> (a*num) mod 2^B, and
 after n steps the top 53 bits of the point are still untouched by the
 initial truncation.  The observable is evaluated at that 53-bit truncation
@@ -12,9 +12,10 @@ precision.
 
 Sampling is counter-based: each sample's initial numerator is drawn from a
 Philox stream keyed by (seed, sample index), so results are reproducible
-and independent of how samples are distributed over workers.  Aggregation
-(moment sums, sorting for the Kolmogorov-Smirnov distance, histogramming)
-is deterministic by construction.
+and independent of how samples are distributed over workers; a seed or
+index outside [0, 2^64) is rejected, since it would alias one inside.
+Aggregation (moment sums, sorting for the Kolmogorov-Smirnov distance,
+histogramming) is deterministic by construction.
 
 One orbit kernel, `_orbit_sums`, computes every S_n, a tile of at most
 _TILE_SAMPLES orbits at a time:
@@ -51,6 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis
+from ._strict import check_u64
 from .sequences import SequenceSpec
 from .trigpoly import TrigPoly
 
@@ -66,13 +68,13 @@ __all__ = [
     "normal_cdf",
     "counter_generator",
     "draw_numerator",
-    "mcreport_to_obj",
 ]
 
 HISTOGRAM_BINS = 41
 HISTOGRAM_RANGE = 5.0
 _U64 = 0xFFFFFFFFFFFFFFFF
 _LO32 = 0xFFFFFFFF
+_GUARD_BITS = 64  # orbit bits below the 53 read at step n: they absorb the truncation
 # Philox4x64 round multipliers and Weyl key increments (Salmon et al. 2011)
 _PHILOX_M0, _PHILOX_M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
 _PHILOX_W0, _PHILOX_W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
@@ -113,12 +115,12 @@ class MCReport:
     standardization: str
 
 
-def required_bits(spec: SequenceSpec, n: int, guard: int = 64) -> int:
+def required_bits(spec: SequenceSpec, n: int) -> int:
     """Numerator width that keeps the top 53 orbit bits exact for n steps:
-    ceil(log2(a_1*...*a_n)) + guard, read off the exact product P as the
-    bit length of P - 1 (so a power of two 2^w gives w, not w + 1).
+    ceil(log2(a_1*...*a_n)) + _GUARD_BITS, read off the exact product P as
+    the bit length of P - 1 (so a power of two 2^w gives w, not w + 1).
     """
-    return _log2_ceil(_multipliers(spec, n)) + guard
+    return _log2_ceil(_multipliers(spec, n)) + _GUARD_BITS
 
 
 def _multipliers(spec: SequenceSpec, n: int) -> list[int]:
@@ -139,7 +141,7 @@ def _log2_ceil(mults: list[int]) -> int:
 
 def counter_generator(seed: int, index: int) -> np.random.Generator:
     """Philox generator keyed by (seed, index); order-independent streams."""
-    key = np.array([seed & _U64, index & _U64], dtype=np.uint64)
+    key = np.array([check_u64(seed, "seed"), check_u64(index, "index")], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -163,7 +165,7 @@ def _philox_words(seed: int, indices: np.ndarray, nwords: int) -> np.ndarray:
     shape = (len(indices), nblocks)
     c0 = np.broadcast_to(np.arange(1, nblocks + 1, dtype=np.uint64), shape)
     c1 = c2 = c3 = np.zeros(shape, dtype=np.uint64)
-    k0, k1 = seed & _U64, indices.astype(np.uint64).reshape(-1, 1)
+    k0, k1 = seed, indices.astype(np.uint64).reshape(-1, 1)
     for r in range(10):
         if r:
             k0 = (k0 + _PHILOX_W0) & _U64
@@ -191,7 +193,8 @@ def draw_numerator(seed: int, index: int, bits: int) -> int:
     The one-index case of the tile draw in `birkhoff_samples`: one index
     costs about 0.5 ms, a tile of 256 about 1.3 ms.
     """
-    return _draw_numerators(seed, np.array([index & _U64], dtype=np.uint64), bits)[0]
+    index = np.array([check_u64(index, "index")], dtype=np.uint64)
+    return _draw_numerators(check_u64(seed, "seed"), index, bits)[0]
 
 
 def _coef_table(f: TrigPoly) -> tuple[tuple[float, float, float], ...]:
@@ -354,8 +357,9 @@ def birkhoff_samples(
     """
     if m < 1 or threads < 1:
         raise ValueError(f"sample count and threads must be >= 1, got {m} and {threads}")
+    check_u64(seed, "seed")
     mults = _multipliers(spec, n)
-    bits = _log2_ceil(mults) + 64
+    bits = _log2_ceil(mults) + _GUARD_BITS
     coef, blocks = _coef_table(f), _blocks(mults, bits)
     workers = min(threads, os.cpu_count() or 1, m)
     if workers <= 1:
@@ -464,17 +468,3 @@ def _histogram(z: list[float]) -> tuple[int, ...]:
             idx = int((v + HISTOGRAM_RANGE) * w)
             bins[idx if idx < HISTOGRAM_BINS else HISTOGRAM_BINS - 1] += 1
     return tuple(bins)
-
-
-def mcreport_to_obj(report: MCReport) -> dict:
-    """JSON-ready form with fixed field order."""
-    return {
-        "n": report.n,
-        "m": report.m,
-        "seed": report.seed,
-        "mean": report.mean,
-        "var_hat": report.var_hat,
-        "ks": report.ks,
-        "histogram": list(report.histogram),
-        "standardization": report.standardization,
-    }

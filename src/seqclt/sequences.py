@@ -26,7 +26,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from ._strict import strict_float, strict_int
+from ._strict import check_multiplier, strict_float, strict_int
 
 __all__ = [
     "SequenceSpec",
@@ -63,12 +63,6 @@ def _check_index(k: int) -> None:
         raise ValueError(f"sequence index must be >= 1, got {k}")
 
 
-def _check_value(b: int) -> int:
-    if not isinstance(b, int) or b < 2:
-        raise ValueError(f"map multiplier must be an integer >= 2, got {b!r}")
-    return b
-
-
 @dataclass(frozen=True)
 class Constant(SequenceSpec):
     b: int
@@ -76,7 +70,7 @@ class Constant(SequenceSpec):
     kind = "constant"
 
     def __post_init__(self):
-        _check_value(self.b)
+        check_multiplier(self.b)
 
     def value_at(self, k: int) -> int:
         _check_index(k)
@@ -95,7 +89,7 @@ class Periodic(SequenceSpec):
     def __post_init__(self):
         if not self.values:
             raise ValueError("periodic spec needs a nonempty word")
-        object.__setattr__(self, "values", tuple(_check_value(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(check_multiplier(v) for v in self.values))
 
     def value_at(self, k: int) -> int:
         _check_index(k)
@@ -115,7 +109,7 @@ class Explicit(SequenceSpec):
     def __post_init__(self):
         if not self.values:
             raise ValueError("explicit spec needs a nonempty head")
-        object.__setattr__(self, "values", tuple(_check_value(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(check_multiplier(v) for v in self.values))
         if not isinstance(self.tail, SequenceSpec):
             raise ValueError("explicit tail must be a SequenceSpec")
 
@@ -144,14 +138,13 @@ class Triples(SequenceSpec):
     kind = "triples"
 
     def __post_init__(self):
-        _check_value(self.b0)
-        _check_value(self.B)
+        check_multiplier(self.b0)
+        check_multiplier(self.B)
         if self.B <= self.b0:
             raise ValueError("spike value must exceed the background value")
         if not isinstance(self.p0, int) or self.p0 < 1:
             raise ValueError("first spike position p0 must be an integer >= 1")
-        if not isinstance(self.r, int) or self.r < 2:
-            raise ValueError("position ratio r must be an integer >= 2")
+        check_multiplier(self.r, "position ratio r")
         if self.p0 * (self.r - 1) < 3:
             raise ValueError("spikes overlap: need p0*(r-1) >= 3")
 

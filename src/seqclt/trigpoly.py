@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._strict import strict_float, strict_int
+from ._strict import check_multiplier, strict_float, strict_int
 
 __all__ = [
     "TrigPoly",
@@ -130,7 +130,7 @@ def koopman(a: int, g: TrigPoly) -> TrigPoly:
 
     Exact for any TrigPoly; the degree multiplies by a.
     """
-    _check_multiplier(a)
+    check_multiplier(a)
     return TrigPoly(tuple((a * n, c) for n, c in g.coeffs))
 
 
@@ -141,19 +141,14 @@ def transfer(a: int, g: TrigPoly) -> TrigPoly:
     divisible by a are annihilated.  Equivalent to the quadrature form
     (1/a) * sum_{j<a} g((x+j)/a), but exact.
     """
-    _check_multiplier(a)
+    check_multiplier(a)
     return TrigPoly(tuple((n // a, c) for n, c in g.coeffs if n % a == 0))
 
 
 def project_measurable(a: int, g: TrigPoly) -> TrigPoly:
     """Orthogonal projection onto frequencies divisible by a (koopman o transfer)."""
-    _check_multiplier(a)
+    check_multiplier(a)
     return TrigPoly(tuple((n, c) for n, c in g.coeffs if n % a == 0))
-
-
-def _check_multiplier(a: int) -> None:
-    if not isinstance(a, int) or a < 2:
-        raise ValueError(f"map multiplier must be an integer >= 2, got {a!r}")
 
 
 def l2_inner(g: TrigPoly, h: TrigPoly) -> float:

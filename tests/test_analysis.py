@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_poly
+from seqclt import analysis
 from seqclt.analysis import (
     AngleRecord,
     accumulated_transversality,
@@ -103,6 +104,21 @@ def _reference_angle_profile(f, spec, n):
     return records
 
 
+# The martingale curve as one Kahan loop over the records: Var(S_k) is the
+# compensated sum of the first k - 1 defects plus ||u_k||^2.
+def _reference_martingale_curve(profile, n):
+    curve = []
+    defects = 0.0
+    comp = 0.0
+    for k in range(1, n + 1):
+        curve.append(defects + profile[k - 1].u_norm_sq)
+        y = (profile[k - 1].u_norm_sq - profile[k - 1].proj_norm_sq) - comp
+        t = defects + y
+        comp = (t - defects) - y
+        defects = t
+    return curve
+
+
 def _reference_neumann_sum(f, b):
     terms = [f]
     g = f
@@ -148,6 +164,16 @@ WALK_CASES = [pytest.param(spec, RANDOM_CASES, id=spec.kind) for spec in ALL_KIN
 def test_covariance_curve_matches_reference_walk(spec, cases):
     for f, n in cases:
         assert variance_covariance_curve(f, spec, n) == _reference_covariance_curve(f, spec, n)
+
+
+@pytest.mark.parametrize("spec, cases", WALK_CASES)
+def test_martingale_curve_matches_reference_loop(spec, cases):
+    for f, n in cases:
+        profile = _reference_angle_profile(f, spec, n)
+        assert variance_martingale_curve(f, spec, n) == _reference_martingale_curve(profile, n)
+        # a profile longer than the horizon: only its first records count
+        short = variance_martingale_curve(f, spec, n - 1, profile)
+        assert short == _reference_martingale_curve(profile, n - 1)
 
 
 @pytest.mark.parametrize("spec, cases", WALK_CASES)
@@ -335,6 +361,29 @@ def test_variance_report_curves(f1):
         running.append(acc)
     assert rep.acc_curve == tuple(running)
     assert rep.acc_transversality == running[-1]
+
+
+def test_variance_report_reads_the_three_module_functions(f1, monkeypatch):
+    # bench/layers.py times the CLI alone by replacing these three names
+    spec, n = Blocks(4), 5
+    profile = analysis.angle_profile(f1, spec, n)
+    calls = []
+
+    def stub(name, value):
+        def fn(*args):
+            calls.append(name)
+            return value
+        monkeypatch.setattr(analysis, name, fn)
+
+    stub("angle_profile", profile)
+    stub("variance_covariance_curve", [1.0, 2.0, 3.0, 4.0, 5.0])
+    stub("variance_martingale_curve", [1.5, 2.5, 3.5, 4.5, 5.5])
+    rep = variance_report(f1, spec, n)
+    assert sorted(calls) == ["angle_profile", "variance_covariance_curve",
+                             "variance_martingale_curve"]
+    assert rep.per_step == tuple(profile)
+    assert rep.cov_curve == (1.0, 2.0, 3.0, 4.0, 5.0)
+    assert rep.mart_curve == (1.5, 2.5, 3.5, 4.5, 5.5)
 
 
 def test_variance_report_single_step_has_no_pairs(f1):

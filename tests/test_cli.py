@@ -330,6 +330,33 @@ def test_verify_decay_rejects_negative_seed(tmp_path):
     assert code == EXIT_BAD_SCENARIO
 
 
+def test_verify_decay_rejects_seed_beyond_64_bits(tmp_path):
+    path = write_scenario(tmp_path)
+    code = main(["verify-decay", path, "--k", "3", "--trials", "2", "--seed", str(2**64 + 7)])
+    assert code == EXIT_BAD_SCENARIO
+
+
+@pytest.mark.parametrize(
+    "exc, message",
+    [
+        pytest.param(MemoryError("Unable to allocate 745. GiB"), "Unable to allocate", id="numpy"),
+        pytest.param(MemoryError(), "allocation failed", id="bare"),
+    ],
+)
+def test_out_of_memory_is_an_internal_failure(tmp_path, capsys, monkeypatch, exc, message):
+    # as numpy raises for verify-decay --k 100000000000; nothing is allocated here
+    def no_memory(*args):
+        raise exc
+
+    monkeypatch.setattr(montecarlo, "counter_generator", no_memory)
+    path = write_scenario(tmp_path)
+    code = main(["verify-decay", path, "--k", "3", "--trials", "2", "--seed", "1"])
+    assert code == EXIT_INCONSISTENT
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+    assert message in err
+
+
 def test_analyze_unwritable_path(tmp_path):
     path = write_scenario(tmp_path)
     assert main(["analyze", path, "--out", "/nonexistent-dir/report"]) == EXIT_IO

@@ -30,6 +30,20 @@ def test_runtime_imports_are_stdlib_or_numpy():
     assert {name: mods for name, mods in foreign.items() if mods} == {}
 
 
+def test_every_public_name_resolves():
+    # an __all__ entry left behind by a deleted function breaks `import *`
+    import importlib
+
+    exporting = 0
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(f"seqclt.{path.stem}".removesuffix(".__init__"))
+        names = getattr(module, "__all__", None)
+        if names is not None:
+            exporting += 1
+            assert [name for name in names if not hasattr(module, name)] == [], path.name
+    assert exporting >= 6
+
+
 def _modules_loaded_by(code: str) -> set[str]:
     """Modules in sys.modules after a fresh interpreter runs code."""
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))

@@ -66,6 +66,9 @@ WIDTH_SPECS = {
 }
 
 
+GUARD = 64  # the guard bits required_bits adds to ceil(log2(a_1*...*a_n))
+
+
 def _prod_width(spec, n):
     # the left-to-right product the tree in required_bits replaced
     return (math.prod(itertools.islice(spec.iter_values(), n)) - 1).bit_length()
@@ -74,8 +77,7 @@ def _prod_width(spec, n):
 @pytest.mark.parametrize("spec", WIDTH_SPECS.values(), ids=WIDTH_SPECS.keys())
 def test_required_bits_equals_float_closed_form(spec):
     for n in [*range(1, 301), 1024, 2000, 4096]:
-        for guard in (0, 64):
-            assert required_bits(spec, n, guard) == math.ceil(_log2_closed_form(spec, n)) + guard
+        assert required_bits(spec, n) == math.ceil(_log2_closed_form(spec, n)) + GUARD
 
 
 @pytest.mark.parametrize(
@@ -89,16 +91,15 @@ def test_required_bits_equals_float_closed_form(spec):
     ],
 )
 def test_required_bits_exact_cases(spec, n, bits):
-    assert required_bits(spec, n, 0) == bits == math.ceil(_log2_closed_form(spec, n))
+    assert required_bits(spec, n) - GUARD == bits == math.ceil(_log2_closed_form(spec, n))
     assert bits == _prod_width(spec, n)
-    assert required_bits(spec, n, 64) == bits + 64
 
 
 def test_required_bits_equals_left_to_right_product():
     for spec in WIDTH_SPECS.values():
         for n in (1, 2, 3, 1023, 4097):
-            assert required_bits(spec, n, 0) == _prod_width(spec, n)
-    assert required_bits(Periodic((2, 3)), 10**5, 0) == _prod_width(Periodic((2, 3)), 10**5)
+            assert required_bits(spec, n) == _prod_width(spec, n) + GUARD
+    assert required_bits(Periodic((2, 3)), 10**5) == _prod_width(Periodic((2, 3)), 10**5) + GUARD
 
 
 def test_required_bits_rejects_empty_horizon():
@@ -133,7 +134,7 @@ def test_orbit_telescopes_for_coboundary(f1):
     # S_n = v(T^{n+1} x) - v(T x) with v = cos(2 pi .); check against an
     # independent exact computation of the two orbit points
     n = 200
-    bits = required_bits(Constant(2), n, 0) + 64
+    bits = required_bits(Constant(2), n)
     rng = np.random.default_rng(51)
     for _ in range(5):
         num = int(rng.integers(1, 1 << 62)) << (bits - 62)
@@ -156,8 +157,8 @@ def test_truncation_does_not_leak():
     # Birkhoff sums agree to 1e-9
     n = 300
     spec = Periodic((2, 3))
-    b128 = required_bits(spec, n, 128)
-    b64 = required_bits(spec, n, 64)
+    b64 = required_bits(spec, n)
+    b128 = b64 + 64
     rng = np.random.default_rng(52)
     for _ in range(3):
         num128 = int.from_bytes(rng.bytes(b128 // 8 + 1), "big") % (1 << b128)
@@ -182,7 +183,7 @@ def test_orbit_against_materialized_birkhoff_sum():
             g = koopman(generate(spec, j), g)
         terms.append(g)
     s_n = linear_combine([(1.0, t) for t in terms])
-    bits = required_bits(spec, n, 0) + 64
+    bits = required_bits(spec, n)
     rng = np.random.default_rng(53)
     for _ in range(5):
         num = int.from_bytes(rng.bytes(bits // 8 + 1), "big") % (1 << bits)
@@ -240,6 +241,32 @@ def test_sample_birkhoff_smoke_two_samples():
     assert rep.m == 2 and rep.n == 16
     assert 0.0 <= rep.ks <= 1.0
     assert sum(rep.histogram) <= 2
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 7])
+def test_seeds_outside_64_bits_are_rejected(seed):
+    # a Philox key word is 64 bits: such a seed would draw another's samples
+    with pytest.raises(ValueError, match="seed must be in"):
+        birkhoff_samples(cosine(1), Constant(2), 8, 4, seed)
+    with pytest.raises(ValueError, match="seed must be in"):
+        sample_birkhoff(cosine(1), Constant(2), 8, 4, seed=seed)
+    with pytest.raises(ValueError, match="seed must be in"):
+        draw_numerator(seed, 0, 100)
+    with pytest.raises(ValueError, match="seed must be in"):
+        montecarlo.counter_generator(seed, 0)
+
+
+@pytest.mark.parametrize("index", [-1, 2**64])
+def test_indices_outside_64_bits_are_rejected(index):
+    with pytest.raises(ValueError, match="index must be in"):
+        draw_numerator(7, index, 100)
+    with pytest.raises(ValueError, match="index must be in"):
+        montecarlo.counter_generator(7, index)
+
+
+def test_largest_seed_is_accepted():
+    # the edge of the rule: 2^64 - 1 is a key word of its own
+    assert len(birkhoff_samples(cosine(1), Constant(2), 8, 4, 2**64 - 1)) == 4
 
 
 def test_sample_birkhoff_reproducible_across_threads():

@@ -30,6 +30,7 @@ from seqclt.trigpoly import cosine, linear_combine, make_trigpoly
 TILE_SAMPLES = montecarlo._TILE_SAMPLES
 TILE_STEPS = montecarlo._TILE_STEPS
 SEED = 2718
+GUARD = 64  # the guard bits required_bits adds to ceil(log2(a_1*...*a_n))
 
 
 def _reference_birkhoff_sum(num: int, bits: int, mults: list[int], coef) -> float:
@@ -73,7 +74,7 @@ def _reference_draw(seed: int, index: int, bits: int) -> int:
 
 
 def _reference_samples(f, spec, n: int, seed: int, indices) -> list[float]:
-    bits = required_bits(spec, n, 64)
+    bits = required_bits(spec, n)
     mults = list(itertools.islice(spec.iter_values(), n))
     coef = montecarlo._coef_table(f)
     return [
@@ -130,7 +131,7 @@ def test_samples_match_scalar_loop(f, spec, n, m):
 def test_task_range_off_tile_boundaries(f, spec):
     # a worker's task starts and ends inside tiles
     n, lo, hi = 40, TILE_SAMPLES - 3, 2 * TILE_SAMPLES + 5
-    bits = required_bits(spec, n, 64)
+    bits = required_bits(spec, n)
     mults = list(itertools.islice(spec.iter_values(), n))
     task = (montecarlo._coef_table(f), bits, montecarlo._blocks(mults, bits), SEED, lo, hi)
     assert montecarlo._sum_range(task) == _reference_samples(f, spec, n, SEED, range(lo, hi))
@@ -143,7 +144,7 @@ def test_orbit_birkhoff_matches_scalar_loop(f, spec):
     coef = montecarlo._coef_table(f)
     rng = np.random.default_rng(72)
     for extra in (0, 1, 77):
-        bits = required_bits(spec, n, 0) + 53 + extra
+        bits = required_bits(spec, n) - GUARD + 53 + extra
         num = int.from_bytes(rng.bytes(bits // 8 + 1), "big") % (1 << bits)
         x0 = DyadicPoint(bits=bits, numerator=num)
         assert orbit_birkhoff(f, spec, n, x0) == _reference_birkhoff_sum(num, bits, mults, coef)
@@ -155,7 +156,7 @@ def test_orbit_birkhoff_on_narrow_numerators():
     coef = montecarlo._coef_table(RAND5)
     rng = np.random.default_rng(74)
     for n in range(1, 10):
-        bits = required_bits(spec, n, 0) + 53
+        bits = required_bits(spec, n) - GUARD + 53
         num = int(rng.integers(0, 1 << bits))
         x0 = DyadicPoint(bits=bits, numerator=num)
         assert orbit_birkhoff(RAND5, spec, n, x0) == _reference_birkhoff_sum(num, bits, [2] * n, coef)
@@ -196,7 +197,7 @@ def test_odd_word_blocks_step_exactly_after_their_first_step(spec):
     # word, and every later one is an event that reads its own word
     n = 2 * TILE_STEPS + 10
     mults = list(itertools.islice(spec.iter_values(), n))
-    bits = required_bits(spec, n, 64)
+    bits = required_bits(spec, n)
     blocks = montecarlo._blocks(mults, bits)
     assert len(blocks) == 3
     for k, block in enumerate(blocks):
@@ -210,7 +211,7 @@ def test_doubling_word_has_one_export_per_block_and_no_events():
     # first step makes, 256 doublings after the last one, into its frame
     # and reads all its steps from it
     n = 4 * TILE_STEPS
-    bits = required_bits(Constant(2), n, 64)
+    bits = required_bits(Constant(2), n)
     blocks = montecarlo._blocks([2] * n, bits)
     size = -(-(TILE_STEPS - 1 + 53) // 64)
     assert [block[:3] for block in blocks] == [((1, 1), size, ())] + [
@@ -227,7 +228,7 @@ def test_event_before_a_long_shift_starts_a_block():
     spec = Periodic((3, 2**12))
     n = 4 * TILE_STEPS
     mults = list(itertools.islice(spec.iter_values(), n))
-    blocks = montecarlo._blocks(mults, required_bits(spec, n, 64))
+    blocks = montecarlo._blocks(mults, required_bits(spec, n))
     assert len(blocks) == n // 2
     assert [block[:3] for block in blocks] == [((3, 0), 2, ())] + [((3, 12), 2, ())] * (
         n // 2 - 1
@@ -243,7 +244,7 @@ def test_event_before_an_eleven_bit_shift_stays_in_its_block():
     n = 4 * TILE_STEPS
     spec = Periodic((3, 2**11))
     mults = list(itertools.islice(spec.iter_values(), n))
-    blocks = montecarlo._blocks(mults, required_bits(spec, n, 64))
+    blocks = montecarlo._blocks(mults, required_bits(spec, n))
     assert len(blocks) == n // TILE_STEPS
     events = (3 << 11,) * (TILE_STEPS // 2 - 1)
     assert [block[:3] for block in blocks] == [((3, 0), 1, events)] + [((3, 11), 1, events)] * 3
