@@ -1,9 +1,9 @@
-"""Strict number conversion for values read from JSON, and shared range rules.
+"""Strict reading of values from JSON, and shared range rules.
 
 JSON delivers booleans, floats and integers alike; ``int()`` would read
 ``true`` as 1 and truncate ``2.5`` to 2, and ``float()`` would read ``true``
-as 1.0 and ``"0.25"`` as 0.25.  Input that does not mean what it says is
-rejected instead.
+as 1.0 and ``"0.25"`` as 0.25.  A misspelt key would be ignored, and its
+value with it.  Input that does not mean what it says is rejected instead.
 """
 
 from __future__ import annotations
@@ -28,6 +28,13 @@ def strict_float(value, what: str) -> float:
         except OverflowError:
             pass
     raise ValueError(f"{what} must be a number, got {value!r}")
+
+
+def check_keys(obj: dict, allowed, what: str) -> None:
+    """Reject a key of obj outside allowed: a field that is never read means nothing."""
+    for key in obj:
+        if key not in allowed:
+            raise ValueError(f"unknown {what} key {key!r}")
 
 
 def check_multiplier(value, what: str = "map multiplier") -> int:

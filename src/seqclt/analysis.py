@@ -179,29 +179,35 @@ def _backward_images(f: TrigPoly, mults: Iterable[int]) -> Iterator[TrigPoly]:
         yield g
 
 
-def _walks(spec: SequenceSpec, degree: int, n: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """(walk_k, a_{k+1}) for k = 1..n, reading the sequence once.
+def _walks(spec: SequenceSpec, degree: int, n: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """Segments (walk_k, a_{k+1}, count) covering k = 1..n in order, from spec.runs().
 
     walk_k = (a_k, ..., a_2) cut before the running product exceeds degree.
     u_k, the k-th covariance increment and (with a_{k+1}) the k-th angle
     record depend on f only through walk_k: deeper multipliers reach no
     stored frequency, and a walk that ends at index 2 uncut adds the same
-    terms as one cut there, because u_0 = 0.
+    terms as one cut there, because u_0 = 0.  A segment is count
+    consecutive indices with one walk and one a_{k+1}.  Inside a run of b
+    the walk stops changing within depth + 1 steps, once prepending b and
+    cutting gives it back; the rest of the run is then one segment.
     """
     if n < 1:
         raise ValueError("horizon n must be >= 1")
-    values = spec.iter_values()
-    next(values)  # a_1 is in no walk
     walk: tuple[int, ...] = ()
-    for _ in range(n):
-        a_next = next(values)
-        yield walk, a_next
-        walk, mult = (a_next, *walk), 1
-        for i, b in enumerate(walk):
-            mult *= b
-            if mult > degree:
-                walk = walk[:i]
-                break
+    skip = True  # a_1 is in no walk: drop one index, not one run (a run may be empty)
+    for a_next, length in spec.runs():
+        if skip:
+            skip, length = length == 0, length - 1
+        while length > 0:
+            nxt = (a_next, *walk)
+            while nxt and math.prod(nxt) > degree:  # the running product only grows
+                nxt = nxt[:-1]
+            count = min(length, n) if nxt == walk else 1
+            yield walk, a_next, count
+            n -= count
+            if n == 0:
+                return
+            walk, length = nxt, length - count
 
 
 def _u_of_walk(f: TrigPoly, walk: Iterable[int]) -> TrigPoly:
@@ -216,14 +222,21 @@ def _u_of_walk(f: TrigPoly, walk: Iterable[int]) -> TrigPoly:
     return linear_combine([(1.0, t) for t in reversed(terms)])
 
 
-def _by_window(f: TrigPoly, spec: SequenceSpec, n: int, compute: Callable) -> Iterator:
-    """compute(walk_k, a_{k+1}) for k = 1..n: once per distinct pair, one object per pair."""
-    memo: dict[tuple[tuple[int, ...], int], object] = {}
-    for key in _walks(spec, f.degree, n):
-        value = memo.get(key)
-        if value is None:
-            value = memo[key] = compute(*key)
-        yield value
+def _by_window(f: TrigPoly, spec: SequenceSpec, n: int, compute: Callable, with_next=False):
+    """compute(walk_k, a_{k+1}) for k = 1..n, once per distinct key and one object per key.
+
+    The key is what the value depends on: walk_k, or the pair
+    (walk_k, a_{k+1}) when with_next is set.
+    """
+    memo: dict = {}
+
+    def repeated(walk: tuple[int, ...], a_next: int, count: int) -> Iterator:
+        key = (walk, a_next) if with_next else walk
+        if key not in memo:
+            memo[key] = compute(walk, a_next)
+        return itertools.repeat(memo[key], count)
+
+    return itertools.chain.from_iterable(itertools.starmap(repeated, _walks(spec, f.degree, n)))
 
 
 def _kahan_prefix(values: Iterable[float]) -> Iterator[float]:
@@ -238,7 +251,7 @@ def _kahan_prefix(values: Iterable[float]) -> Iterator[float]:
 
 
 def u_sequence(f: TrigPoly, spec: SequenceSpec, n: int) -> list[TrigPoly]:
-    """u_1 ... u_n, each computed once per distinct (window, a_{k+1}) pair.
+    """u_1 ... u_n, each computed once per distinct window.
 
     The u_k are exact and degree(u_k) <= degree(f) for every k, since
     transfer operators never raise the degree.
@@ -261,10 +274,7 @@ def _angle_record(u: TrigPoly, a_next: int) -> AngleRecord:
     sq = [2.0 * (c.real * c.real + c.imag * c.imag) for _, c in u.coeffs]
     u_norm_sq = math.fsum(sq)
     proj_norm_sq = math.fsum(t for (n, _), t in zip(u.coeffs, sq) if n % a_next == 0)
-    if u_norm_sq > 0.0:
-        cos_sq = min(proj_norm_sq / u_norm_sq, 1.0)
-    else:
-        cos_sq = 1.0
+    cos_sq = min(proj_norm_sq / u_norm_sq, 1.0) if u_norm_sq > 0.0 else 1.0
     return AngleRecord(u_norm_sq, proj_norm_sq, cos_sq, 1.0 - cos_sq)
 
 
@@ -274,7 +284,9 @@ def angle_profile(f: TrigPoly, spec: SequenceSpec, n: int) -> list[AngleRecord]:
     A record is a function of (walk_k, a_{k+1}): it is computed once per
     distinct pair, and every index with that pair holds the same object.
     """
-    return list(_by_window(f, spec, n, lambda walk, a: _angle_record(_u_of_walk(f, walk), a)))
+    return list(_by_window(
+        f, spec, n, lambda walk, a: _angle_record(_u_of_walk(f, walk), a), with_next=True
+    ))
 
 
 def accumulated_transversality(profile: list[AngleRecord], N: int) -> float:
@@ -294,7 +306,7 @@ def variance_covariance_curve(f: TrigPoly, spec: SequenceSpec, n: int) -> list[f
     cov(j, k) = <T*_{[j+1..k]} f, f> depends only on the product of the
     multipliers between the two indices and vanishes exactly once that
     product exceeds degree(f), so each new index contributes only a short
-    backward walk, computed once per distinct (window, a_{k+1}) pair.
+    backward walk, computed once per distinct window.
     """
     norm_sq = l2_inner(f, f)
 
@@ -359,19 +371,11 @@ def verify_decay(f: TrigPoly, maps: list[int]) -> DecayReport:
     if f.is_zero:
         raise ValueError("decay verification needs a nonzero observable")
     ref = c1_norm(f)
-    g = f
-    norms = []
-    bounds = []
-    ratios = []
-    for j, b in enumerate(maps, start=1):
-        g = transfer(b, g)
-        nrm = c1_norm(g)
-        bound = 2.0 * 2.0**-j * ref.grid_estimate
-        norms.append(nrm)
-        bounds.append(bound)
-        ratios.append(nrm.value / bound)
-    passed = all(r <= 1.0 for r in ratios)
-    return DecayReport(ref, tuple(norms), tuple(bounds), tuple(ratios), passed)
+    images = itertools.accumulate(maps, lambda g, b: transfer(b, g), initial=f)
+    norms = tuple(map(c1_norm, itertools.islice(images, 1, None)))
+    bounds = tuple(2.0 * 2.0**-j * ref.grid_estimate for j in range(1, len(norms) + 1))
+    ratios = tuple(nrm.value / bound for nrm, bound in zip(norms, bounds))
+    return DecayReport(ref, norms, bounds, ratios, all(r <= 1.0 for r in ratios))
 
 
 def neumann_sum(f: TrigPoly, b: int) -> TrigPoly:

@@ -9,8 +9,9 @@ verify-decay  certified transfer-operator decay over random map words
 
 Exit codes: 0 success; 1 malformed scenario or arguments (a non-finite
 number, a boolean or string where a number belongs, non-integral where an
-integer belongs, seed outside [0, 2^64), --threads < 1, a flag that is
-missing, unknown or not read by the command); 2 I/O failure;
+integer belongs, a scenario, sequence or coefficient key that nothing reads,
+seed outside [0, 2^64), --threads < 1, a flag that is missing, unknown or
+not read by the command); 2 I/O failure;
 3 internal failure: a consistency check (variance cross-check or decay
 bound) or an error raised while computing, such as a result that overflows
 to a non-finite value (the message names the CSV column and k, or the JSON
@@ -29,10 +30,10 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from . import analysis, coboundary, montecarlo
-from ._strict import check_u64, strict_int
+from ._strict import check_keys, check_u64, strict_int
 from .sequences import SequenceSpec, sequence_from_obj
 from .trigpoly import TrigPoly, trigpoly_from_obj, trigpoly_to_obj
 
@@ -78,6 +79,7 @@ def scenario_from_obj(obj) -> Scenario:
     if not isinstance(obj, dict):
         raise ScenarioError("scenario must be a JSON object")
     try:
+        check_keys(obj, [field.name for field in fields(Scenario)], "scenario")
         function = trigpoly_from_obj(obj["function"])
         sequence = sequence_from_obj(obj["sequence"])
         n = strict_int(obj["n"], "n")

@@ -1,12 +1,23 @@
-"""Random-access generators for the map sequence a_1, a_2, ...
+"""Generators for the map sequence a_1, a_2, ... stated as runs.
 
-Each spec kind is a small immutable rule mapping an index k >= 1 to an
-integer multiplier >= 2 (the slope of the k-th circle map).  Random access
-matters: downstream analyses jump to arbitrary indices (spike neighbourhoods,
-block interiors) without iterating from the start, and Monte Carlo workers
-evaluate the same sequence concurrently.  Scans from the start use
-``iter_values`` instead, which costs O(1) per index for every kind; prefix
-aggregates (the product that sizes an exact orbit) are taken over that scan.
+Each spec kind is a small immutable rule for the integer multipliers >= 2
+(the slopes of the circle maps), stated once, as ``runs()``: pairs
+(value, length) that cover a_1, a_2, ... in order, each a run of
+``length`` consecutive indices with multiplier ``value``.  A length may be
+0, or larger than any count ``itertools`` accepts; a run that never ends
+has length ``math.inf`` and comes last (a constant is that one run).  The
+paper's schedules are runs: blocks of 3 on a background of 2, spike
+triples on a constant background.  The backward walks of the analysis
+step over runs, since a multiplier window stops changing inside a long
+run.
+
+From the runs the base class derives both readers: ``iter_values``, the
+scan from the start at O(1) per index, and ``value_at``, random access by
+a scan over the runs before k.  Periodic and explicit words keep an O(1)
+``value_at`` of their own: deep random access (spike neighbourhoods, block
+interiors, indices such as 4^20) would otherwise scan one run per letter.
+Prefix aggregates (the product that sizes an exact orbit) are taken over
+``iter_values``.
 
 Kinds
 -----
@@ -21,12 +32,14 @@ blocks      background 2 with runs of 3 of length l starting at ceil(D^l),
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
-from collections.abc import Iterator
+import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
-from ._strict import check_multiplier, strict_float, strict_int
+from ._strict import check_keys, check_multiplier, strict_float, strict_int
 
 __all__ = [
     "SequenceSpec",
@@ -40,19 +53,34 @@ __all__ = [
 ]
 
 _VALIDATE_HORIZON = 1 << 48
+_EXACT_POWERS_ABOVE = 4.0 * _VALIDATE_HORIZON
 
 
 class SequenceSpec:
-    """Base class; concrete kinds implement value_at and to_obj."""
+    """Base class; kinds implement runs and to_obj, and may override value_at."""
 
     kind: str = "?"
 
-    def value_at(self, k: int) -> int:
+    def runs(self) -> Iterable[tuple[int, int | float]]:
+        """(value, length) runs covering a_1, a_2, ... in order, without end."""
         raise NotImplementedError
 
     def iter_values(self) -> Iterator[int]:
-        """a_1, a_2, ... in order, endlessly; equal to value_at at every index."""
-        return map(self.value_at, itertools.count(1))
+        """a_1, a_2, ... in order, endlessly: the runs expanded."""
+        for value, length in self.runs():
+            while length > 0:  # repeat() counts at most sys.maxsize
+                chunk = min(length, sys.maxsize)
+                yield from itertools.repeat(value, chunk)
+                length -= chunk
+
+    def value_at(self, k: int) -> int:
+        """a_k, by a scan over the runs up to index k."""
+        if k < 1:  # a call only on failure: value_at runs once per index
+            _check_index(k)
+        for value, length in self.runs():
+            if k <= length:
+                return value
+            k -= length
 
     def to_obj(self) -> dict:
         raise NotImplementedError
@@ -71,10 +99,11 @@ class Constant(SequenceSpec):
 
     def __post_init__(self):
         check_multiplier(self.b)
+        # built once, as value_at reads it at every index
+        object.__setattr__(self, "_runs", ((self.b, math.inf),))
 
-    def value_at(self, k: int) -> int:
-        _check_index(k)
-        return self.b
+    def runs(self) -> Iterable[tuple[int, float]]:
+        return self._runs
 
     def to_obj(self) -> dict:
         return {"kind": "constant", "b": self.b}
@@ -90,6 +119,9 @@ class Periodic(SequenceSpec):
         if not self.values:
             raise ValueError("periodic spec needs a nonempty word")
         object.__setattr__(self, "values", tuple(check_multiplier(v) for v in self.values))
+
+    def runs(self) -> Iterator[tuple[int, int]]:
+        return itertools.cycle(zip(self.values, itertools.repeat(1)))
 
     def value_at(self, k: int) -> int:
         _check_index(k)
@@ -113,14 +145,14 @@ class Explicit(SequenceSpec):
         if not isinstance(self.tail, SequenceSpec):
             raise ValueError("explicit tail must be a SequenceSpec")
 
+    def runs(self) -> Iterator[tuple[int, int | float]]:
+        return itertools.chain(zip(self.values, itertools.repeat(1)), self.tail.runs())
+
     def value_at(self, k: int) -> int:
         _check_index(k)
         if k <= len(self.values):
             return self.values[k - 1]
         return self.tail.value_at(k - len(self.values))
-
-    def iter_values(self) -> Iterator[int]:
-        return itertools.chain(self.values, self.tail.iter_values())
 
     def to_obj(self) -> dict:
         return {"kind": "explicit", "values": list(self.values), "tail": self.tail.to_obj()}
@@ -155,18 +187,11 @@ class Triples(SequenceSpec):
             yield p
             p *= self.r
 
-    def value_at(self, k: int) -> int:
-        _check_index(k)
-        for p in self.spike_positions(k):
-            if k <= p + 2:
-                return self.B
-        return self.b0
-
-    def iter_values(self) -> Iterator[int]:
+    def runs(self) -> Iterator[tuple[int, int]]:
         k = 1
         for p in self.spike_positions(math.inf):
-            yield from itertools.repeat(self.b0, p - k)
-            yield from itertools.repeat(self.B, 3)
+            yield self.b0, p - k
+            yield self.B, 3
             k = p + 3
 
     def to_obj(self) -> dict:
@@ -197,30 +222,17 @@ class Blocks(SequenceSpec):
 
     def block_start(self, l: int) -> int:
         d = self.D**l
-        if d > float(_VALIDATE_HORIZON) * 4:
-            # avoid float blowup for absurd l; exact for integral D
-            if self.D == int(self.D):
-                return int(self.D) ** l
+        if d > _EXACT_POWERS_ABOVE and self.D == int(self.D):
+            return int(self.D) ** l  # avoid float blowup for absurd l; exact for integral D
         return math.ceil(d)
 
-    def value_at(self, k: int) -> int:
-        _check_index(k)
-        l = 1
-        while True:
-            d = self.block_start(l)
-            if d > k:
-                return 2
-            if k < d + l:
-                return 3
-            l += 1
-
-    def iter_values(self) -> Iterator[int]:
-        k = 1
+    def runs(self) -> Iterator[tuple[int, int]]:
+        k = 1  # the blocks never overlap: __post_init__ checks the reachable ones
         for l in itertools.count(1):
             d = self.block_start(l)
-            yield from itertools.repeat(2, d - k)
-            yield from itertools.repeat(3, d + l - max(d, k))
-            k = max(k, d + l)
+            yield 2, d - k
+            yield 3, l
+            k = d + l
 
     def to_obj(self) -> dict:
         return {"kind": "blocks", "D": self.D}
@@ -231,25 +243,28 @@ def generate(spec: SequenceSpec, k: int) -> int:
     return spec.value_at(k)
 
 
+def _field(name: str, value):
+    """A number field of a kind parsed from JSON; the field names are the JSON keys."""
+    if name == "values":
+        return tuple(strict_int(v, name) for v in value)
+    if name == "D":
+        return strict_float(value, name)
+    return strict_int(value, name)
+
+
 def sequence_from_obj(obj) -> SequenceSpec:
-    """Parse the serialized {"kind": ..., ...} form."""
+    """Parse the serialized {"kind": ..., ...} form; a key the kind does not read is rejected."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError("sequence must be an object with a 'kind' field")
     kind = obj["kind"]
-    try:
-        if kind == "constant":
-            return Constant(strict_int(obj["b"], "b"))
-        if kind == "periodic":
-            return Periodic(tuple(strict_int(v, "values") for v in obj["values"]))
-        if kind == "explicit":
-            return Explicit(
-                tuple(strict_int(v, "values") for v in obj["values"]),
-                sequence_from_obj(obj["tail"]),
-            )
-        if kind == "triples":
-            return Triples(*(strict_int(obj[key], key) for key in ("b0", "B", "p0", "r")))
-        if kind == "blocks":
-            return Blocks(strict_float(obj["D"], "D"))
-    except KeyError as exc:
-        raise ValueError(f"sequence kind {kind!r} is missing field {exc}") from exc
-    raise ValueError(f"unknown sequence kind {kind!r}")
+    cls = next((c for c in (Constant, Periodic, Explicit, Triples, Blocks) if c.kind == kind), None)
+    if cls is None:
+        raise ValueError(f"unknown sequence kind {kind!r}")
+    names = [f.name for f in dataclasses.fields(cls)]
+    check_keys(obj, ("kind", *names), f"{kind} sequence")
+    args = []
+    for name in names:  # a loop, so that each explicit tail costs one stack frame
+        if name not in obj:
+            raise ValueError(f"sequence kind {kind!r} is missing field {name!r}")
+        args.append(sequence_from_obj(obj[name]) if name == "tail" else _field(name, obj[name]))
+    return cls(*args)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._strict import check_multiplier, strict_float, strict_int
+from ._strict import check_keys, check_multiplier, strict_float, strict_int
 
 __all__ = [
     "TrigPoly",
@@ -246,6 +246,7 @@ def trigpoly_from_obj(obj) -> TrigPoly:
     for item in obj:
         if not isinstance(item, dict) or not {"freq", "re", "im"} <= set(item):
             raise ValueError(f"bad coefficient entry {item!r}")
+        check_keys(item, ("freq", "re", "im"), "coefficient")
         re, im = strict_float(item["re"], "re"), strict_float(item["im"], "im")
         entries.append((item["freq"], complex(re, im)))
     return make_trigpoly(entries)

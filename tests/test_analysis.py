@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_poly
+from conftest import SPECS, random_poly, reference_value
 from seqclt import analysis
 from seqclt.analysis import (
     AngleRecord,
@@ -160,6 +162,44 @@ WALK_CASES = [pytest.param(spec, RANDOM_CASES, id=spec.kind) for spec in ALL_KIN
 ]
 
 
+def _reference_walks(spec, degree, n):
+    # (walk_k, a_{k+1}) for k = 1..n, one index at a time: the scan the
+    # segments of analysis._walks replace
+    walk = ()
+    for k in range(1, n + 1):
+        a_next = reference_value(spec, k + 1)
+        yield walk, a_next
+        walk, mult = (a_next, *walk), 1
+        for i, b in enumerate(walk):
+            mult *= b
+            if mult > degree:
+                walk = walk[:i]
+                break
+
+
+def _expanded(segments):
+    return [(walk, a) for walk, a, count in segments for _ in range(count)]
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(SPECS, st.integers(1, 64), st.integers(1, 400))
+def test_walk_segments_expand_to_the_reference_walks(spec, degree, n):
+    segments = list(analysis._walks(spec, degree, n))
+    assert all(count >= 1 for _, _, count in segments)
+    assert _expanded(segments) == list(_reference_walks(spec, degree, n))
+
+
+@pytest.mark.parametrize("spec, n, runs", [(Blocks(4), 20_000, 15), (Constant(2), 10**6, 1)])
+def test_a_run_costs_a_few_segments(spec, n, runs):
+    # inside a run the walk settles within depth + 1 steps (depth 6 for b = 2
+    # at degree 64), and the rest of the run is one segment
+    segments = list(analysis._walks(spec, 64, n))
+    assert sum(count for *_, count in segments) == n
+    assert len(segments) <= 8 * runs
+    if n <= 20_000:
+        assert _expanded(segments) == list(_reference_walks(spec, 64, n))
+
+
 @pytest.mark.parametrize("spec, cases", WALK_CASES)
 def test_covariance_curve_matches_reference_walk(spec, cases):
     for f, n in cases:
@@ -181,6 +221,36 @@ def test_memoised_u_recursion_matches_plain_recursion(spec, cases):
     for f, n in cases:
         assert u_sequence(f, spec, n) == _reference_u_sequence(f, spec, n)
         assert angle_profile(f, spec, n) == _reference_angle_profile(f, spec, n)
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    real = getattr(analysis, name)
+
+    def counted(f, walk):
+        calls.append(tuple(walk))
+        return real(f, walk)
+
+    monkeypatch.setattr(analysis, name, counted)
+    return calls
+
+
+def test_each_memo_is_keyed_by_what_its_value_depends_on(monkeypatch):
+    # u_k and the k-th covariance step depend on walk_k alone, the k-th angle
+    # record on (walk_k, a_{k+1}); on a random word one walk meets many a_{k+1}
+    f, spec, n = DEGREE_300, RANDOM_WORD, 1200
+    pairs = set(_reference_walks(spec, f.degree, n))
+    walks = {walk for walk, _ in pairs}
+    assert len(walks) < len(pairs)
+    u_calls = _counting(monkeypatch, "_u_of_walk")
+    u_sequence(f, spec, n)
+    assert sorted(u_calls) == sorted(walks)
+    u_calls.clear()
+    angle_profile(f, spec, n)
+    assert len(u_calls) == len(pairs) and set(u_calls) == walks
+    image_calls = _counting(monkeypatch, "_backward_images")
+    variance_covariance_curve(f, spec, n)
+    assert sorted(image_calls) == sorted(walks)
 
 
 def test_neumann_sum_matches_reference_walk():

@@ -209,6 +209,71 @@ def test_scenario_rejects_non_integers(tmp_path, capsys, overrides):
     assert capsys.readouterr().err.count("\n") == 1
 
 
+_CONSTANT = {"kind": "constant", "b": 2}
+
+
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        pytest.param({"standardisation": "exact"}, "standardisation", id="scenario"),
+        pytest.param({"sequence": {**_CONSTANT, "values": [3]}}, "values", id="constant"),
+        pytest.param({"sequence": {"kind": "periodic", "values": [2], "b": 2}}, "b", id="periodic"),
+        pytest.param(
+            {"sequence": {"kind": "explicit", "values": [3], "tail": _CONSTANT, "head": [3]}},
+            "head",
+            id="explicit",
+        ),
+        pytest.param(
+            {"sequence": {"kind": "explicit", "values": [3], "tail": {**_CONSTANT, "D": 4}}},
+            "D",
+            id="explicit-tail",
+        ),
+        pytest.param(
+            {"sequence": {"kind": "triples", "b0": 2, "B": 80, "p0": 10, "r": 2, "D": 4}},
+            "D",
+            id="triples",
+        ),
+        pytest.param({"sequence": {"kind": "blocks", "D": 4, "l": 1}}, "l", id="blocks"),
+        pytest.param(
+            {"function": [{"freq": 1, "re": 0.5, "im": 0.0, "phase": 0.0}]}, "phase", id="coefficient"
+        ),
+    ],
+)
+def test_scenario_rejects_unknown_keys(tmp_path, capsys, overrides, key):
+    path = write_scenario(tmp_path, samples=50, seed=1, **overrides)
+    assert main(["simulate", path, "--out", str(tmp_path / "r")]) == EXIT_BAD_SCENARIO
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert repr(key) in err
+    assert not list(tmp_path.glob("r.*"))
+
+
+@pytest.mark.parametrize(
+    "sequence",
+    [
+        pytest.param({"kind": "blocks", "D": 1e19}, id="blocks"),
+        pytest.param(
+            {"kind": "explicit", "values": [2], "tail": {"kind": "blocks", "D": 1e19}},
+            id="explicit-tail",
+        ),
+        pytest.param({"kind": "triples", "b0": 2, "B": 3, "p0": 2**64 + 1, "r": 2}, id="triples"),
+    ],
+)
+def test_runs_longer_than_maxsize_run(tmp_path, sequence):
+    # a_k = 2 for every k <= n + 1, so every output byte is that of Constant(2)
+    outputs = {}
+    for name, seq in (("long", sequence), ("two", _CONSTANT)):
+        path = write_scenario(tmp_path, f"{name}.json", sequence=seq, n=64, samples=50, seed=3)
+        out = str(tmp_path / f"{name}-out")
+        assert main(["analyze", path, "--out", out]) == EXIT_OK
+        assert main(["simulate", path, "--out", out, "--dump-samples"]) == EXIT_OK
+        outputs[name] = [
+            (tmp_path / f"{name}-out{ext}").read_bytes()
+            for ext in (".csv", ".json", ".svg", ".mc.json", ".samples.csv")
+        ]
+    assert outputs["long"] == outputs["two"]
+
+
 def test_unreadable_scenario_text_is_bad_input(tmp_path, capsys):
     path = tmp_path / "latin1.json"
     path.write_bytes(b'{"n": 1, "note": "\xe9"}')

@@ -2,7 +2,10 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import SPECS, reference_value
 from seqclt.sequences import (
     Blocks,
     Constant,
@@ -68,8 +71,38 @@ def test_explicit_head_then_tail():
 )
 def test_iter_values_matches_value_at(spec):
     horizon = 5000
-    expected = [spec.value_at(k) for k in range(1, horizon + 1)]
+    expected = [reference_value(spec, k) for k in range(1, horizon + 1)]
+    assert [spec.value_at(k) for k in range(1, horizon + 1)] == expected
     assert list(itertools.islice(spec.iter_values(), horizon)) == expected
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(SPECS, st.integers(1, 400))
+def test_runs_give_the_reference_values(spec, horizon):
+    expected = [reference_value(spec, k) for k in range(1, horizon + 1)]
+    assert [spec.value_at(k) for k in range(1, horizon + 1)] == expected
+    assert list(itertools.islice(spec.iter_values(), horizon)) == expected
+    # a run is a value and a nonnegative length
+    for value, length in itertools.islice(spec.runs(), 20):
+        assert value >= 2 and length >= 0
+
+
+@pytest.mark.parametrize(
+    "spec, long_from",
+    [
+        (Blocks(1e19), 10**19),
+        (Explicit((3,), Blocks(1e19)), 10**19 + 1),
+        (Triples(b0=2, B=3, p0=2**64 + 1, r=2), 2**64 + 1),
+        (Constant(5), 2**80),
+    ],
+    ids=repr,
+)
+def test_runs_longer_than_maxsize(spec, long_from):
+    # a run may be longer than any count itertools accepts
+    for k in (long_from - 1, long_from, long_from + 2):
+        assert spec.value_at(k) == reference_value(spec, k)
+    head = list(itertools.islice(spec.iter_values(), 100))
+    assert head == [reference_value(spec, k) for k in range(1, 101)]
 
 
 def test_generate_values_always_at_least_two():
@@ -123,3 +156,4 @@ def test_serialization_round_trips():
 def test_serialization_rejects_unknown_kind():
     with pytest.raises(ValueError):
         sequence_from_obj({"kind": "fancy"})
+
