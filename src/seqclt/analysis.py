@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._strict import check_horizon
 from .sequences import SequenceSpec
 from .trigpoly import (
     C1Norm,
@@ -191,8 +192,7 @@ def _walks(spec: SequenceSpec, degree: int, n: int) -> Iterator[tuple[tuple[int,
     the walk stops changing within depth + 1 steps, once prepending b and
     cutting gives it back; the rest of the run is then one segment.
     """
-    if n < 1:
-        raise ValueError("horizon n must be >= 1")
+    check_horizon(n)
     walk: tuple[int, ...] = ()
     skip = True  # a_1 is in no walk: drop one index, not one run (a run may be empty)
     for a_next, length in spec.runs():

@@ -7,16 +7,17 @@ simulate      exact-orbit Monte Carlo summary (requires samples and seed)
 coboundary    solve f = (u o T_b) - u for the scenario's function
 verify-decay  certified transfer-operator decay over random map words
 
-Exit codes: 0 success; 1 malformed scenario or arguments (a non-finite
+Exit codes: 0 success; 1 bad input: a value that an input rule rejects
+(``_strict.InputError``), wherever that rule runs, such as a non-finite
 number, a boolean or string where a number belongs, non-integral where an
 integer belongs, a scenario, sequence or coefficient key that nothing reads,
-seed outside [0, 2^64), --threads < 1, a flag that is missing, unknown or
-not read by the command); 2 I/O failure;
-3 internal failure: a consistency check (variance cross-check or decay
-bound) or an error raised while computing, such as a result that overflows
-to a non-finite value (the message names the CSV column and k, or the JSON
-key) or an allocation beyond memory; 10 coboundary obstruction (so shell pipelines can branch on the
-dichotomy).
+a horizon n outside [1, sys.maxsize], a seed outside [0, 2^64), a base
+below 2, --threads < 1, or a flag that is missing, unknown or not read by
+the command; 2 I/O failure; 3 internal failure: any other error, such as a
+failed consistency check (variance cross-check or decay bound), a result
+that overflows to a non-finite value (the message names the CSV column and
+k, or the JSON key) or an allocation beyond memory; 10 coboundary
+obstruction (so shell pipelines can branch on the dichotomy).
 
 All real numbers in outputs are printed with 17 significant digits and are
 finite, and every output byte is a deterministic function of the inputs and
@@ -33,7 +34,7 @@ import sys
 from dataclasses import asdict, dataclass, fields
 
 from . import analysis, coboundary, montecarlo
-from ._strict import check_keys, check_u64, strict_int
+from ._strict import InputError, check_horizon, check_keys, check_u64, strict_int
 from .sequences import SequenceSpec, sequence_from_obj
 from .trigpoly import TrigPoly, trigpoly_from_obj, trigpoly_to_obj
 
@@ -46,16 +47,12 @@ EXIT_INCONSISTENT = 3
 EXIT_OBSTRUCTION = 10
 
 
-class ScenarioError(ValueError):
-    """Scenario file or command line failed to parse or validate."""
-
-
 class _ArgumentParser(argparse.ArgumentParser):
     """Reports a malformed command line as bad input (exit 1); argparse
     itself would exit 2, the code of an I/O failure."""
 
     def error(self, message):
-        raise ScenarioError(f"{self.prog}: {message}")
+        raise InputError(f"{self.prog}: {message}")
 
 
 @dataclass(frozen=True)
@@ -68,16 +65,9 @@ class Scenario:
     standardization: str = "empirical"
 
 
-def _check_seed(seed: int) -> None:
-    try:
-        check_u64(seed, "seed")
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from None
-
-
 def scenario_from_obj(obj) -> Scenario:
     if not isinstance(obj, dict):
-        raise ScenarioError("scenario must be a JSON object")
+        raise InputError("scenario must be a JSON object")
     try:
         check_keys(obj, [field.name for field in fields(Scenario)], "scenario")
         function = trigpoly_from_obj(obj["function"])
@@ -86,18 +76,17 @@ def scenario_from_obj(obj) -> Scenario:
         samples = None if obj.get("samples") is None else strict_int(obj["samples"], "samples")
         seed = None if obj.get("seed") is None else strict_int(obj["seed"], "seed")
     except (KeyError, ValueError, TypeError) as exc:
-        raise ScenarioError(f"bad scenario: {exc}") from exc
+        raise InputError(f"bad scenario: {exc}") from exc
     if function.is_zero:
-        raise ScenarioError("scenario function must be nonzero")
-    if n < 1:
-        raise ScenarioError("scenario horizon n must be >= 1")
+        raise InputError("scenario function must be nonzero")
+    check_horizon(n)
     if samples is not None and samples < 2:
-        raise ScenarioError("samples must be >= 2")
+        raise InputError("samples must be >= 2")
     if seed is not None:
-        _check_seed(seed)
+        check_u64(seed, "seed")
     standardization = obj.get("standardization", "empirical")
     if standardization not in ("empirical", "exact"):
-        raise ScenarioError(f"unknown standardization {standardization!r}")
+        raise InputError(f"unknown standardization {standardization!r}")
     return Scenario(function, sequence, n, samples, seed, standardization)
 
 
@@ -120,15 +109,15 @@ def _load_scenario(path: str) -> Scenario:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
     except OSError as exc:
-        raise ScenarioError(f"cannot read scenario file: {exc}") from exc
+        raise InputError(f"cannot read scenario file: {exc}") from exc
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-        raise ScenarioError(f"scenario file is not valid JSON: {exc}") from exc
+        raise InputError(f"scenario file is not valid JSON: {exc}") from exc
     except RecursionError:  # json.load recurses once per nested object
-        raise ScenarioError("scenario file nests too deeply") from None
+        raise InputError("scenario file nests too deeply") from None
     try:
         return scenario_from_obj(obj)
     except RecursionError:  # so does sequence_from_obj, once per explicit tail
-        raise ScenarioError("scenario sequence nests too deeply") from None
+        raise InputError("scenario sequence nests too deeply") from None
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +226,8 @@ def _csv_row(k: int, cells) -> str:
         raise ValueError(f"{exc} in {bad} at k={k}") from None
 
 
-def cmd_analyze(scenario: Scenario, out_prefix: str) -> int:
-    n = scenario.n
+def cmd_analyze(scenario: Scenario, args: argparse.Namespace) -> int:
+    n, out_prefix = scenario.n, args.out
     report = analysis.variance_report(scenario.function, scenario.sequence, n)
     profile, acc_curve = report.per_step, report.acc_curve
     lines = ["k," + ",".join(_CSV_COLUMNS)]
@@ -277,41 +266,36 @@ def cmd_analyze(scenario: Scenario, out_prefix: str) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(
-    scenario: Scenario, out_prefix: str, threads: int, dump_samples: bool
-) -> int:
+def cmd_simulate(scenario: Scenario, args: argparse.Namespace) -> int:
     if scenario.samples is None or scenario.seed is None:
-        raise ScenarioError("simulate needs 'samples' and 'seed' in the scenario")
-    f, spec, n = scenario.function, scenario.sequence, scenario.n
+        raise InputError("simulate needs 'samples' and 'seed' in the scenario")
+    f, spec, n, out_prefix = scenario.function, scenario.sequence, scenario.n, args.out
     sums = montecarlo.birkhoff_samples(
-        f, spec, n, scenario.samples, scenario.seed, threads
+        f, spec, n, scenario.samples, scenario.seed, args.threads
     )
     report = montecarlo.report_from_samples(
         sums, f, spec, n, scenario.seed, scenario.standardization
     )
     _write_text(out_prefix + ".mc.json", _dumps(asdict(report)) + "\n")
-    if dump_samples:
+    if args.dump_samples:
         _write_text(out_prefix + ".samples.csv", "\n".join(_fmt(s) for s in sums) + "\n")
     return EXIT_OK
 
 
-def cmd_coboundary(scenario: Scenario, base: int) -> int:
-    if base < 2:
-        raise ScenarioError(f"base must be >= 2, got {base}")
-    result = coboundary.solve(scenario.function, base)
+def cmd_coboundary(scenario: Scenario, args: argparse.Namespace) -> int:
+    result = coboundary.solve(scenario.function, args.base)
     print(_dumps(coboundary.result_to_obj(result)))
     return EXIT_OK if result.solvable else EXIT_OBSTRUCTION
 
 
-def cmd_verify_decay(scenario: Scenario, k: int, trials: int, seed: int) -> int:
-    if k < 1 or trials < 1:
-        raise ScenarioError("verify-decay needs --k >= 1 and --trials >= 1")
-    _check_seed(seed)
+def cmd_verify_decay(scenario: Scenario, args: argparse.Namespace) -> int:
+    if args.k < 1 or args.trials < 1:
+        raise InputError("verify-decay needs --k >= 1 and --trials >= 1")
     f = scenario.function
     worst = 0.0
-    for trial in range(trials):
-        gen = montecarlo.counter_generator(seed, trial)
-        word = [int(v) for v in gen.integers(2, 11, size=k)]
+    for trial in range(args.trials):  # trial 0 checks the seed, as a Philox key word
+        gen = montecarlo.counter_generator(args.seed, trial)
+        word = [int(v) for v in gen.integers(2, 11, size=args.k)]
         report = analysis.verify_decay(f, word)
         trial_worst = max(report.ratios)
         if trial_worst > worst:
@@ -337,12 +321,15 @@ def _build_parser() -> argparse.ArgumentParser:
     report.add_argument("--out", required=True, metavar="PREFIX", help="output path prefix")
     report.add_argument("--threads", type=int, default=1, metavar="N")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("analyze", parents=[report])
+    sub.add_parser("analyze", parents=[report]).set_defaults(run=cmd_analyze)
     p_sim = sub.add_parser("simulate", parents=[report])
+    p_sim.set_defaults(run=cmd_simulate)
     p_sim.add_argument("--dump-samples", action="store_true")
     p_cob = sub.add_parser("coboundary", parents=[scenario])
+    p_cob.set_defaults(run=cmd_coboundary)
     p_cob.add_argument("--base", type=int, required=True, metavar="B")
     p_dec = sub.add_parser("verify-decay", parents=[scenario])
+    p_dec.set_defaults(run=cmd_verify_decay)
     p_dec.add_argument("--k", type=int, required=True, metavar="K")
     p_dec.add_argument("--trials", type=int, required=True, metavar="T")
     p_dec.add_argument("--seed", type=int, required=True, metavar="S")
@@ -354,18 +341,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         if getattr(args, "threads", 1) < 1:
-            raise ScenarioError(f"--threads must be >= 1, got {args.threads}")
-        scenario = _load_scenario(args.scenario)
-        if args.command == "analyze":
-            return cmd_analyze(scenario, args.out)
-        if args.command == "simulate":
-            return cmd_simulate(scenario, args.out, args.threads, args.dump_samples)
-        if args.command == "coboundary":
-            return cmd_coboundary(scenario, args.base)
-        if args.command == "verify-decay":
-            return cmd_verify_decay(scenario, args.k, args.trials, args.seed)
-        raise AssertionError(f"unhandled command {args.command!r}")
-    except ScenarioError as exc:
+            raise InputError(f"--threads must be >= 1, got {args.threads}")
+        return args.run(_load_scenario(args.scenario), args)
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_SCENARIO
     except ValueError as exc:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._strict import check_multiplier
-from .trigpoly import TrigPoly, koopman, linear_combine, make_trigpoly
+from .trigpoly import TrigPoly, koopman, linear_combine, make_trigpoly, trigpoly_to_obj
 
 __all__ = ["CoboundaryResult", "solve", "verify", "result_to_obj"]
 
@@ -54,7 +54,7 @@ def solve(f: TrigPoly, b: int) -> CoboundaryResult:
     root together with its nonzero total.
     """
     check_multiplier(b, "base")
-    coeffs = f.as_dict()
+    coeffs = dict(f.coeffs)
     deg = f.degree
     tol = RESIDUAL_RTOL * f.abs_coeff_sum()
     roots = sorted({_chain_root(n, b) for n in coeffs})
@@ -90,7 +90,7 @@ def verify(f: TrigPoly, b: int, result: CoboundaryResult) -> bool:
         r = result.root
         if r is None or result.residual is None or r < 1 or r % b == 0:
             return False
-        coeffs = f.as_dict()
+        coeffs = dict(f.coeffs)
         total = 0j
         m = r
         while m <= f.degree:
@@ -103,8 +103,6 @@ def verify(f: TrigPoly, b: int, result: CoboundaryResult) -> bool:
 
 def result_to_obj(result: CoboundaryResult) -> dict:
     """JSON-ready form of a coboundary result."""
-    from .trigpoly import trigpoly_to_obj
-
     return {
         "status": result.status,
         "u": trigpoly_to_obj(result.solution) if result.solution is not None else None,

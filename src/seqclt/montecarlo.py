@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis
-from ._strict import check_u64
+from ._strict import check_horizon, check_u64
 from .sequences import SequenceSpec
 from .trigpoly import TrigPoly
 
@@ -124,9 +124,7 @@ def required_bits(spec: SequenceSpec, n: int) -> int:
 
 
 def _multipliers(spec: SequenceSpec, n: int) -> list[int]:
-    if n < 1:
-        raise ValueError("horizon n must be >= 1")
-    return list(itertools.islice(spec.iter_values(), n))
+    return list(itertools.islice(spec.iter_values(), check_horizon(n)))
 
 
 def _log2_ceil(mults: list[int]) -> int:

@@ -53,7 +53,6 @@ __all__ = [
 ]
 
 _VALIDATE_HORIZON = 1 << 48
-_EXACT_POWERS_ABOVE = 4.0 * _VALIDATE_HORIZON
 
 
 class SequenceSpec:
@@ -210,6 +209,8 @@ class Blocks(SequenceSpec):
         object.__setattr__(self, "D", float(self.D))
         if not (math.isfinite(self.D) and self.D > 1.0):
             raise ValueError(f"block schedule needs a finite growth D > 1, got {self.D!r}")
+        # D = p/q exactly, so that every block start is an exact integer
+        object.__setattr__(self, "_ratio", self.D.as_integer_ratio())
         # Blocks must not overlap anywhere we may ever be asked to evaluate.
         prev_end = 0
         for l in range(1, 4096):
@@ -221,15 +222,15 @@ class Blocks(SequenceSpec):
                 break
 
     def block_start(self, l: int) -> int:
-        d = self.D**l
-        if d > _EXACT_POWERS_ABOVE and self.D == int(self.D):
-            return int(self.D) ** l  # avoid float blowup for absurd l; exact for integral D
-        return math.ceil(d)
+        """ceil(D^l), exactly."""
+        p, q = self._ratio
+        return -(-(p**l) // q**l)
 
     def runs(self) -> Iterator[tuple[int, int]]:
+        p, q = self._ratio
         k = 1  # the blocks never overlap: __post_init__ checks the reachable ones
         for l in itertools.count(1):
-            d = self.block_start(l)
+            d = -(-(p**l) // q**l)  # block_start(l), inlined: value_at scans the levels per call
             yield 2, d - k
             yield 3, l
             k = d + l

@@ -72,9 +72,6 @@ class TrigPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def as_dict(self) -> dict[int, complex]:
-        return dict(self.coeffs)
-
     def abs_coeff_sum(self) -> float:
         """sum_n |c_n| over stored (positive) frequencies."""
         return math.fsum(abs(c) for _, c in self.coeffs)

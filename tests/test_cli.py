@@ -1,6 +1,10 @@
 import concurrent.futures
+import contextlib
+import io
 import json
 import math
+import os
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -594,3 +598,186 @@ def test_help_exits_zero(capsys, argv):
         main(argv)
     assert exc.value.code == EXIT_OK
     assert capsys.readouterr().out.startswith("usage: seqclt")
+
+
+def _rejected(tmp_path, capsys, argv, *files):
+    """main(argv) exits 1 with one error line, no traceback and no new file."""
+    assert main(argv) == EXIT_BAD_SCENARIO
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+    return captured.err
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+@pytest.mark.parametrize("n", [2**63, 10**22], ids=["2^63", "10^22"])
+def test_horizon_beyond_maxsize_is_bad_input(tmp_path, capsys, command, n):
+    # no list of n values exists; an accepted n near sys.maxsize is never run
+    path = write_scenario(tmp_path, n=n, samples=10, seed=1)
+    argv = [command, path, "--out", str(tmp_path / "h")]
+    err = _rejected(tmp_path, capsys, argv, "scenario.json")
+    assert "horizon n" in err and str(n) in err
+
+
+@pytest.mark.parametrize(
+    "overrides, named",
+    [
+        pytest.param({"n": 0}, "horizon n", id="n=0"),
+        pytest.param({"samples": 1, "seed": 1}, "samples", id="samples=1"),
+        pytest.param({"standardization": "studentized"}, "'studentized'", id="standardization"),
+    ],
+)
+def test_scenario_rule_is_bad_input(tmp_path, capsys, overrides, named):
+    argv = ["analyze", write_scenario(tmp_path, **overrides), "--out", str(tmp_path / "r")]
+    err = _rejected(tmp_path, capsys, argv, "scenario.json")
+    assert named in err
+
+
+def test_scenario_that_is_not_an_object_is_bad_input(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    argv = ["analyze", str(path), "--out", str(tmp_path / "r")]
+    err = _rejected(tmp_path, capsys, argv, "list.json")
+    assert "JSON object" in err
+
+
+def test_missing_scenario_file_is_bad_input(tmp_path, capsys):
+    argv = ["analyze", str(tmp_path / "absent.json"), "--out", str(tmp_path / "r")]
+    assert "cannot read scenario file" in _rejected(tmp_path, capsys, argv)
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        pytest.param(["coboundary", "{path}", "--base", "1"], "base", id="base=1"),
+        pytest.param(["coboundary", "{path}", "--base", "-3"], "base", id="base=-3"),
+        pytest.param(
+            ["verify-decay", "{path}", "--k", "3", "--trials", "2", "--seed", "-1"],
+            "seed",
+            id="seed=-1",
+        ),
+        pytest.param(
+            ["verify-decay", "{path}", "--k", "3", "--trials", "2", "--seed", str(2**64)],
+            "seed",
+            id="seed=2^64",
+        ),
+    ],
+)
+def test_library_rule_on_a_flag_is_bad_input(tmp_path, capsys, argv, named):
+    # the CLI does not check these flags itself: coboundary.solve rejects the
+    # base, and the Philox key of trial 0 the seed, before any work
+    path = write_scenario(tmp_path, function=F1_FUNCTION)
+    argv = [a.format(path=path) for a in argv]
+    assert named in _rejected(tmp_path, capsys, argv, "scenario.json")
+
+
+# One mutation of a valid scenario or command line, from a bounded table.
+# Scenario mutations set the value at a path, or drop the key there;
+# every one is rejected by the scenario parser, so for every command.  The
+# sequence is one constant run, on which a horizon accepted by mistake
+# fails at once instead of walking, or filling memory, index by index.
+_VALID_SCENARIO = {
+    "function": [{"freq": 1, "re": 0.5, "im": 0.0}],
+    "sequence": {"kind": "constant", "b": 2},
+    "n": 8,
+    "samples": 4,
+    "seed": 1,
+}
+_DROP = object()
+_SCENARIO_MUTATIONS = {
+    ("n",): [0, -3, 2**63, 10**22, 2.5, True, "8", [8], None, _DROP],
+    ("samples",): [1, 0, -2, 2.5, True, "4", [4]],
+    ("seed",): [-1, 2**64, 2.5, False, "1", [1]],
+    ("standardization",): ["studentized", "", 1, None],
+    ("sequence",): [
+        True, 2, "constant", [2], {"kind": "fancy"}, {"b": 2}, _DROP,
+        {"kind": "periodic", "values": []},
+        {"kind": "periodic", "values": [2, 1]},
+        {"kind": "explicit", "values": [2.5], "tail": {"kind": "constant", "b": 2}},
+        {"kind": "explicit", "values": [3]},
+        {"kind": "triples", "b0": 2, "B": 2, "p0": 10, "r": 2},
+        {"kind": "blocks", "D": 1.0},
+        {"kind": "blocks", "D": "4"},
+    ],
+    ("sequence", "kind"): ["periodic", "blocks", 2, _DROP],
+    ("sequence", "b"): [1, 0, 2.5, True, "2", [2], _DROP],
+    ("sequence", "bogus"): [1],
+    ("function",): [[], "cos", 1, {"freq": 1}, [1], _DROP],
+    ("function", 0, "freq"): [0, -1, 1.5, True, "1", _DROP],
+    ("function", 0, "re"): [math.nan, math.inf, True, "0.5", 10**400, _DROP],
+    ("function", 0, "im"): [-math.inf, False, [0.0], _DROP],
+    ("function", 0, "bogus"): [0.0],
+    ("bogus",): [1],
+}
+_COMMANDS = {
+    "analyze": ["--out", "{out}"],
+    "simulate": ["--out", "{out}", "--dump-samples"],
+    "coboundary": ["--base", "2"],
+    "verify-decay": ["--k", "2", "--trials", "1", "--seed", "1"],
+}
+# (command, flag, value): value replaces the flag's, None drops the flag
+_FLAG_MUTATIONS = [
+    *(("analyze", "--threads", v) for v in ("0", "-3", "x")),
+    *(("simulate", "--threads", v) for v in ("0", "-3", "1.5")),
+    ("analyze", "--out", None),
+    ("simulate", "--out", None),
+    *(("coboundary", "--base", v) for v in ("1", "0", "-3", "2.5", "x", None)),
+    *(("verify-decay", "--seed", v) for v in ("-1", str(2**64), "x", None)),
+    *(("verify-decay", "--k", v) for v in ("0", "-1", None)),
+    *(("verify-decay", "--trials", v) for v in ("0", "x", None)),
+    *((c, "--bogus", "1") for c in _COMMANDS),
+]
+
+
+def _mutated(path, value):
+    obj = json.loads(json.dumps(_VALID_SCENARIO))
+    *head, last = path
+    node = obj
+    for key in head:
+        node = node[key]
+    if value is _DROP:
+        del node[last]
+    else:
+        node[last] = value
+    return obj
+
+
+def _with_flag(flags, flag, value):
+    if flag not in flags:
+        return [*flags, flag, value]
+    i = flags.index(flag)
+    rest = flags[:i] + flags[i + 2 :]
+    return rest if value is None else [*rest, flag, value]
+
+
+_MALFORMED = st.one_of(
+    st.builds(
+        lambda command, mutation: (command, _mutated(*mutation), _COMMANDS[command]),
+        st.sampled_from(sorted(_COMMANDS)),
+        st.sampled_from([(p, v) for p, vs in _SCENARIO_MUTATIONS.items() for v in vs]),
+    ),
+    st.sampled_from(_FLAG_MUTATIONS).map(
+        lambda m: (m[0], _VALID_SCENARIO, _with_flag(_COMMANDS[m[0]], m[1], m[2]))
+    ),
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_MALFORMED)
+def test_malformed_input_is_bad_input(case):
+    command, scenario, flags = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scenario.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(scenario))  # NaN and Infinity as json.load reads them
+        argv = [command, path, *(f.format(out=os.path.join(tmp, "o")) for f in flags)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code == EXIT_BAD_SCENARIO, (argv, scenario, err.getvalue())
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        assert "Traceback" not in err.getvalue()
+        assert os.listdir(tmp) == ["scenario.json"]

@@ -1,9 +1,12 @@
 import ast
+import inspect
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "seqclt"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "seqclt"}
@@ -75,3 +78,32 @@ def test_single_worker_simulate_leaves_numpy_random_out(tmp_path):
     assert (tmp_path / "s.mc.json").exists()
     assert "numpy.random" not in modules
     assert "concurrent.futures.process" not in modules
+
+
+def test_input_rules_raise_input_error():
+    # one error type marks bad input: the CLI maps it, and it alone, to exit 1
+    from seqclt import _strict, cli
+
+    bad_calls = {
+        "strict_int": (2.5, "n"),
+        "strict_float": (True, "re"),
+        "check_keys": ({"bogus": 1}, ("n",), "scenario"),
+        "check_multiplier": (1,),
+        "check_u64": (-1, "seed"),
+        "check_horizon": (0,),
+    }
+    rules = sorted(
+        name for name, obj in vars(_strict).items()
+        if inspect.isfunction(obj) and obj.__module__ == _strict.__name__
+    )
+    assert rules == sorted(bad_calls)
+    for name, args in bad_calls.items():
+        with pytest.raises(_strict.InputError):
+            getattr(_strict, name)(*args)
+    assert issubclass(_strict.InputError, ValueError)
+    own_classes = [
+        name for name, obj in vars(cli).items()
+        if inspect.isclass(obj) and obj.__module__ == cli.__name__
+        and issubclass(obj, BaseException)
+    ]
+    assert own_classes == []

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -103,6 +104,24 @@ def test_runs_longer_than_maxsize(spec, long_from):
         assert spec.value_at(k) == reference_value(spec, k)
     head = list(itertools.islice(spec.iter_values(), 100))
     assert head == [reference_value(spec, k) for k in range(1, 101)]
+
+
+@pytest.mark.parametrize("D", [1.7, 1.9, 2.5, 4.0, math.e], ids=repr)
+def test_block_starts_are_exact(D):
+    # ceil(D^l) of the float's exact value, at every level Blocks validates:
+    # up to the first start beyond 2^48
+    spec = Blocks(D)
+    for l in itertools.count(1):
+        exact = math.ceil(Fraction(D) ** l)
+        assert spec.block_start(l) == exact, l
+        if exact > 1 << 48:
+            break
+
+
+def test_deep_block_indices():
+    # D**l as a float would overflow long before these levels
+    assert Blocks(4).value_at(4**600) == 3  # the start of block l = 600
+    assert Blocks(2.5).value_at(10**400) == 2
 
 
 def test_generate_values_always_at_least_two():
