@@ -28,15 +28,6 @@ from .analysis import (
     verify_decay,
 )
 from .coboundary import CoboundaryResult, solve, verify
-from .montecarlo import (
-    DyadicPoint,
-    MCReport,
-    birkhoff_samples,
-    ks_statistic,
-    orbit_birkhoff,
-    required_bits,
-    sample_birkhoff,
-)
 from .sequences import (
     Blocks,
     Constant,
@@ -61,3 +52,18 @@ from .trigpoly import (
 )
 
 __version__ = "0.1.0"
+
+# montecarlo's names load on first use: `import seqclt` leaves numpy out
+_MONTECARLO = ("DyadicPoint", "MCReport", "birkhoff_samples", "ks_statistic",
+               "orbit_birkhoff", "required_bits", "sample_birkhoff")
+__all__ = sorted([  # every class and function above, and montecarlo's
+    name for name, obj in globals().items() if getattr(obj, "__module__", "").startswith("seqclt.")
+] + list(_MONTECARLO))
+
+
+def __getattr__(name: str):
+    if name in _MONTECARLO:
+        from . import montecarlo
+
+        return getattr(montecarlo, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -5,9 +5,10 @@ JSON delivers booleans, floats and integers alike; ``int()`` would read
 as 1.0 and ``"0.25"`` as 0.25.  A misspelt key would be ignored, and its
 value with it.  Input that does not mean what it says is rejected instead.
 
-Every rule here raises ``InputError``, wherever it runs: the command line
-reads that type, and that type alone, as bad input (exit 1).  It subclasses
-``ValueError``, so a library caller may catch either.
+Every rule here raises ``InputError``, wherever it runs, and so do the rules
+of ``sequences`` and ``trigpoly``: the command line reads that type, and that
+type alone, as bad input (exit 1).  It subclasses ``ValueError``, so a
+library caller may catch either.
 """
 
 from __future__ import annotations

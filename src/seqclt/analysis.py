@@ -27,8 +27,6 @@ import math
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
-import numpy as np
-
 from ._strict import check_horizon
 from .sequences import SequenceSpec
 from .trigpoly import (
@@ -409,16 +407,17 @@ def block_shadowing_check(
     )
 
 
-def _circular_window(vals: np.ndarray, win: int, reducer) -> np.ndarray:
-    """reducer (min/max) of vals over each circular window of length win."""
-    out = vals
+def _circular_extremes(vals: np.ndarray, win: int) -> tuple[np.ndarray, np.ndarray]:
+    """min and max of vals over each circular window of length win."""
+    import numpy as np  # here, not at import time: only this search and c1_norm use it
+    lo = hi = vals
     p = 1
     while 2 * p <= win:
-        out = reducer(out, np.roll(out, -p))
+        lo, hi = np.minimum(lo, np.roll(lo, -p)), np.maximum(hi, np.roll(hi, -p))
         p *= 2
     if p < win:
-        out = reducer(out, np.roll(out, -(win - p)))
-    return out
+        lo, hi = np.minimum(lo, np.roll(lo, p - win)), np.maximum(hi, np.roll(hi, p - win))
+    return lo, hi
 
 
 def example1_threshold(f: TrigPoly) -> ThresholdCert:
@@ -442,10 +441,8 @@ def example1_threshold(f: TrigPoly) -> ThresholdCert:
     for e in _ARC_EPS_EXPONENTS:
         eps = 2.0**-e
         win = (_ARC_GRID >> e) + 1
-        arc_min = _circular_window(vals, win, np.minimum)
-        arc_max = _circular_window(vals, win, np.maximum)
-        xi = int(np.argmax(arc_min))
-        yi = int(np.argmin(arc_max))
+        arc_min, arc_max = _circular_extremes(vals, win)
+        xi, yi = int(arc_min.argmax()), int(arc_max.argmin())
         delta = (float(arc_min[xi]) - corr) - (float(arc_max[yi]) + corr)
         if delta <= 0.0:
             continue

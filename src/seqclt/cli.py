@@ -21,8 +21,11 @@ obstruction (so shell pipelines can branch on the dichotomy).
 
 All real numbers in outputs are printed with 17 significant digits and are
 finite, and every output byte is a deterministic function of the inputs and
-flags.  simulate --threads N starts at most min(N, cpu count, samples)
-worker processes; N changes wall time only.
+flags.  A CSV is checked one column at a time, and the analyze CSV formats
+the cells of each distinct angle record once.  analyze and coboundary never
+import numpy; simulate and verify-decay import it, with montecarlo, when they
+run.  simulate --threads N starts at most min(N, cpu count, samples) worker
+processes; N changes wall time only.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import math
 import sys
 from dataclasses import asdict, dataclass, fields
 
-from . import analysis, coboundary, montecarlo
+from . import analysis, coboundary
 from ._strict import InputError, check_horizon, check_keys, check_u64, strict_int
 from .sequences import SequenceSpec, sequence_from_obj
 from .trigpoly import TrigPoly, trigpoly_from_obj, trigpoly_to_obj
@@ -75,7 +78,7 @@ def scenario_from_obj(obj) -> Scenario:
         n = strict_int(obj["n"], "n")
         samples = None if obj.get("samples") is None else strict_int(obj["samples"], "samples")
         seed = None if obj.get("seed") is None else strict_int(obj["seed"], "seed")
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, TypeError) as exc:  # a missing key, or a value of the wrong shape
         raise InputError(f"bad scenario: {exc}") from exc
     if function.is_zero:
         raise InputError("scenario function must be nonzero")
@@ -164,13 +167,24 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
+def _csv_text(header: str, columns, rows) -> str:
+    """header + rows, once every cell of columns is finite: columns are (name, values),
+    values[k - 1] in row k, checked in one pass per column; a bad cell raises
+    ValueError naming the first in row order by its column and k."""
+    firsts = [
+        (next(k for k, x in enumerate(values, 1) if not math.isfinite(x)), i)
+        for i, (_, values) in enumerate(columns)
+        if not all(map(math.isfinite, values))
+    ]
+    if firsts:
+        k, i = min(firsts)
+        name, values = columns[i]
+        raise ValueError(f"cannot write the non-finite value {values[k - 1]!r} in {name} at k={k}")
+    return header + "".join(rows)
+
+
 # ---------------------------------------------------------------------------
 # SVG line plots (hand-emitted, dependency-free, deterministic bytes)
-
-
-def _svg_polyline(points, color: str) -> str:
-    coords = " ".join(f"{px:.2f},{py:.2f}" for px, py in points)
-    return f'<polyline fill="none" stroke="{color}" stroke-width="1.2" points="{coords}"/>'
 
 
 def _svg_curves(path: str, n: int, curves) -> None:
@@ -188,15 +202,14 @@ def _svg_curves(path: str, n: int, curves) -> None:
         f'<text x="{left + span_x // 2}" y="{height - 10}" font-size="12" '
         f'text-anchor="middle">k (1..{n})</text>',
     ]
+    xs = ["%.2f," % (left + (span_x * i / max(n - 1, 1))) for i in range(n)]  # shared
     for idx, (label, color, values) in enumerate(curves):
-        peak = max((abs(v) for v in values), default=0.0)
+        peak = max(map(abs, values), default=0.0)
         scale = span_y / peak if peak > 0 else 0.0
-        pts = []
-        for k, v in enumerate(values, start=1):
-            px = left + (span_x * (k - 1) / max(n - 1, 1))
-            py = (height - bottom) - v * scale
-            pts.append((px, py))
-        parts.append(_svg_polyline(pts, color))
+        ys = ("%.2f" % ((height - bottom) - v * scale) for v in values)
+        points = " ".join(map(str.__add__, xs, ys))
+        parts.append(
+            f'<polyline fill="none" stroke="{color}" stroke-width="1.2" points="{points}"/>')
         parts.append(
             f'<text x="{left + 8}" y="{top + 14 + 16 * idx}" font-size="12" '
             f'fill="{color}">{label} (max {_fmt(peak)})</text>'
@@ -208,52 +221,53 @@ def _svg_curves(path: str, n: int, curves) -> None:
 # ---------------------------------------------------------------------------
 # commands
 
-_CSV_COLUMNS = (
-    "u_norm_sq", "cos_sq", "sin_sq", "min_pair_sin_sq", "acc_transversality",
-    "var_cov_prefix", "var_mart_prefix",
-)
+def _analyze_csv(report: analysis.VarianceReport) -> str:
+    """Row k: record k, its min-pair sine with record k + 1, and the three
+    running sums; the last row, which has no record k + 1, leaves two empty."""
+    profile, acc, cov, mart = report.per_step, report.acc_curve, report.cov_curve, report.mart_curve
+    sin_sq = [r.sin_sq for r in profile]
+    columns = [
+        ("u_norm_sq", [r.u_norm_sq for r in profile]), ("cos_sq", [r.cos_sq for r in profile]),
+        ("sin_sq", sin_sq), ("min_pair_sin_sq", list(map(min, sin_sq, sin_sq[1:]))),
+        ("acc_transversality", acc), ("var_cov_prefix", cov), ("var_mart_prefix", mart),
+    ]
+    # indices that share a record share its object: format each distinct (record, next
+    # record) once, keyed by identity, as records equal by value may differ in a zero's sign
+    cells: dict[tuple[int, int], str] = {}
 
+    def record_cells(rec, nxt) -> str:
+        key = (id(rec), id(nxt))
+        if key not in cells:
+            cells[key] = "%.17g,%.17g,%.17g,%.17g" % (
+                rec.u_norm_sq, rec.cos_sq, rec.sin_sq, min(rec.sin_sq, nxt.sin_sq))
+        return cells[key]
 
-def _csv_row(k: int, cells) -> str:
-    """Row k of the analyze CSV; None is an empty cell."""
-    try:
-        return f"{k}," + ",".join(["" if c is None else _fmt(c) for c in cells])
-    except ValueError as exc:
-        bad = next(
-            name for name, c in zip(_CSV_COLUMNS, cells)
-            if c is not None and not math.isfinite(c)
-        )
-        raise ValueError(f"{exc} in {bad} at k={k}") from None
+    n, last = report.n, profile[-1]
+    rows = zip(range(1, n), map(record_cells, profile, profile[1:]), acc, cov, mart)
+    header = "k," + ",".join(name for name, _ in columns) + "\n"
+    return _csv_text(header, columns, map("%d,%s,%.17g,%.17g,%.17g\n".__mod__, rows)) + (
+        "%d,%.17g,%.17g,%.17g,,,%.17g,%.17g\n"  # no record k + 1: two empty cells
+        % (n, last.u_norm_sq, last.cos_sq, last.sin_sq, cov[-1], mart[-1]))
 
 
 def cmd_analyze(scenario: Scenario, args: argparse.Namespace) -> int:
     n, out_prefix = scenario.n, args.out
     report = analysis.variance_report(scenario.function, scenario.sequence, n)
-    profile, acc_curve = report.per_step, report.acc_curve
-    lines = ["k," + ",".join(_CSV_COLUMNS)]
-    for k in range(1, n + 1):
-        rec = profile[k - 1]
-        last = k == n
-        lines.append(_csv_row(k, (
-            rec.u_norm_sq, rec.cos_sq, rec.sin_sq,
-            None if last else min(rec.sin_sq, profile[k].sin_sq),
-            None if last else acc_curve[k - 1],
-            report.cov_curve[k - 1], report.mart_curve[k - 1],
-        )))
+    csv = _analyze_csv(report)
     summary = _dumps({
         "n": n,
         "var_cov": report.var_cov,
         "var_mart": report.var_mart,
         "acc_transversality": report.acc_transversality,
     })
-    _write_text(out_prefix + ".csv", "\n".join(lines) + "\n")
+    _write_text(out_prefix + ".csv", csv)
     _write_text(out_prefix + ".json", summary + "\n")
     _svg_curves(
         out_prefix + ".svg",
         n,
         [
             ("Var(S_k)", "#1f77b4", report.cov_curve),
-            ("accumulated transversality", "#d62728", acc_curve or [0.0]),
+            ("accumulated transversality", "#d62728", report.acc_curve or [0.0]),
         ],
     )
     if not report.consistent():
@@ -269,6 +283,7 @@ def cmd_analyze(scenario: Scenario, args: argparse.Namespace) -> int:
 def cmd_simulate(scenario: Scenario, args: argparse.Namespace) -> int:
     if scenario.samples is None or scenario.seed is None:
         raise InputError("simulate needs 'samples' and 'seed' in the scenario")
+    from . import montecarlo  # and numpy, which analyze and coboundary never import
     f, spec, n, out_prefix = scenario.function, scenario.sequence, scenario.n, args.out
     sums = montecarlo.birkhoff_samples(
         f, spec, n, scenario.samples, scenario.seed, args.threads
@@ -278,7 +293,8 @@ def cmd_simulate(scenario: Scenario, args: argparse.Namespace) -> int:
     )
     _write_text(out_prefix + ".mc.json", _dumps(asdict(report)) + "\n")
     if args.dump_samples:
-        _write_text(out_prefix + ".samples.csv", "\n".join(_fmt(s) for s in sums) + "\n")
+        text = _csv_text("", [("sample", sums)], map("%.17g\n".__mod__, sums))
+        _write_text(out_prefix + ".samples.csv", text)
     return EXIT_OK
 
 
@@ -291,6 +307,7 @@ def cmd_coboundary(scenario: Scenario, args: argparse.Namespace) -> int:
 def cmd_verify_decay(scenario: Scenario, args: argparse.Namespace) -> int:
     if args.k < 1 or args.trials < 1:
         raise InputError("verify-decay needs --k >= 1 and --trials >= 1")
+    from . import montecarlo
     f = scenario.function
     worst = 0.0
     for trial in range(args.trials):  # trial 0 checks the seed, as a Philox key word

@@ -39,7 +39,7 @@ import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
-from ._strict import check_keys, check_multiplier, strict_float, strict_int
+from ._strict import InputError, check_keys, check_multiplier, strict_float, strict_int
 
 __all__ = [
     "SequenceSpec",
@@ -87,7 +87,7 @@ class SequenceSpec:
 
 def _check_index(k: int) -> None:
     if k < 1:
-        raise ValueError(f"sequence index must be >= 1, got {k}")
+        raise InputError(f"sequence index must be >= 1, got {k}")
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,7 @@ class Periodic(SequenceSpec):
 
     def __post_init__(self):
         if not self.values:
-            raise ValueError("periodic spec needs a nonempty word")
+            raise InputError("periodic spec needs a nonempty word")
         object.__setattr__(self, "values", tuple(check_multiplier(v) for v in self.values))
 
     def runs(self) -> Iterator[tuple[int, int]]:
@@ -139,10 +139,10 @@ class Explicit(SequenceSpec):
 
     def __post_init__(self):
         if not self.values:
-            raise ValueError("explicit spec needs a nonempty head")
+            raise InputError("explicit spec needs a nonempty head")
         object.__setattr__(self, "values", tuple(check_multiplier(v) for v in self.values))
         if not isinstance(self.tail, SequenceSpec):
-            raise ValueError("explicit tail must be a SequenceSpec")
+            raise InputError("explicit tail must be a SequenceSpec")
 
     def runs(self) -> Iterator[tuple[int, int | float]]:
         return itertools.chain(zip(self.values, itertools.repeat(1)), self.tail.runs())
@@ -172,12 +172,12 @@ class Triples(SequenceSpec):
         check_multiplier(self.b0)
         check_multiplier(self.B)
         if self.B <= self.b0:
-            raise ValueError("spike value must exceed the background value")
+            raise InputError("spike value must exceed the background value")
         if not isinstance(self.p0, int) or self.p0 < 1:
-            raise ValueError("first spike position p0 must be an integer >= 1")
+            raise InputError("first spike position p0 must be an integer >= 1")
         check_multiplier(self.r, "position ratio r")
         if self.p0 * (self.r - 1) < 3:
-            raise ValueError("spikes overlap: need p0*(r-1) >= 3")
+            raise InputError("spikes overlap: need p0*(r-1) >= 3")
 
     def spike_positions(self, limit: int):
         """Spike start positions p <= limit, in increasing order."""
@@ -208,7 +208,7 @@ class Blocks(SequenceSpec):
     def __post_init__(self):
         object.__setattr__(self, "D", float(self.D))
         if not (math.isfinite(self.D) and self.D > 1.0):
-            raise ValueError(f"block schedule needs a finite growth D > 1, got {self.D!r}")
+            raise InputError(f"block schedule needs a finite growth D > 1, got {self.D!r}")
         # D = p/q exactly, so that every block start is an exact integer
         object.__setattr__(self, "_ratio", self.D.as_integer_ratio())
         # Blocks must not overlap anywhere we may ever be asked to evaluate.
@@ -216,7 +216,7 @@ class Blocks(SequenceSpec):
         for l in range(1, 4096):
             d = self.block_start(l)
             if d < prev_end:
-                raise ValueError(f"blocks overlap at l={l}: start {d} < previous end {prev_end}")
+                raise InputError(f"blocks overlap at l={l}: start {d} < previous end {prev_end}")
             prev_end = d + l
             if d > _VALIDATE_HORIZON:
                 break
@@ -256,16 +256,16 @@ def _field(name: str, value):
 def sequence_from_obj(obj) -> SequenceSpec:
     """Parse the serialized {"kind": ..., ...} form; a key the kind does not read is rejected."""
     if not isinstance(obj, dict) or "kind" not in obj:
-        raise ValueError("sequence must be an object with a 'kind' field")
+        raise InputError("sequence must be an object with a 'kind' field")
     kind = obj["kind"]
     cls = next((c for c in (Constant, Periodic, Explicit, Triples, Blocks) if c.kind == kind), None)
     if cls is None:
-        raise ValueError(f"unknown sequence kind {kind!r}")
+        raise InputError(f"unknown sequence kind {kind!r}")
     names = [f.name for f in dataclasses.fields(cls)]
     check_keys(obj, ("kind", *names), f"{kind} sequence")
     args = []
     for name in names:  # a loop, so that each explicit tail costs one stack frame
         if name not in obj:
-            raise ValueError(f"sequence kind {kind!r} is missing field {name!r}")
+            raise InputError(f"sequence kind {kind!r} is missing field {name!r}")
         args.append(sequence_from_obj(obj[name]) if name == "tail" else _field(name, obj[name]))
     return cls(*args)

@@ -28,9 +28,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from ._strict import check_keys, check_multiplier, strict_float, strict_int
+from ._strict import InputError, check_keys, check_multiplier, strict_float, strict_int
 
 __all__ = [
     "TrigPoly",
@@ -98,12 +96,12 @@ def make_trigpoly(entries) -> TrigPoly:
     for freq, c in entries:
         n = strict_int(freq, "frequency")
         if n < 1:
-            raise ValueError(f"frequency {n} < 1 (zero mean requires n >= 1)")
+            raise InputError(f"frequency {n} < 1 (zero mean requires n >= 1)")
         if n in out:
-            raise ValueError(f"duplicate frequency {n}")
+            raise InputError(f"duplicate frequency {n}")
         c = complex(c)
         if not cmath.isfinite(c):
-            raise ValueError(f"coefficient at frequency {n} is not finite: {c!r}")
+            raise InputError(f"coefficient at frequency {n} is not finite: {c!r}")
         out[n] = c
     return _canonical(out)
 
@@ -185,6 +183,7 @@ def grid_values(g: TrigPoly, size: int) -> np.ndarray:
     Uses an inverse real FFT; size must exceed 2*degree+1 so that no stored
     frequency aliases.
     """
+    import numpy as np  # here, not at import time: the exact operators never need it
     if size < 2 * g.degree + 2:
         raise ValueError(f"grid of {size} points cannot resolve degree {g.degree}")
     spectrum = np.zeros(size // 2 + 1, dtype=complex)
@@ -221,8 +220,8 @@ def c1_norm(g: TrigPoly) -> C1Norm:
     size = max(64 * g.degree, 4096)
     vals = grid_values(g, size)
     dvals = grid_values(derivative(g), size)
-    sup_val = float(np.max(np.abs(vals)))
-    sup_der = float(np.max(np.abs(dvals)))
+    sup_val = float(abs(vals).max())
+    sup_der = float(abs(dvals).max())
     lip_val = 4.0 * math.pi * math.fsum(n * abs(c) for n, c in g.coeffs)
     lip_der = 8.0 * math.pi**2 * math.fsum(n * n * abs(c) for n, c in g.coeffs)
     grid_estimate = sup_val + sup_der
@@ -238,11 +237,11 @@ def trigpoly_to_obj(g: TrigPoly) -> list[dict]:
 def trigpoly_from_obj(obj) -> TrigPoly:
     """Parse the serialized form; duplicate or invalid frequencies are rejected."""
     if not isinstance(obj, list):
-        raise ValueError("function must be an array of {freq, re, im} objects")
+        raise InputError("function must be an array of {freq, re, im} objects")
     entries = []
     for item in obj:
         if not isinstance(item, dict) or not {"freq", "re", "im"} <= set(item):
-            raise ValueError(f"bad coefficient entry {item!r}")
+            raise InputError(f"bad coefficient entry {item!r}")
         check_keys(item, ("freq", "re", "im"), "coefficient")
         re, im = strict_float(item["re"], "re"), strict_float(item["im"], "im")
         entries.append((item["freq"], complex(re, im)))

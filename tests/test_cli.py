@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import sys
 import tempfile
 
 import pytest
@@ -318,6 +319,17 @@ def test_overflowing_result_is_an_internal_failure(tmp_path, capsys):
     assert not list(tmp_path.glob("big*"))
 
 
+def test_first_overflowing_variance_is_named_by_its_step(tmp_path, capsys):
+    # 2|c|^2 = MAX/4.5 is finite, so every u_norm_sq is; Var(S_k) = k * 2|c|^2
+    # is finite up to k = 4 and overflows at k = 5
+    re = math.sqrt(sys.float_info.max / 9)
+    path = write_scenario(tmp_path, function=[{"freq": 1, "re": re, "im": 0.0}], n=10)
+    assert main(["analyze", path, "--out", str(tmp_path / "big")]) == EXIT_INCONSISTENT
+    err = capsys.readouterr().err
+    assert err == "error: cannot write the non-finite value inf in var_cov_prefix at k=5\n"
+    assert not list(tmp_path.glob("big*"))
+
+
 @pytest.mark.parametrize(
     "re, named",
     [
@@ -495,6 +507,126 @@ def test_analyze_golden_format(tmp_path):
         '{\n  "n": 3,\n  "var_cov": 1.5,\n  "var_mart": 1.5,\n'
         '  "acc_transversality": 2\n}\n'
     )
+
+
+# The per-cell writers that cli's column writers replaced, kept as oracles:
+# every cell through cli._fmt, every SVG point formatted on its own.
+_CSV_COLUMNS = (
+    "u_norm_sq", "cos_sq", "sin_sq", "min_pair_sin_sq", "acc_transversality",
+    "var_cov_prefix", "var_mart_prefix",
+)
+
+
+def _oracle_csv_row(k, cells):
+    try:
+        return f"{k}," + ",".join(["" if c is None else cli._fmt(c) for c in cells])
+    except ValueError as exc:
+        bad = next(
+            name for name, c in zip(_CSV_COLUMNS, cells)
+            if c is not None and not math.isfinite(c)
+        )
+        raise ValueError(f"{exc} in {bad} at k={k}") from None
+
+
+def _oracle_csv(report):
+    profile, acc_curve, n = report.per_step, report.acc_curve, report.n
+    lines = ["k," + ",".join(_CSV_COLUMNS)]
+    for k in range(1, n + 1):
+        rec = profile[k - 1]
+        last = k == n
+        lines.append(_oracle_csv_row(k, (
+            rec.u_norm_sq, rec.cos_sq, rec.sin_sq,
+            None if last else min(rec.sin_sq, profile[k].sin_sq),
+            None if last else acc_curve[k - 1],
+            report.cov_curve[k - 1], report.mart_curve[k - 1],
+        )))
+    return "\n".join(lines) + "\n"
+
+
+def _oracle_svg(n, curves):
+    width, height = 720, 420
+    left, right, top, bottom = 60, 20, 24, 40
+    span_x = width - left - right
+    span_y = height - top - bottom
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<line x1="{left}" y1="{height - bottom}" x2="{width - right}" '
+        f'y2="{height - bottom}" stroke="black"/>',
+        f'<line x1="{left}" y1="{top}" x2="{left}" y2="{height - bottom}" stroke="black"/>',
+        f'<text x="{left + span_x // 2}" y="{height - 10}" font-size="12" '
+        f'text-anchor="middle">k (1..{n})</text>',
+    ]
+    for idx, (label, color, values) in enumerate(curves):
+        peak = max((abs(v) for v in values), default=0.0)
+        scale = span_y / peak if peak > 0 else 0.0
+        pts = []
+        for k, v in enumerate(values, start=1):
+            px = left + (span_x * (k - 1) / max(n - 1, 1))
+            py = (height - bottom) - v * scale
+            pts.append((px, py))
+        coords = " ".join(f"{px:.2f},{py:.2f}" for px, py in pts)
+        parts.append(
+            f'<polyline fill="none" stroke="{color}" stroke-width="1.2" points="{coords}"/>')
+        parts.append(
+            f'<text x="{left + 8}" y="{top + 14 + 16 * idx}" font-size="12" '
+            f'fill="{color}">{label} (max {cli._fmt(peak)})</text>'
+        )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+@pytest.mark.parametrize(
+    "function, spec, n",
+    [
+        pytest.param(F1_FUNCTION, Blocks(4), 2000, id="blocks4-n2000"),
+        pytest.param(F1_FUNCTION, Periodic((2, 3)), 500, id="periodic23-unit-runs"),
+        pytest.param(F1_FUNCTION, Explicit((3, 5, 2), Periodic((2, 7))), 60, id="explicit-tail"),
+        pytest.param(COS_FUNCTION, Constant(2), 50, id="cos-constant2-cos_sq-0"),
+        pytest.param([{"freq": 2, "re": 0.5, "im": 0.0}], Constant(2), 50, id="sin_sq-0"),
+        pytest.param(F1_FUNCTION, Blocks(4), 1, id="n=1"),
+        pytest.param(F1_FUNCTION, Blocks(4), 2, id="n=2"),
+    ],
+)
+def test_analyze_writers_match_the_per_cell_oracle(tmp_path, function, spec, n):
+    sc = Scenario(trigpoly_from_obj(function), spec, n)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(scenario_to_obj(sc)))
+    assert main(["analyze", str(path), "--out", str(tmp_path / "r")]) == EXIT_OK
+    report = analysis.variance_report(sc.function, spec, n)
+    assert (tmp_path / "r.csv").read_text() == _oracle_csv(report)
+    assert (tmp_path / "r.svg").read_text() == _oracle_svg(n, [
+        ("Var(S_k)", "#1f77b4", report.cov_curve),
+        ("accumulated transversality", "#d62728", report.acc_curve or [0.0]),
+    ])
+
+
+@pytest.mark.parametrize(
+    "sin_sq, named",
+    [
+        (None, "inf in var_cov_prefix at k=3"),
+        (-math.inf, "-inf in min_pair_sin_sq at k=3"),
+    ],
+    ids=["var_cov_prefix", "min_pair_sin_sq"],
+)
+def test_first_non_finite_cell_in_row_order_is_named(sin_sq, named):
+    # records 4..6 hold a nan u_norm_sq, a later row in an earlier column;
+    # row 3 holds the first bad cell: var_cov_prefix (before var_mart_prefix),
+    # unless record 4's sine is -inf, which makes min_pair_sin_sq at k=3 the first
+    report = analysis.variance_report(make_trigpoly([(1, 0.5), (2, 0.25)]), Blocks(4), 6)
+    rec = report.per_step[3]
+    bad = analysis.AngleRecord(math.nan, rec.proj_norm_sq, rec.cos_sq, sin_sq or rec.sin_sq)
+    report = analysis.VarianceReport(
+        report.per_step[:3] + (bad, bad, bad),
+        report.cov_curve[:2] + (math.inf,) * 4,
+        report.mart_curve[:2] + (math.nan,) * 4,
+        report.acc_curve,
+    )
+    with pytest.raises(ValueError) as old:
+        _oracle_csv(report)
+    with pytest.raises(ValueError) as new:
+        cli._analyze_csv(report)
+    assert str(new.value) == str(old.value) == f"cannot write the non-finite value {named}"
 
 
 def test_mcreport_json_field_order(tmp_path):

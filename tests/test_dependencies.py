@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from seqclt import _strict, sequences, trigpoly
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "seqclt"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "seqclt"}
 
@@ -107,3 +109,92 @@ def test_input_rules_raise_input_error():
         and issubclass(obj, BaseException)
     ]
     assert own_classes == []
+
+
+def _write_scenario(tmp_path, **extra) -> str:
+    scenario = {
+        "function": [{"freq": 1, "re": -0.5, "im": 0.0}, {"freq": 2, "re": 0.5, "im": 0.0}],
+        "sequence": {"kind": "blocks", "D": 4},
+        "n": 40,
+        **extra,
+    }
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(scenario), encoding="utf-8")
+    return str(path)
+
+
+def test_operator_commands_leave_numpy_out(tmp_path):
+    # the exact operators are pure Python: only the Monte Carlo commands,
+    # c1_norm and the threshold search import numpy
+    path = _write_scenario(tmp_path)
+    analyze = ["analyze", path, "--out", str(tmp_path / "r")]
+    coboundary = ["coboundary", path, "--base", "2"]
+    for code in (
+        "import seqclt",
+        "import seqclt.cli",
+        f"from seqclt import cli\nassert cli.main({analyze!r}) == 0",
+        f"from seqclt import cli\nassert cli.main({coboundary!r}) == 0",
+    ):
+        assert "numpy" not in _modules_loaded_by(code), code
+    assert (tmp_path / "r.csv").exists()
+
+
+def test_monte_carlo_names_load_through_the_package():
+    # each is montecarlo's own object, loaded on first use, also by `import *`
+    code = (
+        "import sys, seqclt\n"
+        "assert 'seqclt.montecarlo' not in sys.modules\n"
+        "import seqclt.montecarlo as mc\n"
+        "names = [n for n in seqclt.__all__ if getattr(vars(mc).get(n), '__module__', '') == mc.__name__]\n"
+        "assert len(names) == 7, names\n"
+        "assert all(getattr(seqclt, n) is getattr(mc, n) for n in names)\n"
+        "star = {}\n"
+        "exec('from seqclt import *', star)\n"
+        "assert all(star[n] is getattr(mc, n) for n in names)\n"
+        "assert set(star) - {'__builtins__'} == set(seqclt.__all__)\n"
+    )
+    assert "numpy" in _modules_loaded_by(code)
+    with pytest.raises(AttributeError, match="no attribute 'bogus'"):
+        import seqclt
+
+        seqclt.bogus
+
+
+def test_monte_carlo_commands_still_run(tmp_path):
+    path = _write_scenario(tmp_path, samples=20, seed=3)
+    simulate = ["simulate", path, "--out", str(tmp_path / "m"), "--dump-samples"]
+    decay = ["verify-decay", path, "--k", "3", "--trials", "2", "--seed", "1"]
+    code = f"from seqclt import cli\nassert cli.main({simulate!r}) == 0\nassert cli.main({decay!r}) == 0"
+    assert "numpy" in _modules_loaded_by(code)
+    assert (tmp_path / "m.mc.json").exists() and (tmp_path / "m.samples.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: sequences.Triples(2, 2, 10, 2),
+        lambda: sequences.Triples(2, 5, 1, 2),
+        lambda: sequences.Blocks(1.0),
+        lambda: sequences.Blocks(1.2),
+        lambda: sequences.Periodic(()),
+        lambda: sequences.Explicit((), sequences.Constant(2)),
+        lambda: sequences.Explicit((2,), 3),
+        lambda: sequences.Constant(2).value_at(0),
+        lambda: sequences.sequence_from_obj({"kind": "fancy"}),
+        lambda: sequences.sequence_from_obj({"kind": "constant"}),
+        lambda: trigpoly.make_trigpoly([(0, 1.0)]),
+        lambda: trigpoly.make_trigpoly([(1, 1.0), (1, 2.0)]),
+        lambda: trigpoly.make_trigpoly([(1, float("nan"))]),
+        lambda: trigpoly.trigpoly_from_obj("cos"),
+        lambda: trigpoly.trigpoly_from_obj([{"freq": 1}]),
+    ],
+    ids=[
+        "spike", "spikes-overlap", "blocks-D=1", "blocks-overlap", "empty-word",
+        "empty-head", "bad-tail", "index-0", "bad-kind", "missing-field",
+        "frequency-0", "duplicate-frequency", "non-finite", "not-an-array", "bad-entry",
+    ],
+)
+def test_library_input_rules_raise_input_error(call):
+    # a library caller tells bad input from a failed computation by its type
+    with pytest.raises(_strict.InputError):
+        call()

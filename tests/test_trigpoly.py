@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import assert_canonical, random_poly
 from seqclt.trigpoly import (
@@ -182,6 +184,21 @@ def test_left_inverse_exact():
         g = random_poly(rng)
         a = int(rng.integers(2, 8))
         assert transfer(a, koopman(a, g)) == g
+
+
+_POLYS = st.dictionaries(
+    st.integers(1, 200),
+    st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False),
+    max_size=12,
+).map(lambda entries: make_trigpoly(entries.items()))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_POLYS, st.integers(2, 12))
+def test_operator_identities_hold_exactly(g, a):
+    # the operators relabel coefficients, so both identities hold bit for bit
+    assert transfer(a, koopman(a, g)) == g
+    assert koopman(a, transfer(a, g)) == project_measurable(a, g)
 
 
 def test_koopman_is_isometry():
