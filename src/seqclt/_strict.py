@@ -5,10 +5,12 @@ JSON delivers booleans, floats and integers alike; ``int()`` would read
 as 1.0 and ``"0.25"`` as 0.25.  A misspelt key would be ignored, and its
 value with it.  Input that does not mean what it says is rejected instead.
 
-Every rule here raises ``InputError``, wherever it runs, and so do the rules
-of ``sequences`` and ``trigpoly``: the command line reads that type, and that
-type alone, as bad input (exit 1).  It subclasses ``ValueError``, so a
-library caller may catch either.
+Every rule here raises ``InputError``, wherever it runs, and so do the
+argument rules of ``sequences``, ``trigpoly``, ``analysis`` and
+``montecarlo``: the command line reads that type, and that type alone, as
+bad input (exit 1).  It subclasses ``ValueError``, so a library caller may
+catch either.  A computation that fails on valid arguments (no separated
+arc pair, an exact variance of 0.0) raises a plain ``ValueError``.
 """
 
 from __future__ import annotations
@@ -59,6 +61,13 @@ def check_u64(value: int, what: str) -> int:
     if not 0 <= value < 1 << 64:
         raise InputError(f"{what} must be in [0, 2^64), got {value}")
     return value
+
+
+def check_index(k: int) -> int:
+    """k, if it is >= 1: the sequence a_1, a_2, ... starts at index 1."""
+    if k < 1:
+        raise InputError(f"sequence index must be >= 1, got {k}")
+    return k
 
 
 def check_horizon(n: int) -> int:

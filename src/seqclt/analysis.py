@@ -27,7 +27,7 @@ import math
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
-from ._strict import check_horizon
+from ._strict import InputError, check_horizon, check_index
 from .sequences import SequenceSpec
 from .trigpoly import (
     C1Norm,
@@ -259,8 +259,7 @@ def u_sequence(f: TrigPoly, spec: SequenceSpec, n: int) -> list[TrigPoly]:
 
 def u_at(f: TrigPoly, spec: SequenceSpec, k: int) -> TrigPoly:
     """u_k without scanning from the start: reads a_k, a_{k-1}, ... lazily."""
-    if k < 1:
-        raise ValueError("index k must be >= 1")
+    check_index(k)
     return _u_of_walk(f, (spec.value_at(j) for j in range(k, 1, -1)))
 
 
@@ -290,9 +289,9 @@ def angle_profile(f: TrigPoly, spec: SequenceSpec, n: int) -> list[AngleRecord]:
 def accumulated_transversality(profile: list[AngleRecord], N: int) -> float:
     """sum_{k=1}^{N} min(sin^2 chi_k, sin^2 chi_{k+1}); needs records 1..N+1."""
     if N < 0:
-        raise ValueError("N must be >= 0")
+        raise InputError("N must be >= 0")
     if len(profile) < N + 1 and N > 0:
-        raise ValueError(f"profile of length {len(profile)} too short for N={N}")
+        raise InputError(f"profile of length {len(profile)} too short for N={N}")
     return math.fsum(
         min(profile[k - 1].sin_sq, profile[k].sin_sq) for k in range(1, N + 1)
     )
@@ -337,7 +336,7 @@ def variance_martingale_curve(
     if profile is None:
         profile = angle_profile(f, spec, n)
     if len(profile) < n:
-        raise ValueError("profile too short for requested horizon")
+        raise InputError("profile too short for requested horizon")
     defects = itertools.chain((0.0,), _kahan_prefix(r.u_norm_sq - r.proj_norm_sq for r in profile))
     return [d + r.u_norm_sq for r, d in zip(itertools.islice(profile, n), defects)]
 
@@ -367,7 +366,7 @@ def verify_decay(f: TrigPoly, maps: list[int]) -> DecayReport:
     estimate of ||f||, so a reported pass is conservative.
     """
     if f.is_zero:
-        raise ValueError("decay verification needs a nonzero observable")
+        raise InputError("decay verification needs a nonzero observable")
     ref = c1_norm(f)
     images = itertools.accumulate(maps, lambda g, b: transfer(b, g), initial=f)
     norms = tuple(map(c1_norm, itertools.islice(images, 1, None)))
@@ -391,13 +390,13 @@ def block_shadowing_check(
     norm of u_j - sum_i (T*_b)^i f over j in {k, k+1}.
     """
     if K < 1:
-        raise ValueError("run length K must be >= 1")
+        raise InputError("run length K must be >= 1")
     if k - K < 1:
-        raise ValueError("run must start at index >= 1")
+        raise InputError("run must start at index >= 1")
     b = spec.value_at(k)
     for j in range(k - K, k + 3):
         if spec.value_at(j) != b:
-            raise ValueError(
+            raise InputError(
                 f"sequence is not constant on [{k - K}, {k + 2}]: a_{j} != {b}"
             )
     target = neumann_sum(f, b)
@@ -429,7 +428,7 @@ def example1_threshold(f: TrigPoly) -> ThresholdCert:
     is smallest (ties broken toward larger delta).
     """
     if f.is_zero:
-        raise ValueError("threshold search needs a nonconstant observable")
+        raise InputError("threshold search needs a nonconstant observable")
     size = _ARC_GRID
     while size < 2 * f.degree + 2:
         size *= 2
@@ -465,7 +464,7 @@ def separation_bound_check(
     a_k = spec.value_at(k)
     a_next = spec.value_at(k + 1)
     if min(a_k, a_next) <= cert.L:
-        raise ValueError(
+        raise InputError(
             f"separation bound needs min(a_k, a_k+1) > L={cert.L}, got {min(a_k, a_next)}"
         )
     rec = _angle_record(u_at(f, spec, k), a_next)

@@ -21,11 +21,12 @@ obstruction (so shell pipelines can branch on the dichotomy).
 
 All real numbers in outputs are printed with 17 significant digits and are
 finite, and every output byte is a deterministic function of the inputs and
-flags.  A CSV is checked one column at a time, and the analyze CSV formats
-the cells of each distinct angle record once.  analyze and coboundary never
-import numpy; simulate and verify-decay import it, with montecarlo, when they
-run.  simulate --threads N starts at most min(N, cpu count, samples) worker
-processes; N changes wall time only.
+flags.  A CSV is checked on the text it writes, where only inf, -inf and nan
+hold an "n"; analyze formats each distinct angle record once, and scales each
+SVG curve to its peak, a subnormal one too, without overflow.  analyze and
+coboundary never import numpy; simulate and verify-decay import it, with
+montecarlo, when they run.  simulate --threads N starts at most min(N, cpu
+count, samples) worker processes; N changes wall time only.
 """
 
 from __future__ import annotations
@@ -167,20 +168,16 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _csv_text(header: str, columns, rows) -> str:
-    """header + rows, once every cell of columns is finite: columns are (name, values),
-    values[k - 1] in row k, checked in one pass per column; a bad cell raises
-    ValueError naming the first in row order by its column and k."""
-    firsts = [
-        (next(k for k, x in enumerate(values, 1) if not math.isfinite(x)), i)
-        for i, (_, values) in enumerate(columns)
-        if not all(map(math.isfinite, values))
-    ]
-    if firsts:
-        k, i = min(firsts)
-        name, values = columns[i]
-        raise ValueError(f"cannot write the non-finite value {values[k - 1]!r} in {name} at k={k}")
-    return header + "".join(rows)
+def _csv_text(names, rows) -> str:
+    """The rows joined, once every cell is finite: of what "%d" and "%.17g" write, only
+    inf, -inf and nan hold an "n".  A text with one raises ValueError naming the
+    first such cell by its line k and, through names, its column."""
+    text = "".join(rows)
+    if "n" in text:
+        k, line = next((k, line) for k, line in enumerate(text.splitlines(), 1) if "n" in line)
+        name, cell = next((name, cell) for name, cell in zip(names, line.split(",")) if "n" in cell)
+        raise ValueError(f"cannot write the non-finite value {cell} in {name} at k={k}")
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +203,8 @@ def _svg_curves(path: str, n: int, curves) -> None:
     for idx, (label, color, values) in enumerate(curves):
         peak = max(map(abs, values), default=0.0)
         scale = span_y / peak if peak > 0 else 0.0
+        if scale == math.inf:  # a subnormal peak: scale each value to the peak first
+            values, scale = [v / peak for v in values], span_y
         ys = ("%.2f" % ((height - bottom) - v * scale) for v in values)
         points = " ".join(map(str.__add__, xs, ys))
         parts.append(
@@ -221,16 +220,14 @@ def _svg_curves(path: str, n: int, curves) -> None:
 # ---------------------------------------------------------------------------
 # commands
 
+_ANALYZE_HEADER = (  # the CSV's first line, and its column names
+    "k,u_norm_sq,cos_sq,sin_sq,min_pair_sin_sq,acc_transversality,var_cov_prefix,var_mart_prefix")
+
+
 def _analyze_csv(report: analysis.VarianceReport) -> str:
     """Row k: record k, its min-pair sine with record k + 1, and the three
     running sums; the last row, which has no record k + 1, leaves two empty."""
     profile, acc, cov, mart = report.per_step, report.acc_curve, report.cov_curve, report.mart_curve
-    sin_sq = [r.sin_sq for r in profile]
-    columns = [
-        ("u_norm_sq", [r.u_norm_sq for r in profile]), ("cos_sq", [r.cos_sq for r in profile]),
-        ("sin_sq", sin_sq), ("min_pair_sin_sq", list(map(min, sin_sq, sin_sq[1:]))),
-        ("acc_transversality", acc), ("var_cov_prefix", cov), ("var_mart_prefix", mart),
-    ]
     # indices that share a record share its object: format each distinct (record, next
     # record) once, keyed by identity, as records equal by value may differ in a zero's sign
     cells: dict[tuple[int, int], str] = {}
@@ -244,10 +241,10 @@ def _analyze_csv(report: analysis.VarianceReport) -> str:
 
     n, last = report.n, profile[-1]
     rows = zip(range(1, n), map(record_cells, profile, profile[1:]), acc, cov, mart)
-    header = "k," + ",".join(name for name, _ in columns) + "\n"
-    return _csv_text(header, columns, map("%d,%s,%.17g,%.17g,%.17g\n".__mod__, rows)) + (
+    return _ANALYZE_HEADER + "\n" + _csv_text(_ANALYZE_HEADER.split(","), [
+        *map("%d,%s,%.17g,%.17g,%.17g\n".__mod__, rows),
         "%d,%.17g,%.17g,%.17g,,,%.17g,%.17g\n"  # no record k + 1: two empty cells
-        % (n, last.u_norm_sq, last.cos_sq, last.sin_sq, cov[-1], mart[-1]))
+        % (n, last.u_norm_sq, last.cos_sq, last.sin_sq, cov[-1], mart[-1])])
 
 
 def cmd_analyze(scenario: Scenario, args: argparse.Namespace) -> int:
@@ -293,7 +290,7 @@ def cmd_simulate(scenario: Scenario, args: argparse.Namespace) -> int:
     )
     _write_text(out_prefix + ".mc.json", _dumps(asdict(report)) + "\n")
     if args.dump_samples:
-        text = _csv_text("", [("sample", sums)], map("%.17g\n".__mod__, sums))
+        text = _csv_text(["sample"], map("%.17g\n".__mod__, sums))
         _write_text(out_prefix + ".samples.csv", text)
     return EXIT_OK
 

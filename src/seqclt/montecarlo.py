@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis
-from ._strict import check_horizon, check_u64
+from ._strict import InputError, check_horizon, check_u64
 from .sequences import SequenceSpec
 from .trigpoly import TrigPoly
 
@@ -92,9 +92,9 @@ class DyadicPoint:
 
     def __post_init__(self):
         if self.bits < 1:
-            raise ValueError("bits must be >= 1")
+            raise InputError("bits must be >= 1")
         if not 0 <= self.numerator < (1 << self.bits):
-            raise ValueError("numerator out of range for bit width")
+            raise InputError("numerator out of range for bit width")
 
     def as_float(self) -> float:
         """Double nearest the top 53 bits (exact when bits <= 53)."""
@@ -325,7 +325,7 @@ def orbit_birkhoff(f: TrigPoly, spec: SequenceSpec, n: int, x0: DyadicPoint) -> 
     mults = _multipliers(spec, n)
     need = _log2_ceil(mults) + 53
     if x0.bits < need:
-        raise ValueError(f"x0 has {x0.bits} bits, needs >= {need} for n={n}")
+        raise InputError(f"x0 has {x0.bits} bits, needs >= {need} for n={n}")
     blocks = _blocks(mults, x0.bits)
     return _orbit_sums(_coef_table(f), x0.bits, blocks, [x0.numerator])[0]
 
@@ -354,7 +354,7 @@ def birkhoff_samples(
     worker processes start; with one, the samples are drawn in this process.
     """
     if m < 1 or threads < 1:
-        raise ValueError(f"sample count and threads must be >= 1, got {m} and {threads}")
+        raise InputError(f"sample count and threads must be >= 1, got {m} and {threads}")
     check_u64(seed, "seed")
     mults = _multipliers(spec, n)
     bits = _log2_ceil(mults) + _GUARD_BITS
@@ -391,9 +391,9 @@ def report_from_samples(
     """
     m = len(sums)
     if m < 2:
-        raise ValueError("need at least 2 samples")
+        raise InputError("need at least 2 samples")
     if standardization not in ("empirical", "exact"):
-        raise ValueError(f"unknown standardization {standardization!r}")
+        raise InputError(f"unknown standardization {standardization!r}")
     mean = math.fsum(sums) / m
     try:
         var_hat = math.fsum((s - mean) ** 2 for s in sums) / (m - 1)
@@ -430,7 +430,7 @@ def sample_birkhoff(
 ) -> MCReport:
     """Draw m exact orbits, return the statistical summary."""
     if m < 2:
-        raise ValueError("sample count must be >= 2")
+        raise InputError("sample count must be >= 2")
     sums = birkhoff_samples(f, spec, n, m, seed, threads)
     return report_from_samples(sums, f, spec, n, seed, standardization)
 
@@ -443,7 +443,7 @@ def normal_cdf(x: float) -> float:
 def ks_statistic(standardized: list[float]) -> float:
     """Two-sided one-sample Kolmogorov-Smirnov distance to the standard normal."""
     if not standardized:
-        raise ValueError("KS statistic needs at least one sample")
+        raise InputError("KS statistic needs at least one sample")
     xs = sorted(standardized)
     m = len(xs)
     d = 0.0

@@ -39,7 +39,7 @@ import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
-from ._strict import InputError, check_keys, check_multiplier, strict_float, strict_int
+from ._strict import InputError, check_index, check_keys, check_multiplier, strict_float, strict_int
 
 __all__ = [
     "SequenceSpec",
@@ -56,7 +56,7 @@ _VALIDATE_HORIZON = 1 << 48
 
 
 class SequenceSpec:
-    """Base class; kinds implement runs and to_obj, and may override value_at."""
+    """Base class; kinds are frozen dataclasses that implement runs and may override value_at."""
 
     kind: str = "?"
 
@@ -75,19 +75,21 @@ class SequenceSpec:
     def value_at(self, k: int) -> int:
         """a_k, by a scan over the runs up to index k."""
         if k < 1:  # a call only on failure: value_at runs once per index
-            _check_index(k)
+            check_index(k)
         for value, length in self.runs():
             if k <= length:
                 return value
             k -= length
 
     def to_obj(self) -> dict:
-        raise NotImplementedError
-
-
-def _check_index(k: int) -> None:
-    if k < 1:
-        raise InputError(f"sequence index must be >= 1, got {k}")
+        """{"kind": ..., each field in order}: the form sequence_from_obj reads."""
+        obj = {"kind": self.kind}
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, SequenceSpec):
+                value = value.to_obj()
+            obj[field.name] = list(value) if isinstance(value, tuple) else value
+        return obj
 
 
 @dataclass(frozen=True)
@@ -103,9 +105,6 @@ class Constant(SequenceSpec):
 
     def runs(self) -> Iterable[tuple[int, float]]:
         return self._runs
-
-    def to_obj(self) -> dict:
-        return {"kind": "constant", "b": self.b}
 
 
 @dataclass(frozen=True)
@@ -123,11 +122,8 @@ class Periodic(SequenceSpec):
         return itertools.cycle(zip(self.values, itertools.repeat(1)))
 
     def value_at(self, k: int) -> int:
-        _check_index(k)
+        check_index(k)
         return self.values[(k - 1) % len(self.values)]
-
-    def to_obj(self) -> dict:
-        return {"kind": "periodic", "values": list(self.values)}
 
 
 @dataclass(frozen=True)
@@ -148,13 +144,10 @@ class Explicit(SequenceSpec):
         return itertools.chain(zip(self.values, itertools.repeat(1)), self.tail.runs())
 
     def value_at(self, k: int) -> int:
-        _check_index(k)
+        check_index(k)
         if k <= len(self.values):
             return self.values[k - 1]
         return self.tail.value_at(k - len(self.values))
-
-    def to_obj(self) -> dict:
-        return {"kind": "explicit", "values": list(self.values), "tail": self.tail.to_obj()}
 
 
 @dataclass(frozen=True)
@@ -192,9 +185,6 @@ class Triples(SequenceSpec):
             yield self.b0, p - k
             yield self.B, 3
             k = p + 3
-
-    def to_obj(self) -> dict:
-        return {"kind": "triples", "b0": self.b0, "B": self.B, "p0": self.p0, "r": self.r}
 
 
 @dataclass(frozen=True)
@@ -234,9 +224,6 @@ class Blocks(SequenceSpec):
             yield 2, d - k
             yield 3, l
             k = d + l
-
-    def to_obj(self) -> dict:
-        return {"kind": "blocks", "D": self.D}
 
 
 def generate(spec: SequenceSpec, k: int) -> int:

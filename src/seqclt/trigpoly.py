@@ -185,7 +185,7 @@ def grid_values(g: TrigPoly, size: int) -> np.ndarray:
     """
     import numpy as np  # here, not at import time: the exact operators never need it
     if size < 2 * g.degree + 2:
-        raise ValueError(f"grid of {size} points cannot resolve degree {g.degree}")
+        raise InputError(f"grid of {size} points cannot resolve degree {g.degree}")
     spectrum = np.zeros(size // 2 + 1, dtype=complex)
     for n, c in g.coeffs:
         spectrum[n] = c * size

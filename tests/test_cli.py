@@ -1,11 +1,14 @@
 import concurrent.futures
 import contextlib
+import dataclasses
 import io
 import json
 import math
 import os
+import re
 import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +31,7 @@ from seqclt.trigpoly import cosine, make_trigpoly, trigpoly_from_obj
 
 COS_FUNCTION = [{"freq": 1, "re": 0.5, "im": 0.0}]
 F1_FUNCTION = [{"freq": 1, "re": -0.5, "im": 0.0}, {"freq": 2, "re": 0.5, "im": 0.0}]
+DEMO_SCENARIOS = Path(__file__).resolve().parents[1] / "demos" / "scenarios"
 
 
 def write_scenario(tmp_path, name="scenario.json", **overrides):
@@ -627,6 +631,81 @@ def test_first_non_finite_cell_in_row_order_is_named(sin_sq, named):
     with pytest.raises(ValueError) as new:
         cli._analyze_csv(report)
     assert str(new.value) == str(old.value) == f"cannot write the non-finite value {named}"
+
+
+_POISON_BASE = analysis.variance_report(make_trigpoly([(1, 0.5), (2, 0.25)]), Blocks(4), 12)
+_POISONS = st.tuples(
+    st.sampled_from(["u_norm_sq", "cos_sq", "sin_sq", "acc_curve", "cov_curve", "mart_curve"]),
+    st.integers(0, 11),
+    st.sampled_from([math.inf, -math.inf, math.nan]),
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.lists(_POISONS, min_size=1, max_size=4))
+def test_non_finite_cells_are_named_as_the_oracle_names_them(poisons):
+    # non-finite values in random records and curve entries of a real report,
+    # whose records are shared between indices
+    per_step = list(_POISON_BASE.per_step)
+    curves = {name: list(getattr(_POISON_BASE, name))
+              for name in ("cov_curve", "mart_curve", "acc_curve")}
+    for where, i, value in poisons:
+        if where in curves:
+            curves[where][i % len(curves[where])] = value
+        else:
+            per_step[i] = dataclasses.replace(per_step[i], **{where: value})
+    report = analysis.VarianceReport(tuple(per_step), **{k: tuple(v) for k, v in curves.items()})
+    with pytest.raises(ValueError) as old:
+        _oracle_csv(report)
+    with pytest.raises(ValueError) as new:
+        cli._analyze_csv(report)
+    assert str(new.value) == str(old.value)
+
+
+def test_non_finite_sample_is_named_by_its_line(tmp_path, capsys, monkeypatch):
+    # a finite summary, so that the samples CSV is the first file to fail
+    path = write_scenario(tmp_path, n=8, samples=3, seed=1)
+    monkeypatch.setattr(montecarlo, "birkhoff_samples", lambda *args: [0.25, math.inf, 0.5])
+    monkeypatch.setattr(montecarlo, "report_from_samples", lambda *args: montecarlo.MCReport(
+        8, 3, 1, 0.0, 1.0, 0.5, (3,), "empirical"))
+    argv = ["simulate", path, "--out", str(tmp_path / "m"), "--dump-samples"]
+    assert main(argv) == EXIT_INCONSISTENT
+    assert capsys.readouterr().err == (
+        "error: cannot write the non-finite value inf in sample at k=2\n")
+    assert not (tmp_path / "m.samples.csv").exists()
+
+
+_SUBNORMAL = {  # Var(S_k) = k * 2e-320: span_y / peak overflows
+    "function": [{"freq": 1, "re": 1e-160, "im": 0.0}],
+    "sequence": {"kind": "constant", "b": 3},
+    "n": 3,
+}
+
+
+def test_subnormal_variance_is_plotted_to_its_peak(tmp_path):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(_SUBNORMAL))
+    assert main(["analyze", str(path), "--out", str(tmp_path / "r")]) == EXIT_OK
+    svg = (tmp_path / "r.svg").read_text()
+    assert 'points="60.00,261.33 380.00,142.67 700.00,24.00"' in svg
+    assert "(max 5.999933203096098e-320)" in svg
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        *(pytest.param(p, id=p.stem) for p in sorted(DEMO_SCENARIOS.glob("*.json"))),
+        pytest.param(_SUBNORMAL, id="subnormal"),
+    ],
+)
+def test_analyze_writes_no_non_finite_token(tmp_path, scenario):
+    path = tmp_path / "s.json"
+    path.write_text(scenario.read_text() if isinstance(scenario, Path) else json.dumps(scenario))
+    assert main(["analyze", str(path), "--out", str(tmp_path / "r")]) == EXIT_OK
+    outputs = sorted(tmp_path.glob("r.*"))
+    assert [p.suffix for p in outputs] == [".csv", ".json", ".svg"]
+    for out in outputs:
+        assert re.search(r"(?i)\b(inf|infinity|nan)\b", out.read_text()) is None, out.name
 
 
 def test_mcreport_json_field_order(tmp_path):

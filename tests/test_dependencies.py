@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from seqclt import _strict, sequences, trigpoly
+from seqclt import _strict, analysis, montecarlo, sequences, trigpoly
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "seqclt"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "seqclt"}
@@ -93,6 +93,7 @@ def test_input_rules_raise_input_error():
         "check_multiplier": (1,),
         "check_u64": (-1, "seed"),
         "check_horizon": (0,),
+        "check_index": (0,),
     }
     rules = sorted(
         name for name, obj in vars(_strict).items()
@@ -169,6 +170,11 @@ def test_monte_carlo_commands_still_run(tmp_path):
     assert (tmp_path / "m.mc.json").exists() and (tmp_path / "m.samples.csv").exists()
 
 
+_F = trigpoly.cosine(1)
+_ZERO = trigpoly.make_trigpoly([])
+_CERT = analysis.ThresholdCert(0.0, 0.5, 0.25, 0.1, 10)
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -187,14 +193,61 @@ def test_monte_carlo_commands_still_run(tmp_path):
         lambda: trigpoly.make_trigpoly([(1, float("nan"))]),
         lambda: trigpoly.trigpoly_from_obj("cos"),
         lambda: trigpoly.trigpoly_from_obj([{"freq": 1}]),
+        lambda: analysis.u_at(_F, sequences.Constant(2), 0),
+        lambda: analysis.accumulated_transversality([], -1),
+        lambda: analysis.accumulated_transversality(
+            analysis.angle_profile(_F, sequences.Constant(2), 2), 2),
+        lambda: analysis.variance_martingale_curve(
+            _F, sequences.Constant(2), 3, analysis.angle_profile(_F, sequences.Constant(2), 2)),
+        lambda: analysis.verify_decay(_ZERO, [2]),
+        lambda: analysis.block_shadowing_check(_F, sequences.Constant(3), 0, 5),
+        lambda: analysis.block_shadowing_check(_F, sequences.Constant(3), 5, 5),
+        lambda: analysis.block_shadowing_check(_F, sequences.Periodic((2, 3)), 2, 5),
+        lambda: analysis.example1_threshold(_ZERO),
+        lambda: analysis.separation_bound_check(_F, sequences.Constant(3), _CERT, 1),
+        lambda: montecarlo.DyadicPoint(0, 0),
+        lambda: montecarlo.DyadicPoint(2, 4),
+        lambda: montecarlo.orbit_birkhoff(
+            _F, sequences.Constant(2), 8, montecarlo.DyadicPoint(8, 1)),
+        lambda: montecarlo.birkhoff_samples(_F, sequences.Constant(2), 4, 0, 1),
+        lambda: montecarlo.birkhoff_samples(_F, sequences.Constant(2), 4, 4, 1, threads=0),
+        lambda: montecarlo.report_from_samples([1.0], _F, sequences.Constant(2), 4, 1),
+        lambda: montecarlo.report_from_samples(
+            [1.0, 2.0], _F, sequences.Constant(2), 4, 1, "studentized"),
+        lambda: montecarlo.sample_birkhoff(_F, sequences.Constant(2), 4, 1, 1),
+        lambda: montecarlo.ks_statistic([]),
+        lambda: trigpoly.grid_values(trigpoly.cosine(8), 16),
     ],
     ids=[
         "spike", "spikes-overlap", "blocks-D=1", "blocks-overlap", "empty-word",
         "empty-head", "bad-tail", "index-0", "bad-kind", "missing-field",
         "frequency-0", "duplicate-frequency", "non-finite", "not-an-array", "bad-entry",
+        "u_at-index-0", "N<0", "profile-short-for-N", "profile-short-for-n",
+        "decay-zero-f", "K<1", "run-before-1", "run-not-constant", "threshold-zero-f",
+        "multiplier<=L", "dyadic-bits", "dyadic-numerator", "x0-bits", "m<1", "threads<1",
+        "report-m<2", "standardization", "sample-m<2", "ks-empty", "grid-too-small",
     ],
 )
 def test_library_input_rules_raise_input_error(call):
     # a library caller tells bad input from a failed computation by its type
     with pytest.raises(_strict.InputError):
         call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # an arc of length 2^-10 spans a full period of cos(2 pi 2000 x)
+        (lambda: analysis.example1_threshold(trigpoly.cosine(2000)), "no separated arc pair"),
+        # Var(S_8) of an amplitude of 1e-200 underflows to 0.0
+        (lambda: montecarlo.report_from_samples(
+            [1.0, 2.0], trigpoly.cosine(1, 1e-200), sequences.Constant(2), 8, 1, "exact"),
+         "exact variance"),
+    ],
+    ids=["no-arc-pair", "zero-exact-variance"],
+)
+def test_failed_computations_stay_plain_value_errors(call, message):
+    # valid arguments, failed computation: not bad input
+    with pytest.raises(ValueError, match=message) as exc:
+        call()
+    assert not isinstance(exc.value, _strict.InputError)

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -170,6 +171,26 @@ def test_serialization_round_trips():
     ]
     for spec in specs:
         assert sequence_from_obj(spec.to_obj()) == spec
+
+
+@pytest.mark.parametrize(
+    "spec, obj",
+    [
+        (Constant(2), {"kind": "constant", "b": 2}),
+        (Periodic((2, 3, 2, 5)), {"kind": "periodic", "values": [2, 3, 2, 5]}),
+        (Triples(b0=2, B=80, p0=10, r=2), {"kind": "triples", "b0": 2, "B": 80, "p0": 10, "r": 2}),
+        (Blocks(4), {"kind": "blocks", "D": 4.0}),
+        (
+            Explicit((4, 5, 6), Explicit((2,), Blocks(1.9))),
+            {"kind": "explicit", "values": [4, 5, 6], "tail": {
+                "kind": "explicit", "values": [2], "tail": {"kind": "blocks", "D": 1.9}}},
+        ),
+    ],
+    ids=["constant", "periodic", "triples", "blocks", "explicit-explicit-tail"],
+)
+def test_to_obj_writes_kind_then_each_field_in_order(spec, obj):
+    assert spec.to_obj() == obj
+    assert json.dumps(spec.to_obj()) == json.dumps(obj)  # key order, and D as a float
 
 
 def test_serialization_rejects_unknown_kind():
