@@ -75,3 +75,10 @@ def check_horizon(n: int) -> int:
     if not 1 <= n <= sys.maxsize:
         raise InputError(f"horizon n must be in [1, {sys.maxsize}], got {n}")
     return n
+
+
+def check_standardization(value) -> str:
+    """value, if it names a standardisation: "empirical" or "exact"."""
+    if value not in ("empirical", "exact"):
+        raise InputError(f"unknown standardization {value!r}")
+    return value

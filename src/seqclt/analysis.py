@@ -27,7 +27,7 @@ import math
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
-from ._strict import InputError, check_horizon, check_index
+from ._strict import InputError, check_horizon, check_index, check_multiplier
 from .sequences import SequenceSpec
 from .trigpoly import (
     C1Norm,
@@ -359,17 +359,22 @@ def variance_report(f: TrigPoly, spec: SequenceSpec, n: int) -> VarianceReport:
 
 
 def verify_decay(f: TrigPoly, maps: list[int]) -> DecayReport:
-    """Certified norms of iterated transfer images of f along a word of maps.
+    """Certified norms of the transfer images of f along a word of maps.
 
-    The j-th image must satisfy ||image|| <= 2 * 2^-j * ||f||; the left side
-    uses the certified upper bound and the right side the plain grid
-    estimate of ||f||, so a reported pass is conservative.
+    The j-th image T*_{b_j} ... T*_{b_1} f must satisfy
+    ||image|| <= 2 * 2^-j * ||f||; the left side uses the certified upper
+    bound and the right side the plain grid estimate of ||f||, so a reported
+    pass is conservative.  The images are those of _backward_images, which
+    ends once b_1 ... b_j exceeds degree(f) or an image vanishes; every later
+    image is exactly zero, with norm C1Norm(0.0, 0.0).  So the letters past
+    that end are not walked, but each of them is still checked.
     """
     if f.is_zero:
         raise InputError("decay verification needs a nonzero observable")
+    maps = [check_multiplier(b) for b in maps]
     ref = c1_norm(f)
-    images = itertools.accumulate(maps, lambda g, b: transfer(b, g), initial=f)
-    norms = tuple(map(c1_norm, itertools.islice(images, 1, None)))
+    norms = tuple(map(c1_norm, _backward_images(f, maps)))
+    norms += (C1Norm(0.0, 0.0),) * (len(maps) - len(norms))
     bounds = tuple(2.0 * 2.0**-j * ref.grid_estimate for j in range(1, len(norms) + 1))
     ratios = tuple(nrm.value / bound for nrm, bound in zip(norms, bounds))
     return DecayReport(ref, norms, bounds, ratios, all(r <= 1.0 for r in ratios))

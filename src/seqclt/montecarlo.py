@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis
-from ._strict import InputError, check_horizon, check_u64
+from ._strict import InputError, check_horizon, check_standardization, check_u64
 from .sequences import SequenceSpec
 from .trigpoly import TrigPoly
 
@@ -392,8 +392,7 @@ def report_from_samples(
     m = len(sums)
     if m < 2:
         raise InputError("need at least 2 samples")
-    if standardization not in ("empirical", "exact"):
-        raise InputError(f"unknown standardization {standardization!r}")
+    check_standardization(standardization)
     mean = math.fsum(sums) / m
     try:
         var_hat = math.fsum((s - mean) ** 2 for s in sums) / (m - 1)
@@ -431,6 +430,7 @@ def sample_birkhoff(
     """Draw m exact orbits, return the statistical summary."""
     if m < 2:
         raise InputError("sample count must be >= 2")
+    check_standardization(standardization)
     sums = birkhoff_samples(f, spec, n, m, seed, threads)
     return report_from_samples(sums, f, spec, n, seed, standardization)
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,8 +8,10 @@ from hypothesis import strategies as st
 
 from conftest import SPECS, random_poly, reference_value
 from seqclt import analysis
+from seqclt._strict import InputError
 from seqclt.analysis import (
     AngleRecord,
+    DecayReport,
     accumulated_transversality,
     angle_profile,
     block_shadowing_check,
@@ -549,6 +552,42 @@ def test_verify_decay_effective_tau():
     rep = verify_decay(f, [2, 2, 2])
     tau = rep.effective_tau()
     assert tau is not None and 0.0 < tau < 1.0
+
+
+def _reference_verify_decay(f, maps):
+    # the oracle: transfer along every letter of the word, past the end of the
+    # walk too, where every image is zero
+    ref = c1_norm(f)
+    images = itertools.accumulate(maps, lambda g, b: transfer(b, g), initial=f)
+    norms = tuple(map(c1_norm, itertools.islice(images, 1, None)))
+    bounds = tuple(2.0 * 2.0**-j * ref.grid_estimate for j in range(1, len(norms) + 1))
+    ratios = tuple(nrm.value / bound for nrm, bound in zip(norms, bounds))
+    return DecayReport(ref, norms, bounds, ratios, all(r <= 1.0 for r in ratios))
+
+
+@st.composite
+def _decay_observables(draw):
+    # degree 1..256 with its top frequency always set; density 0 leaves it alone
+    degree = draw(st.integers(1, 256))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    body = random_poly(rng, degree - 1, draw(st.sampled_from([0.0, 0.05, 0.3, 1.0])))
+    top = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    return make_trigpoly([*body.coeffs, (degree, top)])
+
+
+_DECAY_WORDS = st.lists(st.one_of(st.integers(2, 10), st.sampled_from([97, 2**11])), max_size=40)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_decay_observables(), _DECAY_WORDS)
+def test_verify_decay_matches_the_walk_over_every_letter(f, word):
+    assert verify_decay(f, word) == _reference_verify_decay(f, word)
+
+
+def test_verify_decay_checks_letters_past_the_walk():
+    # cos 2 pi x vanishes after the first letter, yet the third is still read
+    with pytest.raises(InputError, match="got 1"):
+        verify_decay(COS, [2, 2, 1])
 
 
 def test_pair_correlation_decay_diagnostic():

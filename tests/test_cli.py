@@ -2,6 +2,7 @@ import concurrent.futures
 import contextlib
 import dataclasses
 import io
+import itertools
 import json
 import math
 import os
@@ -429,7 +430,8 @@ def test_verify_decay_rejects_seed_beyond_64_bits(tmp_path):
     ],
 )
 def test_out_of_memory_is_an_internal_failure(tmp_path, capsys, monkeypatch, exc, message):
-    # as numpy raises for verify-decay --k 100000000000; nothing is allocated here
+    # as numpy raises for an array beyond memory, such as c1_norm's grid for a
+    # degree of 10^15; nothing is allocated here
     def no_memory(*args):
         raise exc
 
@@ -750,6 +752,45 @@ def test_verify_decay_passes(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("worst ratio: ")
     assert float(out.split(":")[1]) <= 1.0
+
+
+def test_verify_decay_answers_at_any_k(tmp_path, capsys):
+    # the walk ends within bit_length(degree) letters, so no longer word is drawn
+    path = write_scenario(
+        tmp_path,
+        function=[{"freq": 1, "re": 0.5, "im": 0.0}, {"freq": 3, "re": 0.5, "im": 0.0}],
+    )
+    outputs = []
+    for k in ("20", "100000000000"):
+        assert main(["verify-decay", path, "--k", k, "--trials", "3", "--seed", "1"]) == EXIT_OK
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] == "worst ratio: 0.30272931902870803\n"
+
+
+@pytest.mark.parametrize("freqs", [(4,), (8,), (1, 3, 4, 8)])
+def test_verify_decay_prints_the_worst_ratio_of_the_whole_words(tmp_path, capsys, freqs):
+    # trial 9 of seed 5 starts 2, 2, 2; there the images of cos 8 pi x and
+    # cos 16 pi x, the deepest ones, give the worst ratio
+    function = [{"freq": q, "re": 0.5, "im": 0.25} for q in freqs]
+    path = write_scenario(tmp_path, function=function)
+    assert main(["verify-decay", path, "--k", "20", "--trials", "40", "--seed", "5"]) == EXIT_OK
+    f = trigpoly_from_obj(function)
+    words = [montecarlo.counter_generator(5, t).integers(2, 11, size=20).tolist() for t in range(40)]
+    ratios = [analysis.verify_decay(f, word).ratios for word in words]
+    worst = max(map(max, ratios))
+    if len(freqs) == 1:
+        assert worst > max(r[0] for r in ratios)
+    assert capsys.readouterr().out == f"worst ratio: {worst:.17g}\n"
+
+
+def test_bounded_draws_are_prefix_stable():
+    # verify-decay draws only the letters a walk reads, and these must be the
+    # first letters of the longer word it drew before
+    for seed, trial in itertools.product(range(5), range(50)):
+        full = montecarlo.counter_generator(seed, trial).integers(2, 11, size=1000)
+        for length in (1, 2, 7, 20, 64):
+            head = montecarlo.counter_generator(seed, trial).integers(2, 11, size=length)
+            assert head.tolist() == full[:length].tolist()
 
 
 def test_verify_decay_rejects_k_zero(tmp_path):

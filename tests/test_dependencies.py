@@ -59,6 +59,20 @@ def _modules_loaded_by(code: str) -> set[str]:
     return set(out.stdout.split())
 
 
+def test_analysis_walks_backward_in_one_place():
+    # one backward-walk primitive: every transfer in analysis is a step of
+    # _backward_images, which ends the walk where the images vanish
+    tree = ast.parse((SRC / "analysis.py").read_text(encoding="utf-8"))
+    callers = {
+        getattr(stmt, "name", "<module>")
+        for stmt in tree.body
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Call)
+        and "transfer" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    }
+    assert callers == {"_backward_images"}
+
+
 def test_import_leaves_the_process_pool_out():
     assert "concurrent.futures.process" not in _modules_loaded_by("import seqclt")
 
@@ -94,6 +108,7 @@ def test_input_rules_raise_input_error():
         "check_u64": (-1, "seed"),
         "check_horizon": (0,),
         "check_index": (0,),
+        "check_standardization": ("exacts",),
     }
     rules = sorted(
         name for name, obj in vars(_strict).items()

@@ -7,6 +7,7 @@ import pytest
 from scipy.special import ndtri
 
 from seqclt import montecarlo
+from seqclt._strict import InputError
 from seqclt.montecarlo import (
     DyadicPoint,
     birkhoff_samples,
@@ -241,6 +242,15 @@ def test_sample_birkhoff_smoke_two_samples():
     assert rep.m == 2 and rep.n == 16
     assert 0.0 <= rep.ks <= 1.0
     assert sum(rep.histogram) <= 2
+
+
+def test_sample_birkhoff_checks_standardization_before_drawing(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("orbits drawn for a standardization that is rejected")
+
+    monkeypatch.setattr(montecarlo, "birkhoff_samples", no_draws)
+    with pytest.raises(InputError, match="unknown standardization 'exacts'"):
+        sample_birkhoff(cosine(1), Constant(2), 8, 4, seed=1, standardization="exacts")
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 7])
