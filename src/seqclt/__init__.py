@@ -15,6 +15,7 @@ from .analysis import (
     accumulated_transversality,
     angle_profile,
     block_shadowing_check,
+    decay_certificate,
     example1_threshold,
     neumann_sum,
     separation_bound_check,

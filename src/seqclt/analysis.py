@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from ._strict import InputError, check_horizon, check_index, check_multiplier
 from .sequences import SequenceSpec
 from .trigpoly import (
+    ZERO,
     C1Norm,
     TrigPoly,
     c1_norm,
@@ -54,6 +55,7 @@ __all__ = [
     "variance_martingale_curve",
     "variance_report",
     "verify_decay",
+    "decay_certificate",
     "neumann_sum",
     "block_shadowing_check",
     "example1_threshold",
@@ -65,6 +67,9 @@ CROSS_CHECK_RTOL = 1e-9
 # Resolution of the arc search grid for threshold certificates.
 _ARC_GRID = 1 << 12
 _ARC_EPS_EXPONENTS = range(1, 11)
+
+# The letters of the words that decay_certificate checks: the maps x -> b x mod 1.
+DECAY_LETTERS = range(2, 11)
 
 
 @dataclass(frozen=True)
@@ -143,19 +148,6 @@ class DecayReport:
     bounds: tuple[float, ...]
     ratios: tuple[float, ...]
     passed: bool
-
-    def effective_tau(self) -> float | None:
-        """Geometric-mean per-step contraction over the nonzero prefix."""
-        prev = self.f_norm.grid_estimate
-        factors = []
-        for nrm in self.step_norms:
-            if nrm.value == 0.0 or prev == 0.0:
-                break
-            factors.append(nrm.value / prev)
-            prev = nrm.value
-        if not factors:
-            return None
-        return math.exp(math.fsum(math.log(r) for r in factors) / len(factors))
 
 
 def _backward_images(f: TrigPoly, mults: Iterable[int]) -> Iterator[TrigPoly]:
@@ -367,7 +359,8 @@ def verify_decay(f: TrigPoly, maps: list[int]) -> DecayReport:
     pass is conservative.  The images are those of _backward_images, which
     ends once b_1 ... b_j exceeds degree(f) or an image vanishes; every later
     image is exactly zero, with norm C1Norm(0.0, 0.0).  So the letters past
-    that end are not walked, but each of them is still checked.
+    that end are not walked, but each of them is still checked.  A zero
+    image has ratio 0.0, also where the bound has underflowed to 0.0.
     """
     if f.is_zero:
         raise InputError("decay verification needs a nonzero observable")
@@ -376,8 +369,38 @@ def verify_decay(f: TrigPoly, maps: list[int]) -> DecayReport:
     norms = tuple(map(c1_norm, _backward_images(f, maps)))
     norms += (C1Norm(0.0, 0.0),) * (len(maps) - len(norms))
     bounds = tuple(2.0 * 2.0**-j * ref.grid_estimate for j in range(1, len(norms) + 1))
-    ratios = tuple(nrm.value / bound for nrm, bound in zip(norms, bounds))
+    ratios = tuple(nrm.value / bound if nrm.value else 0.0 for nrm, bound in zip(norms, bounds))
     return DecayReport(ref, norms, bounds, ratios, all(r <= 1.0 for r in ratios))
+
+
+def decay_certificate(f: TrigPoly, k: int) -> tuple[float, tuple[int, ...]]:
+    """The worst verify_decay ratio over every word of at most k letters in
+    DECAY_LETTERS, and a word whose last ratio it is.
+
+    The image after b_1, ..., b_j keeps the coefficients of f at multiples
+    of B = b_1 ... b_j: it is T*_B f, which depends on the product alone
+    and vanishes once B > degree(f).  So the max runs over the pairs (j, B)
+    with B <= degree(f), found level by level with one word kept per
+    product, and one certified norm is taken per distinct B.  The bound
+    2 * 2^-j * ||f|| only falls as j grows, so B's worst ratio is at its
+    deepest word.  Each ratio is verify_decay's bit for bit, and no word
+    reaches past degree(f).bit_length() letters, whatever k is.
+    """
+    if k < 1 or f.is_zero:
+        raise InputError(f"decay certificate needs k >= 1 and a nonzero observable, got k={k}")
+    ref = c1_norm(f)
+    words: dict[int, tuple[int, ...]] = {1: ()}  # B -> one word of j letters with product B
+    deepest: dict[int, tuple[int, ...]] = {}  # B -> its word of the most letters
+    for _ in range(min(k, f.degree.bit_length())):  # a product of j letters is >= 2^j
+        words = {B * b: word + (b,) for B, word in words.items() for b in DECAY_LETTERS
+                 if B * b <= f.degree}
+        deepest.update(words)
+    ratios = (  # T*_B f is the one-letter walk along B; 2^j <= B keeps the bound above 0.0
+        (c1_norm(next(_backward_images(f, (B,)), ZERO)).value
+         / (2.0 * 2.0**-len(word) * ref.grid_estimate), word)
+        for B, word in deepest.items())
+    # with no B <= degree(f), the ratio of every word is 0.0, as is this one's
+    return max(ratios, key=lambda pair: pair[0], default=(0.0, (DECAY_LETTERS[0],)))
 
 
 def neumann_sum(f: TrigPoly, b: int) -> TrigPoly:

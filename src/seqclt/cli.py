@@ -5,28 +5,29 @@ Commands
 analyze       variance and transversality curves for (function, sequence, n)
 simulate      exact-orbit Monte Carlo summary (requires samples and seed)
 coboundary    solve f = (u o T_b) - u for the scenario's function
-verify-decay  certified transfer-operator decay over random map words
+verify-decay  certified transfer-operator decay over every map word
 
 Exit codes: 0 success; 1 bad input: a value that an input rule rejects
 (``_strict.InputError``), wherever that rule runs, such as a non-finite
 number, a boolean or string where a number belongs, non-integral where an
 integer belongs, a scenario, sequence or coefficient key that nothing reads,
 a horizon n outside [1, sys.maxsize], a seed outside [0, 2^64), a base
-below 2, --threads < 1, or a flag that is missing, unknown or not read by
-the command; 2 I/O failure; 3 internal failure: any other error, such as a
-failed consistency check (variance cross-check or decay bound), a result
-that overflows to a non-finite value (the message names the CSV column and
-k, or the JSON key) or an allocation beyond memory; 10 coboundary
-obstruction (so shell pipelines can branch on the dichotomy).
+below 2, --k < 1, --threads < 1, or a flag that is missing, unknown or not
+read by the command; 2 I/O failure; 3 internal failure: any other error,
+such as a failed consistency check (variance cross-check or decay bound), a
+result that overflows to a non-finite value (the message names the CSV
+column and k, or the JSON key), an allocation beyond memory, or an
+exception of any other type; 10 coboundary obstruction (so shell pipelines
+can branch on the dichotomy).
 
 All real numbers in outputs are printed with 17 significant digits and are
 finite, and every output byte is a deterministic function of the inputs and
 flags.  A CSV is checked on the text it writes, where only inf, -inf and nan
 hold an "n"; analyze formats each distinct angle record once, and scales each
 SVG curve to its peak, a subnormal one too, without overflow.  analyze and
-coboundary never import numpy; simulate and verify-decay import it, with
-montecarlo, when they run.  simulate --threads N starts at most min(N, cpu
-count, samples) worker processes; N changes wall time only.
+coboundary never import numpy; simulate imports it, with montecarlo, when it
+runs, and verify-decay through c1_norm only.  simulate --threads N starts at
+most min(N, cpu count, samples) worker processes; N changes wall time only.
 """
 
 from __future__ import annotations
@@ -258,6 +259,7 @@ def cmd_analyze(scenario: Scenario, args: argparse.Namespace) -> int:
         "acc_transversality": report.acc_transversality,
     })
     _write_text(out_prefix + ".csv", csv)
+    del csv  # the SVG is built without the CSV text alive
     _write_text(out_prefix + ".json", summary + "\n")
     _svg_curves(
         out_prefix + ".svg",
@@ -302,17 +304,7 @@ def cmd_coboundary(scenario: Scenario, args: argparse.Namespace) -> int:
 
 
 def cmd_verify_decay(scenario: Scenario, args: argparse.Namespace) -> int:
-    if args.k < 1 or args.trials < 1:
-        raise InputError("verify-decay needs --k >= 1 and --trials >= 1")
-    from . import montecarlo
-    # a product of bit_length(degree) letters >= 2 exceeds the degree, so the
-    # walk reads no later letter.  Bounded draws are prefix-stable: these are
-    # the first letters of the word of length k, whose later images are all 0.
-    reach = min(args.k, scenario.function.degree.bit_length())
-    worst = 0.0
-    for trial in range(args.trials):  # trial 0 checks the seed, as a Philox key word
-        word = montecarlo.counter_generator(args.seed, trial).integers(2, 11, size=reach).tolist()
-        worst = max(worst, max(analysis.verify_decay(scenario.function, word).ratios))
+    worst, _ = analysis.decay_certificate(scenario.function, args.k)
     print(f"worst ratio: {_fmt(worst)}")
     return EXIT_OK if worst <= 1.0 else EXIT_INCONSISTENT
 
@@ -344,8 +336,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dec = sub.add_parser("verify-decay", parents=[scenario])
     p_dec.set_defaults(run=cmd_verify_decay)
     p_dec.add_argument("--k", type=int, required=True, metavar="K")
-    p_dec.add_argument("--trials", type=int, required=True, metavar="T")
-    p_dec.add_argument("--seed", type=int, required=True, metavar="S")
     return parser
 
 
@@ -371,6 +361,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except Exception as exc:  # any other failure is internal too, never bad input
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INCONSISTENT
 
 
 def main_entry() -> None:

@@ -66,7 +66,6 @@ __all__ = [
     "sample_birkhoff",
     "ks_statistic",
     "normal_cdf",
-    "counter_generator",
     "draw_numerator",
 ]
 
@@ -135,12 +134,6 @@ def _log2_ceil(mults: list[int]) -> int:
         pairs = [a * b for a, b in zip(mults[::2], mults[1::2])]
         mults = pairs + mults[len(pairs) * 2 :]
     return (mults[0] - 1).bit_length()
-
-
-def counter_generator(seed: int, index: int) -> np.random.Generator:
-    """Philox generator keyed by (seed, index); order-independent streams."""
-    key = np.array([check_u64(seed, "seed"), check_u64(index, "index")], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -14,7 +14,9 @@ from seqclt.analysis import (
     DecayReport,
     accumulated_transversality,
     angle_profile,
+    DECAY_LETTERS,
     block_shadowing_check,
+    decay_certificate,
     example1_threshold,
     neumann_sum,
     separation_bound_check,
@@ -546,12 +548,12 @@ def test_verify_decay_rejects_zero():
         verify_decay(make_trigpoly([]), [2])
 
 
-def test_verify_decay_effective_tau():
-    rng = np.random.default_rng(31)
-    f = random_poly(rng, max_degree=16, density=1.0)
-    rep = verify_decay(f, [2, 2, 2])
-    tau = rep.effective_tau()
-    assert tau is not None and 0.0 < tau < 1.0
+def test_verify_decay_zero_images_past_an_underflowed_bound():
+    # 2 * 2^-j * ||f|| is 0.0 from j = 1075 on: a zero image's ratio is
+    # still 0.0, not 0.0 / 0.0
+    rep = verify_decay(COS, [2] * 1080)
+    assert rep.ratios == (0.0,) * 1080 and rep.passed
+    assert rep.bounds[-1] == 0.0
 
 
 def _reference_verify_decay(f, maps):
@@ -566,9 +568,9 @@ def _reference_verify_decay(f, maps):
 
 
 @st.composite
-def _decay_observables(draw):
-    # degree 1..256 with its top frequency always set; density 0 leaves it alone
-    degree = draw(st.integers(1, 256))
+def _decay_observables(draw, max_degree=256):
+    # degree 1..max_degree with its top frequency always set; density 0 leaves it alone
+    degree = draw(st.integers(1, max_degree))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     body = random_poly(rng, degree - 1, draw(st.sampled_from([0.0, 0.05, 0.3, 1.0])))
     top = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
@@ -588,6 +590,63 @@ def test_verify_decay_checks_letters_past_the_walk():
     # cos 2 pi x vanishes after the first letter, yet the third is still read
     with pytest.raises(InputError, match="got 1"):
         verify_decay(COS, [2, 2, 1])
+
+
+def _every_word_ratios(f, k):
+    """{word: ratio} for every word of 1..k letters in 2..10, each walked
+    letter by letter with transfer: the oracle does not use products."""
+    ref = c1_norm(f).grid_estimate
+    ratios, level, norms = {}, [((), f)], {}  # norms: image -> its certified norm
+    for j in range(1, k + 1):
+        level = [(word + (b,), transfer(b, g)) for word, g in level for b in range(2, 11)]
+        for word, g in level:
+            if g not in norms:
+                norms[g] = c1_norm(g).value
+            norm = norms[g]
+            ratios[word] = norm / (2.0 * 2.0**-j * ref) if norm else 0.0
+    return ratios
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(_decay_observables(max_degree=40))
+def test_decay_certificate_is_the_max_over_every_word(f):
+    ratios = _every_word_ratios(f, 4)
+    for k in range(1, 5):
+        worst, witness = decay_certificate(f, k)
+        assert worst == max(r for word, r in ratios.items() if len(word) <= k)
+        assert 1 <= len(witness) <= k and set(witness) <= set(DECAY_LETTERS)
+        assert ratios[witness] == worst
+
+
+@pytest.mark.parametrize("degree", [1, 8, 64, 300])
+def test_decay_certificate_witness_reproduces_the_worst_ratio(degree):
+    f = random_poly(np.random.default_rng(degree), degree, 1.0)
+    for k in (1, 3, 20, 10**11):
+        worst, witness = decay_certificate(f, k)
+        assert verify_decay(f, witness).ratios[-1] == worst
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(_decay_observables(max_degree=300), st.integers(0, 2**32 - 1))
+def test_sampled_words_never_beat_the_decay_certificate(f, seed):
+    rng = np.random.default_rng(seed)
+    worst, _ = decay_certificate(f, 20)
+    for _ in range(30):
+        word = rng.integers(2, 11, size=20).tolist()
+        assert max(verify_decay(f, word).ratios) <= worst
+
+
+def test_decay_certificate_finds_a_word_sampling_can_miss():
+    # cos 16 pi x: only the word 2, 2, 2 reaches its deepest image
+    f = make_trigpoly([(8, 0.5 + 0.25j)])
+    worst, witness = decay_certificate(f, 20)
+    assert witness == (2, 2, 2)
+    assert worst == verify_decay(f, [2, 2, 2]).ratios[2] > verify_decay(f, [2]).ratios[0]
+
+
+def test_decay_certificate_rejects_k_below_one():
+    with pytest.raises(InputError, match="k >= 1"):
+        decay_certificate(COS, 0)
 
 
 def test_pair_correlation_decay_diagnostic():

@@ -410,18 +410,6 @@ def test_simulate_rejects_threads_below_one(tmp_path, monkeypatch, threads):
     assert not (tmp_path / "t.mc.json").exists()
 
 
-def test_verify_decay_rejects_negative_seed(tmp_path):
-    path = write_scenario(tmp_path)
-    code = main(["verify-decay", path, "--k", "3", "--trials", "2", "--seed", "-1"])
-    assert code == EXIT_BAD_SCENARIO
-
-
-def test_verify_decay_rejects_seed_beyond_64_bits(tmp_path):
-    path = write_scenario(tmp_path)
-    code = main(["verify-decay", path, "--k", "3", "--trials", "2", "--seed", str(2**64 + 7)])
-    assert code == EXIT_BAD_SCENARIO
-
-
 @pytest.mark.parametrize(
     "exc, message",
     [
@@ -435,13 +423,27 @@ def test_out_of_memory_is_an_internal_failure(tmp_path, capsys, monkeypatch, exc
     def no_memory(*args):
         raise exc
 
-    monkeypatch.setattr(montecarlo, "counter_generator", no_memory)
+    monkeypatch.setattr(analysis, "c1_norm", no_memory)
     path = write_scenario(tmp_path)
-    code = main(["verify-decay", path, "--k", "3", "--trials", "2", "--seed", "1"])
+    code = main(["verify-decay", path, "--k", "3"])
     assert code == EXIT_INCONSISTENT
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory: ") and err.count("\n") == 1
     assert message in err
+
+
+def test_any_other_exception_is_an_internal_failure(tmp_path, capsys, monkeypatch):
+    # an error no handler names is still internal (3), never bad input (1)
+    def divide_by_zero(*args):
+        raise ZeroDivisionError("float division by zero")
+
+    monkeypatch.setattr(analysis, "variance_report", divide_by_zero)
+    path = write_scenario(tmp_path)
+    assert main(["analyze", path, "--out", str(tmp_path / "r")]) == EXIT_INCONSISTENT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: ZeroDivisionError: float division by zero\n"
+    assert list(tmp_path.iterdir()) == [tmp_path / "scenario.json"]
 
 
 def test_analyze_unwritable_path(tmp_path):
@@ -747,7 +749,7 @@ def test_verify_decay_passes(tmp_path, capsys):
         tmp_path,
         function=[{"freq": 1, "re": 0.5, "im": 0.0}, {"freq": 3, "re": 0.5, "im": 0.0}],
     )
-    code = main(["verify-decay", path, "--k", "10", "--trials", "25", "--seed", "3"])
+    code = main(["verify-decay", path, "--k", "10"])
     assert code == EXIT_OK
     out = capsys.readouterr().out
     assert out.startswith("worst ratio: ")
@@ -755,27 +757,28 @@ def test_verify_decay_passes(tmp_path, capsys):
 
 
 def test_verify_decay_answers_at_any_k(tmp_path, capsys):
-    # the walk ends within bit_length(degree) letters, so no longer word is drawn
+    # every word's walk ends within bit_length(degree) letters, whatever k is
     path = write_scenario(
         tmp_path,
         function=[{"freq": 1, "re": 0.5, "im": 0.0}, {"freq": 3, "re": 0.5, "im": 0.0}],
     )
     outputs = []
     for k in ("20", "100000000000"):
-        assert main(["verify-decay", path, "--k", k, "--trials", "3", "--seed", "1"]) == EXIT_OK
+        assert main(["verify-decay", path, "--k", k]) == EXIT_OK
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1] == "worst ratio: 0.30272931902870803\n"
 
 
 @pytest.mark.parametrize("freqs", [(4,), (8,), (1, 3, 4, 8)])
 def test_verify_decay_prints_the_worst_ratio_of_the_whole_words(tmp_path, capsys, freqs):
-    # trial 9 of seed 5 starts 2, 2, 2; there the images of cos 8 pi x and
-    # cos 16 pi x, the deepest ones, give the worst ratio
+    # the degree is at most 8, so every word's images past its third letter
+    # are 0, and the words of three letters hold every prefix that matters;
+    # on cos 16 pi x the deepest image, after 2, 2, 2, gives the worst ratio
     function = [{"freq": q, "re": 0.5, "im": 0.25} for q in freqs]
     path = write_scenario(tmp_path, function=function)
-    assert main(["verify-decay", path, "--k", "20", "--trials", "40", "--seed", "5"]) == EXIT_OK
+    assert main(["verify-decay", path, "--k", "20"]) == EXIT_OK
     f = trigpoly_from_obj(function)
-    words = [montecarlo.counter_generator(5, t).integers(2, 11, size=20).tolist() for t in range(40)]
+    words = itertools.product(range(2, 11), repeat=3)
     ratios = [analysis.verify_decay(f, word).ratios for word in words]
     worst = max(map(max, ratios))
     if len(freqs) == 1:
@@ -783,19 +786,9 @@ def test_verify_decay_prints_the_worst_ratio_of_the_whole_words(tmp_path, capsys
     assert capsys.readouterr().out == f"worst ratio: {worst:.17g}\n"
 
 
-def test_bounded_draws_are_prefix_stable():
-    # verify-decay draws only the letters a walk reads, and these must be the
-    # first letters of the longer word it drew before
-    for seed, trial in itertools.product(range(5), range(50)):
-        full = montecarlo.counter_generator(seed, trial).integers(2, 11, size=1000)
-        for length in (1, 2, 7, 20, 64):
-            head = montecarlo.counter_generator(seed, trial).integers(2, 11, size=length)
-            assert head.tolist() == full[:length].tolist()
-
-
 def test_verify_decay_rejects_k_zero(tmp_path):
     path = write_scenario(tmp_path)
-    code = main(["verify-decay", path, "--k", "0", "--trials", "5", "--seed", "3"])
+    code = main(["verify-decay", path, "--k", "0"])
     assert code == EXIT_BAD_SCENARIO
 
 
@@ -825,10 +818,12 @@ def test_malformed_command_line_is_bad_input(tmp_path, capsys, argv):
         ["coboundary", "{path}", "--base", "2", "--out", "{out}"],
         ["coboundary", "{path}", "--base", "2", "--threads", "2"],
         ["coboundary", "{path}", "--base", "2", "--dump-samples"],
-        ["verify-decay", "{path}", "--k", "3", "--trials", "2", "--seed", "1", "--out", "{out}"],
-        ["verify-decay", "{path}", "--k", "3", "--trials", "2", "--seed", "1", "--threads", "2"],
-        ["verify-decay", "{path}", "--k", "3", "--trials", "2", "--seed", "1", "--dump-samples"],
+        ["verify-decay", "{path}", "--k", "3", "--out", "{out}"],
+        ["verify-decay", "{path}", "--k", "3", "--threads", "2"],
+        ["verify-decay", "{path}", "--k", "3", "--dump-samples"],
         ["analyze", "{path}", "--out", "{out}", "--dump-samples"],
+        ["verify-decay", "{path}", "--k", "3", "--trials", "2"],
+        ["verify-decay", "{path}", "--k", "3", "--seed", "1"],
     ],
 )
 def test_flags_a_command_does_not_read_are_rejected(tmp_path, capsys, argv):
@@ -905,21 +900,12 @@ def test_missing_scenario_file_is_bad_input(tmp_path, capsys):
     [
         pytest.param(["coboundary", "{path}", "--base", "1"], "base", id="base=1"),
         pytest.param(["coboundary", "{path}", "--base", "-3"], "base", id="base=-3"),
-        pytest.param(
-            ["verify-decay", "{path}", "--k", "3", "--trials", "2", "--seed", "-1"],
-            "seed",
-            id="seed=-1",
-        ),
-        pytest.param(
-            ["verify-decay", "{path}", "--k", "3", "--trials", "2", "--seed", str(2**64)],
-            "seed",
-            id="seed=2^64",
-        ),
+        pytest.param(["verify-decay", "{path}", "--k", "0"], "k >= 1", id="k=0"),
     ],
 )
 def test_library_rule_on_a_flag_is_bad_input(tmp_path, capsys, argv, named):
     # the CLI does not check these flags itself: coboundary.solve rejects the
-    # base, and the Philox key of trial 0 the seed, before any work
+    # base, and analysis.decay_certificate k, before any work
     path = write_scenario(tmp_path, function=F1_FUNCTION)
     argv = [a.format(path=path) for a in argv]
     assert named in _rejected(tmp_path, capsys, argv, "scenario.json")
@@ -967,7 +953,7 @@ _COMMANDS = {
     "analyze": ["--out", "{out}"],
     "simulate": ["--out", "{out}", "--dump-samples"],
     "coboundary": ["--base", "2"],
-    "verify-decay": ["--k", "2", "--trials", "1", "--seed", "1"],
+    "verify-decay": ["--k", "2"],
 }
 # (command, flag, value): value replaces the flag's, None drops the flag
 _FLAG_MUTATIONS = [
@@ -976,9 +962,7 @@ _FLAG_MUTATIONS = [
     ("analyze", "--out", None),
     ("simulate", "--out", None),
     *(("coboundary", "--base", v) for v in ("1", "0", "-3", "2.5", "x", None)),
-    *(("verify-decay", "--seed", v) for v in ("-1", str(2**64), "x", None)),
-    *(("verify-decay", "--k", v) for v in ("0", "-1", None)),
-    *(("verify-decay", "--trials", v) for v in ("0", "x", None)),
+    *(("verify-decay", "--k", v) for v in ("0", "-1", "x", None)),
     *((c, "--bogus", "1") for c in _COMMANDS),
 ]
 

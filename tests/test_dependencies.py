@@ -78,8 +78,8 @@ def test_import_leaves_the_process_pool_out():
 
 
 def test_single_worker_simulate_leaves_numpy_random_out(tmp_path):
-    # the orbit kernel draws Philox words itself; numpy.random is for
-    # verify-decay only
+    # the orbit kernel draws Philox words itself, and verify-decay checks
+    # every word instead of sampling: no command loads numpy.random
     scenario = {
         "function": [{"freq": 1, "re": 0.5, "im": 0.0}],
         "sequence": {"kind": "periodic", "values": [2, 3]},
@@ -94,6 +94,10 @@ def test_single_worker_simulate_leaves_numpy_random_out(tmp_path):
     assert (tmp_path / "s.mc.json").exists()
     assert "numpy.random" not in modules
     assert "concurrent.futures.process" not in modules
+    decay = ["verify-decay", str(path), "--k", "20"]
+    modules = _modules_loaded_by(f"from seqclt import cli\nassert cli.main({decay!r}) == 0")
+    assert "numpy" in modules  # c1_norm's grid
+    assert "numpy.random" not in modules and "seqclt.montecarlo" not in modules
 
 
 def test_input_rules_raise_input_error():
@@ -179,7 +183,7 @@ def test_monte_carlo_names_load_through_the_package():
 def test_monte_carlo_commands_still_run(tmp_path):
     path = _write_scenario(tmp_path, samples=20, seed=3)
     simulate = ["simulate", path, "--out", str(tmp_path / "m"), "--dump-samples"]
-    decay = ["verify-decay", path, "--k", "3", "--trials", "2", "--seed", "1"]
+    decay = ["verify-decay", path, "--k", "3"]
     code = f"from seqclt import cli\nassert cli.main({simulate!r}) == 0\nassert cli.main({decay!r}) == 0"
     assert "numpy" in _modules_loaded_by(code)
     assert (tmp_path / "m.mc.json").exists() and (tmp_path / "m.samples.csv").exists()
@@ -215,6 +219,7 @@ _CERT = analysis.ThresholdCert(0.0, 0.5, 0.25, 0.1, 10)
         lambda: analysis.variance_martingale_curve(
             _F, sequences.Constant(2), 3, analysis.angle_profile(_F, sequences.Constant(2), 2)),
         lambda: analysis.verify_decay(_ZERO, [2]),
+        lambda: analysis.decay_certificate(_ZERO, 3),
         lambda: analysis.block_shadowing_check(_F, sequences.Constant(3), 0, 5),
         lambda: analysis.block_shadowing_check(_F, sequences.Constant(3), 5, 5),
         lambda: analysis.block_shadowing_check(_F, sequences.Periodic((2, 3)), 2, 5),
@@ -238,7 +243,8 @@ _CERT = analysis.ThresholdCert(0.0, 0.5, 0.25, 0.1, 10)
         "empty-head", "bad-tail", "index-0", "bad-kind", "missing-field",
         "frequency-0", "duplicate-frequency", "non-finite", "not-an-array", "bad-entry",
         "u_at-index-0", "N<0", "profile-short-for-N", "profile-short-for-n",
-        "decay-zero-f", "K<1", "run-before-1", "run-not-constant", "threshold-zero-f",
+        "decay-zero-f", "certificate-zero-f", "K<1", "run-before-1", "run-not-constant",
+        "threshold-zero-f",
         "multiplier<=L", "dyadic-bits", "dyadic-numerator", "x0-bits", "m<1", "threads<1",
         "report-m<2", "standardization", "sample-m<2", "ks-empty", "grid-too-small",
     ],

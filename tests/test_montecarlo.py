@@ -262,16 +262,12 @@ def test_seeds_outside_64_bits_are_rejected(seed):
         sample_birkhoff(cosine(1), Constant(2), 8, 4, seed=seed)
     with pytest.raises(ValueError, match="seed must be in"):
         draw_numerator(seed, 0, 100)
-    with pytest.raises(ValueError, match="seed must be in"):
-        montecarlo.counter_generator(seed, 0)
 
 
 @pytest.mark.parametrize("index", [-1, 2**64])
 def test_indices_outside_64_bits_are_rejected(index):
     with pytest.raises(ValueError, match="index must be in"):
         draw_numerator(7, index, 100)
-    with pytest.raises(ValueError, match="index must be in"):
-        montecarlo.counter_generator(7, index)
 
 
 def test_largest_seed_is_accepted():
