@@ -823,13 +823,28 @@ def test_malformed_command_line_is_bad_input(tmp_path, capsys, argv):
         ["verify-decay", "{path}", "--k", "3", "--dump-samples"],
         ["analyze", "{path}", "--out", "{out}", "--dump-samples"],
         ["verify-decay", "{path}", "--k", "3", "--trials", "2"],
-        ["verify-decay", "{path}", "--k", "3", "--seed", "1"],
     ],
 )
 def test_flags_a_command_does_not_read_are_rejected(tmp_path, capsys, argv):
     path = write_scenario(tmp_path, function=F1_FUNCTION)
     argv = [a.format(path=path, out=tmp_path / "o") for a in argv]
     assert main(argv) == EXIT_BAD_SCENARIO
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments" in captured.err
+
+
+def test_verify_decay_rejects_negative_seed(tmp_path, capsys):
+    # verify-decay checks every word, so it reads no seed at all
+    path = write_scenario(tmp_path)
+    assert main(["verify-decay", path, "--k", "3", "--seed", "-1"]) == EXIT_BAD_SCENARIO
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments" in captured.err
+
+
+def test_verify_decay_rejects_seed_beyond_64_bits(tmp_path, capsys):
+    path = write_scenario(tmp_path)
+    code = main(["verify-decay", path, "--k", "3", "--seed", str(2**64 + 7)])
+    assert code == EXIT_BAD_SCENARIO
     captured = capsys.readouterr()
     assert captured.out == "" and "unrecognized arguments" in captured.err
 
