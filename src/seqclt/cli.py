@@ -4,7 +4,7 @@ Commands
 --------
 analyze       variance and transversality curves for (function, sequence, n)
 simulate      exact-orbit Monte Carlo summary (requires samples and seed)
-coboundary    solve f = (u o T_b) - u for the scenario's function
+coboundary    solve f = (u o T_b) - u for the scenario's function, verified
 verify-decay  certified transfer-operator decay over every map word
 
 Exit codes: 0 success; 1 bad input: a value that an input rule rejects
@@ -14,11 +14,12 @@ integer belongs, a scenario, sequence or coefficient key that nothing reads,
 a horizon n outside [1, sys.maxsize], a seed outside [0, 2^64), a base
 below 2, --k < 1, --threads < 1, or a flag that is missing, unknown or not
 read by the command; 2 I/O failure; 3 internal failure: any other error,
-such as a failed consistency check (variance cross-check or decay bound), a
-result that overflows to a non-finite value (the message names the CSV
-column and k, or the JSON key), an allocation beyond memory, or an
-exception of any other type; 10 coboundary obstruction (so shell pipelines
-can branch on the dichotomy).
+such as a failed consistency check (variance cross-check, decay bound, or
+a coboundary result that `coboundary.verify` rejects, which then prints
+nothing to stdout), a result that overflows to a non-finite value (the
+message names the CSV column and k, or the JSON key), an allocation beyond
+memory, or an exception of any other type; 10 coboundary obstruction (so
+shell pipelines can branch on the dichotomy).
 
 All real numbers in outputs are printed with 17 significant digits and are
 finite, and every output byte is a deterministic function of the inputs and
@@ -299,6 +300,8 @@ def cmd_simulate(scenario: Scenario, args: argparse.Namespace) -> int:
 
 def cmd_coboundary(scenario: Scenario, args: argparse.Namespace) -> int:
     result = coboundary.solve(scenario.function, args.base)
+    if not coboundary.verify(scenario.function, args.base, result):
+        raise ValueError(f"the coboundary {result.status} fails its independent check")
     print(_dumps(coboundary.result_to_obj(result)))
     return EXIT_OK if result.solvable else EXIT_OBSTRUCTION
 

@@ -23,9 +23,9 @@ from .trigpoly import TrigPoly, koopman, linear_combine, make_trigpoly, trigpoly
 __all__ = ["CoboundaryResult", "solve", "verify", "result_to_obj"]
 
 # Inputs are dyadic-representable doubles, so true chain cancellations are
-# exact; the tolerance only absorbs accumulated rounding.
+# exact; the tolerance, relative to sum |c_n| of f, only absorbs accumulated
+# rounding, at whatever scale f is given.
 RESIDUAL_RTOL = 1e-12
-SOLUTION_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -74,18 +74,20 @@ def solve(f: TrigPoly, b: int) -> CoboundaryResult:
 def verify(f: TrigPoly, b: int, result: CoboundaryResult) -> bool:
     """Independent check of either branch of a coboundary result.
 
-    Solution branch: (u o T_b) - u must reproduce f coefficientwise to
-    1e-12 absolute.  Obstruction branch: the chain total is recomputed by
+    Both branches hold to the tolerance `solve` uses, RESIDUAL_RTOL times
+    sum |c_n| of f.  Solution branch: (u o T_b) - u must reproduce f
+    coefficientwise.  Obstruction branch: the chain total is recomputed by
     brute force over the powers r*b^i <= degree(f) and must be nonzero
     (which rules out any square-summable solution).
     """
+    tol = RESIDUAL_RTOL * f.abs_coeff_sum()
     if result.status == "solution":
         if result.solution is None:
             return False
         diff = linear_combine(
             [(1.0, koopman(b, result.solution)), (-1.0, result.solution), (-1.0, f)]
         )
-        return all(abs(c) <= SOLUTION_ATOL for _, c in diff.coeffs)
+        return all(abs(c) <= tol for _, c in diff.coeffs)
     if result.status == "obstruction":
         r = result.root
         if r is None or result.residual is None or r < 1 or r % b == 0:
@@ -96,7 +98,6 @@ def verify(f: TrigPoly, b: int, result: CoboundaryResult) -> bool:
         while m <= f.degree:
             total += coeffs.get(m, 0j)
             m *= b
-        tol = RESIDUAL_RTOL * f.abs_coeff_sum()
         return abs(total) > tol and abs(total - result.residual) <= tol
     return False
 

@@ -28,10 +28,15 @@ _TILE_SAMPLES orbits at a time:
    next event's multiplier.  `_blocks` cuts the steps, once per run, into
    blocks that read only their own states.  Each exact state writes its
    top bits, left-aligned, into its block's frame of uint64 words, and
-   numpy joins two frame words into the top 53 bits of every step;
-3. numpy scales those by 2^-53, adds amp*cos(w*x + ph) to 0.0 term by
-   term in coefficient order, then runs the Kahan update across samples,
-   one step at a time.
+   numpy joins two adjacent frame words into the top 53 bits of every
+   step;
+3. before the next block is read, numpy scales the block's steps by
+   2^-53, adds amp*cos(w*x + ph) to 0.0 term by term in coefficient order,
+   then runs the Kahan update across samples, one step at a time.
+
+Numerators are at least 64 bits wide, so that an event's word is its
+state's top 64 bits; `orbit_birkhoff` widens a narrower x0 by shifting its
+numerator left, which leaves the point and its orbit's top bits as they are.
 
 Each sample thus sees the operations of the scalar loop in its order, and
 numpy's cos equals math.cos on these arguments (a tier-1 test guards this),
@@ -196,28 +201,30 @@ def _coef_table(f: TrigPoly) -> tuple[tuple[float, float, float], ...]:
     )
 
 
-def _blocks(mults: list[int], bits: int) -> tuple:
-    """Cut the orbit of bits-wide numerators under mults into blocks, once
-    per run, each reading only its own exact states.
+def _blocks(mults: list[int]) -> tuple:
+    """Cut the orbit under mults into blocks, once per run, each reading
+    only its own exact states.
 
     A step by 2^t only shifts the numerator left, so only the other steps
     are events, exact bigint steps.  A block starts every _TILE_STEPS steps
     and at each event whose following power-of-two run shifts by more than
     64 - 53 = 11 bits.  A block is
 
-        ((a0, t0), size, events, (hi, lo, left, right))
+        ((a0, t0), size, events, (hi, left, right))
 
     Its first step makes one exact state s = ((a0 * num) << t0) & mask, a0
     the step's odd factor and t0 its power of two plus the shift of the
     previous block's steps after its last exact state.  The block's frame
     holds the top bits of its exact states as left-aligned uint64 words: s
     in size = ceil((D + 53) / 64) words, D the shift up to the first event,
-    then one word per event, then a zero word.  A step at shift dz from the
-    state in row r joins words hi = r + dz // 64 and lo = hi + 1, or the
-    zero word at left = dz % 64 = 0, as (hi << left) | (lo >> right): no
-    shift reaches 64.  After an event dz <= 11, or that event would have
-    started a block.  An event's multiplier is the product of the steps
-    since the last exact state (`a << dz`).
+    then one word per event.  A step at shift dz from the state in row r
+    joins rows hi = r + dz // 64 and hi + 1 at left = dz % 64, as
+    (w[hi] << left) | ((w[hi + 1] >> 1) >> right), right = 63 - left: no
+    shift reaches 64.  Row hi + 1 feeds only the 11 bits dropped below the
+    53 read unless left > 11, and then the 53 bits cross into the next word
+    of the same first state: after an event dz <= 11, or that event would
+    have started a block.  An event's multiplier is the product of the
+    steps since the last exact state (`a << dz`).
     """
     starts, run = [], 0  # run: the shift of the power-of-two run after step i
     for i in reversed(range(len(mults))):
@@ -239,59 +246,51 @@ def _blocks(mults: list[int], bits: int) -> tuple:
                 dz += a.bit_length() - 1
             reads.append((len(events), dz))
         size = (max(d for k, d in reads if not k) + 116) // 64  # ceil((D + 53) / 64)
-        hi = [(size + k - 1 if k else 0) + d // 64 for k, d in reads]
-        lo = [h + 1 if d % 64 else size + len(events) for h, (_, d) in zip(hi, reads)]
+        hi = np.array([(size + k - 1 if k else 0) + d // 64 for k, d in reads], dtype=np.intp)
         left = np.array([d % 64 for _, d in reads], dtype=np.uint64)[:, None]
-        reader = (np.array(hi, dtype=np.intp), np.array(lo, dtype=np.intp), left, (64 - left) & 63)
-        blocks.append((first, size, tuple(events), reader))
+        blocks.append((first, size, tuple(events), (hi, left, 63 - left)))
     return tuple(blocks)
 
 
 def _orbit_sums(coef, bits: int, blocks: tuple, nums: list[int]) -> list[float]:
     """S_n from each initial numerator in nums (at most _TILE_SAMPLES) of
-    bits bits, block by block as `_blocks(mults, bits)` lays them out.
+    bits >= 64 bits, block by block as `_blocks(mults)` lays them out.
 
     Every orbit makes the block's first exact state, then steps over its
     events, writing each state's top bits into its column of the block's
-    frame; numpy joins two frame words into each step's top 53 bits.
-    Every _TILE_STEPS steps and at the end, it evaluates f on them,
-    step-major, and runs one Kahan update per step across the samples: per
-    sample, the operations of the scalar loop in its order, so every sum is
-    bit-identical to it.
+    frame; numpy joins two frame words into each step's top 53 bits.  Then
+    it evaluates f on the block's steps, step-major, and runs one Kahan
+    update per step across the samples: per sample, the operations of the
+    scalar loop in its order, so every sum is bit-identical to it.
     """
-    mask = (1 << bits) - 1
-    shift = max(0, bits - 64)  # an event's word: its state's top 64 bits
+    mask, shift = (1 << bits) - 1, bits - 64  # an event's word: its state's top 64 bits
     count, nums = len(nums), list(nums)
     x, term, value = np.empty((3, _TILE_STEPS, count))
     heads, lows = term.view(np.uint64), x.view(np.uint64)  # the gathers reuse their memory
     total, comp, y, t = np.zeros((4, count))
-    at = 0  # the steps of the tile read so far
     with np.errstate(all="ignore"):  # overflow and nan pass silently, as in Python floats
-        for b, ((a0, t0), size, events, (hi, lo, left, right)) in enumerate(blocks, 1):
-            frame = np.zeros((size + len(events) + 1, count), dtype=np.uint64)
+        for (a0, t0), size, events, (hi, left, right) in blocks:
+            frame = np.empty((size + len(events), count), dtype=np.uint64)
             snap, drop, fit = [], bits - 64 * size, mask >> t0  # fit: the bits that stay
             for j in range(count):
                 num = nums[j]  # a0 = 1 is skipped: 1 * num copies a bigint
                 num = ((a0 * num if a0 > 1 else num) & fit) << t0
                 snap.append((num >> drop if drop >= 0 else num << -drop).to_bytes(8 * size, "big"))
                 if events:
-                    frame[size:-1, j] = [(num := (a * num) & mask) >> shift for a in events]
+                    frame[size:, j] = [(num := (a * num) & mask) >> shift for a in events]
                 nums[j] = num
             frame[:size] = np.frombuffer(b"".join(snap), dtype=">u8").reshape(count, size).T
-            if bits < 64:  # left-align the event words of a narrow numerator
-                frame[size:-1] <<= 64 - bits
-            head, low = heads[at : at + len(hi)], lows[at : at + len(hi)]
+            steps = len(hi)
+            head, low = heads[:steps], lows[:steps]
             np.take(frame, hi, axis=0, out=head, mode="clip")  # "raise" would buffer out
-            np.take(frame, lo, axis=0, out=low, mode="clip")
+            np.take(frame, hi + 1, axis=0, out=low, mode="clip")  # the last row reads itself
             head <<= left
+            low >>= 1
             low >>= right
             head |= low
             head >>= 11
-            at += len(hi)
-            if at < _TILE_STEPS and b < len(blocks):
-                continue
-            xs, v, fx = x[:at], term[:at], value[:at]
-            np.multiply(heads[:at], 2.0**-53, out=xs)
+            xs, v, fx = x[:steps], term[:steps], value[:steps]
+            np.multiply(head, 2.0**-53, out=xs)
             fx.fill(0.0)
             for amp, w, ph in coef:
                 np.multiply(xs, w, out=v)
@@ -305,7 +304,6 @@ def _orbit_sums(coef, bits: int, blocks: tuple, nums: list[int]) -> list[float]:
                 np.subtract(t, total, out=comp)
                 comp -= y
                 total, t = t, total
-            at = 0
     return total.tolist()
 
 
@@ -313,14 +311,16 @@ def orbit_birkhoff(f: TrigPoly, spec: SequenceSpec, n: int, x0: DyadicPoint) -> 
     """S_n(x0) = sum_{k=1}^n f(a_k ... a_1 x0 mod 1), first summand f(a_1 x0).
 
     The numerator is iterated exactly; x0 must carry enough bits that the
-    truncation of the initial point cannot reach the evaluated 53 bits.
+    truncation of the initial point cannot reach the evaluated 53 bits.  A
+    narrower x0 than 64 bits is widened to 64 bits, the same point.
     """
     mults = _multipliers(spec, n)
     need = _log2_ceil(mults) + 53
     if x0.bits < need:
         raise InputError(f"x0 has {x0.bits} bits, needs >= {need} for n={n}")
-    blocks = _blocks(mults, x0.bits)
-    return _orbit_sums(_coef_table(f), x0.bits, blocks, [x0.numerator])[0]
+    bits = max(x0.bits, 64)
+    num = x0.numerator << (bits - x0.bits)
+    return _orbit_sums(_coef_table(f), bits, _blocks(mults), [num])[0]
 
 
 def _sum_range(args) -> list[float]:
@@ -351,7 +351,7 @@ def birkhoff_samples(
     check_u64(seed, "seed")
     mults = _multipliers(spec, n)
     bits = _log2_ceil(mults) + _GUARD_BITS
-    coef, blocks = _coef_table(f), _blocks(mults, bits)
+    coef, blocks = _coef_table(f), _blocks(mults)
     workers = min(threads, os.cpu_count() or 1, m)
     if workers <= 1:
         return _sum_range((coef, bits, blocks, seed, 0, m))

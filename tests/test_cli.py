@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqclt import analysis, cli, montecarlo
+from seqclt import analysis, cli, coboundary, montecarlo
 from seqclt.cli import (
     EXIT_BAD_SCENARIO,
     EXIT_INCONSISTENT,
@@ -737,6 +737,17 @@ def test_coboundary_obstruction_exit_ten(tmp_path, capsys):
     assert out["status"] == "obstruction"
     assert out["root"] == 1
     assert out["residual"]["re"] == pytest.approx(-0.5)
+
+
+def test_coboundary_prints_only_a_verified_result(tmp_path, capsys, monkeypatch):
+    # a solution that coboundary.verify rejects is an internal failure
+    wrong = coboundary.CoboundaryResult("solution", cosine(3), None, None)
+    monkeypatch.setattr(coboundary, "solve", lambda f, b: wrong)
+    path = write_scenario(tmp_path, function=F1_FUNCTION)
+    assert main(["coboundary", path, "--base", "2"]) == EXIT_INCONSISTENT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_coboundary_rejects_base_one(tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_poly
 from seqclt.coboundary import CoboundaryResult, result_to_obj, solve, verify
@@ -39,6 +41,41 @@ def test_verify_accepts_both_branches(f1):
 def test_verify_rejects_wrong_solution(f1):
     wrong = CoboundaryResult("solution", cosine(3), None, None)
     assert not verify(f1, 2, wrong)
+
+
+def test_verify_rejects_wrong_solution_at_small_scale():
+    # every coefficient of the residual is 5e-14, below any absolute 1e-12,
+    # yet as large as f's own coefficients
+    f = make_trigpoly([(1, -0.5e-13), (2, 0.5e-13)])
+    assert verify(f, 2, solve(f, 2))
+    assert not verify(f, 2, CoboundaryResult("solution", make_trigpoly([(3, 0.5e-13)]), None, None))
+
+
+# six bands from the subnormal range up to near the largest double
+SCALES = [1e-320, 1e-200, 1e-3, 1e6, 1e150, 1e300]
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5]),
+    st.sampled_from(SCALES),
+    st.dictionaries(
+        st.integers(1, 30),
+        st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+        min_size=1,
+        max_size=12,
+    ),
+)
+def test_verify_accepts_valid_solutions_at_every_scale(b, scale, coeffs):
+    # f = (g o T_b) - g for g of modulus about scale: solve's u must pass,
+    # and the same u scaled by 2 must not, unless f is 0
+    g = make_trigpoly([(k, complex(re * scale, im * scale)) for k, (re, im) in coeffs.items()])
+    f = linear_combine([(1.0, koopman(b, g)), (-1.0, g)])
+    res = solve(f, b)
+    assert verify(f, b, res)
+    if not f.is_zero:
+        doubled = linear_combine([(2.0, res.solution)])
+        assert not verify(f, b, CoboundaryResult("solution", doubled, None, None))
 
 
 def test_verify_rejects_wrong_certificate(f1):

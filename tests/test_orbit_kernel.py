@@ -133,7 +133,7 @@ def test_task_range_off_tile_boundaries(f, spec):
     n, lo, hi = 40, TILE_SAMPLES - 3, 2 * TILE_SAMPLES + 5
     bits = required_bits(spec, n)
     mults = list(itertools.islice(spec.iter_values(), n))
-    task = (montecarlo._coef_table(f), bits, montecarlo._blocks(mults, bits), SEED, lo, hi)
+    task = (montecarlo._coef_table(f), bits, montecarlo._blocks(mults), SEED, lo, hi)
     assert montecarlo._sum_range(task) == _reference_samples(f, spec, n, SEED, range(lo, hi))
 
 
@@ -166,28 +166,61 @@ def test_narrow_numerators_through_the_export():
     # bits 53..62: the run of 70 after the 3 exceeds the 11 spare bits of an
     # event's word, so the 3 starts a block, and each block's doubling run
     # reads its first state from a frame of 2 words, wider than the whole
-    # numerator; past bits doublings the state is 0, as in the loop
+    # numerator; past bits doublings the state is 0, as in the loop.  These
+    # widths are below what orbit_birkhoff accepts for this word, so the
+    # numerators are widened to 64 bits here as orbit_birkhoff widens them
     coef = montecarlo._coef_table(RAND5)
     rng = np.random.default_rng(75)
     mults = [2] * 20 + [3] + [2] * 70
+    blocks = montecarlo._blocks(mults)
+    assert [(first, size, events) for first, size, events, _ in blocks] == [
+        ((1, 1), 2, ()),
+        ((3, 19), 2, ()),
+    ]
     for bits in range(53, 63):
-        blocks = montecarlo._blocks(mults, bits)
-        assert [(first, size, events) for first, size, events, _ in blocks] == [
-            ((1, 1), 2, ()),
-            ((3, 19), 2, ()),
-        ]
         nums = [int(v) for v in rng.integers(0, 1 << bits, 3)]
-        got = montecarlo._orbit_sums(coef, bits, blocks, nums)
+        got = montecarlo._orbit_sums(coef, 64, blocks, [num << (64 - bits) for num in nums])
         assert got == [_reference_birkhoff_sum(num, bits, mults, coef) for num in nums]
+
+
+NARROW_ODD = [
+    pytest.param(Periodic((2, 3)), id="periodic23"),
+    pytest.param(Periodic((3, 2)), id="periodic32"),
+    pytest.param(Constant(3), id="constant3"),
+    pytest.param(Explicit((3, 2, 2, 5), Constant(2)), id="explicit3225"),
+]
+
+
+@pytest.mark.parametrize("spec", NARROW_ODD)
+def test_orbit_birkhoff_on_narrow_odd_words(spec):
+    # every width from ceil(log2 A_n) + 53 to 63, on words whose odd steps
+    # are events: orbit_birkhoff widens the numerator to 64 bits, and every
+    # state's top 53 bits, events' words included, stay those of the loop
+    coef = montecarlo._coef_table(F1)
+    rng = np.random.default_rng(76)
+    cases = 0
+    for n in itertools.count(1):
+        mults = list(itertools.islice(spec.iter_values(), n))
+        need = required_bits(spec, n) - GUARD + 53
+        if need > 63:
+            break
+        for bits in range(need, 64):
+            for num in [int(v) for v in rng.integers(0, 1 << bits, 3)]:
+                x0 = DyadicPoint(bits=bits, numerator=num)
+                want = _reference_birkhoff_sum(num, bits, mults, coef)
+                assert orbit_birkhoff(F1, spec, n, x0) == want
+            cases += 1
+    assert cases >= 30
 
 
 def _frame_offsets(block):
     # the bit offset into the block's frame that each of its steps reads
-    _, size, events, (hi, lo, left, right) = block
+    _, size, _, (hi, left, right) = block
     offsets = [64 * h + int(r) for h, r in zip(hi.tolist(), left.ravel())]
-    zero = size + len(events)  # the frame's last row
-    assert lo.tolist() == [o // 64 + 1 if o % 64 else zero for o in offsets]
-    assert right.ravel().tolist() == [(64 - o % 64) % 64 for o in offsets]
+    assert right.ravel().tolist() == [63 - o % 64 for o in offsets]
+    # a 53-bit window that crosses a word reads the next word of its own
+    # first state; every other step's row hi + 1 feeds only dropped bits
+    assert all(o // 64 + 1 < size for o in offsets if o % 64 > 11)
     return offsets
 
 
@@ -197,8 +230,7 @@ def test_odd_word_blocks_step_exactly_after_their_first_step(spec):
     # word, and every later one is an event that reads its own word
     n = 2 * TILE_STEPS + 10
     mults = list(itertools.islice(spec.iter_values(), n))
-    bits = required_bits(spec, n)
-    blocks = montecarlo._blocks(mults, bits)
+    blocks = montecarlo._blocks(mults)
     assert len(blocks) == 3
     for k, block in enumerate(blocks):
         steps = mults[k * TILE_STEPS : (k + 1) * TILE_STEPS]
@@ -211,8 +243,7 @@ def test_doubling_word_has_one_export_per_block_and_no_events():
     # first step makes, 256 doublings after the last one, into its frame
     # and reads all its steps from it
     n = 4 * TILE_STEPS
-    bits = required_bits(Constant(2), n)
-    blocks = montecarlo._blocks([2] * n, bits)
+    blocks = montecarlo._blocks([2] * n)
     size = -(-(TILE_STEPS - 1 + 53) // 64)
     assert [block[:3] for block in blocks] == [((1, 1), size, ())] + [
         ((1, TILE_STEPS), size, ())
@@ -228,7 +259,7 @@ def test_event_before_a_long_shift_starts_a_block():
     spec = Periodic((3, 2**12))
     n = 4 * TILE_STEPS
     mults = list(itertools.islice(spec.iter_values(), n))
-    blocks = montecarlo._blocks(mults, required_bits(spec, n))
+    blocks = montecarlo._blocks(mults)
     assert len(blocks) == n // 2
     assert [block[:3] for block in blocks] == [((3, 0), 2, ())] + [((3, 12), 2, ())] * (
         n // 2 - 1
@@ -244,7 +275,7 @@ def test_event_before_an_eleven_bit_shift_stays_in_its_block():
     n = 4 * TILE_STEPS
     spec = Periodic((3, 2**11))
     mults = list(itertools.islice(spec.iter_values(), n))
-    blocks = montecarlo._blocks(mults, required_bits(spec, n))
+    blocks = montecarlo._blocks(mults)
     assert len(blocks) == n // TILE_STEPS
     events = (3 << 11,) * (TILE_STEPS // 2 - 1)
     assert [block[:3] for block in blocks] == [((3, 0), 1, events)] + [((3, 11), 1, events)] * 3
@@ -265,12 +296,13 @@ def test_kernel_matches_scalar_loop_on_random_words(data):
         st.lists(st.tuples(st.sampled_from(ALPHABET), st.integers(1, 400)), min_size=1, max_size=12)
     )
     mults = [a for a, length in runs for _ in range(length)][:1200]
-    bits = (math.prod(mults) - 1).bit_length() + 53 + data.draw(st.integers(0, 80))
+    # the kernel's contract is 64 bits or more; orbit_birkhoff widens narrower ones
+    bits = max(64, (math.prod(mults) - 1).bit_length() + 53 + data.draw(st.integers(0, 80)))
     nums = data.draw(st.lists(st.integers(0, (1 << bits) - 1), min_size=1, max_size=4))
     coef = montecarlo._coef_table(F1)
-    blocks = montecarlo._blocks(mults, bits)
+    blocks = montecarlo._blocks(mults)
     # no uint64 shift reaches 64, whose result C leaves undefined
-    shifts = [s for block in blocks for s in block[3][2:]]
+    shifts = [s for block in blocks for s in block[3][1:]]
     assert all(s.max(initial=0) < 64 for s in shifts)
     got = montecarlo._orbit_sums(coef, bits, blocks, nums)
     assert got == [_reference_birkhoff_sum(num, bits, mults, coef) for num in nums]
