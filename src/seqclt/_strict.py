@@ -34,9 +34,19 @@ def strict_int(value, what: str) -> int:
 
 def strict_float(value, what: str) -> float:
     """value as a float; booleans, strings and integers beyond float range raise InputError."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
         try:
             return float(value)
+        except OverflowError:
+            pass
+    raise InputError(f"{what} must be a number, got {value!r}")
+
+
+def strict_complex(value, what: str) -> complex:
+    """value as a complex; booleans, strings, bytes and ints beyond float range raise InputError."""
+    if isinstance(value, numbers.Complex) and not isinstance(value, bool):
+        try:
+            return complex(value)
         except OverflowError:
             pass
     raise InputError(f"{what} must be a number, got {value!r}")
@@ -56,8 +66,9 @@ def check_multiplier(value, what: str = "map multiplier") -> int:
     return value
 
 
-def check_u64(value: int, what: str) -> int:
-    """value, if it is in [0, 2^64): a Philox key word outside would alias another."""
+def check_u64(value, what: str) -> int:
+    """value as an int in [0, 2^64): a Philox key word outside would alias another."""
+    value = strict_int(value, what)
     if not 0 <= value < 1 << 64:
         raise InputError(f"{what} must be in [0, 2^64), got {value}")
     return value
@@ -70,8 +81,13 @@ def check_index(k: int) -> int:
     return k
 
 
-def check_horizon(n: int) -> int:
-    """n, if it is in [1, sys.maxsize]: no list of n values exists beyond that."""
+def check_horizon(n) -> int:
+    """n as an int in [1, sys.maxsize]: no list of n values exists beyond that.
+
+    A non-integral n is rejected, not rounded: a walk that counts it down
+    by whole indices would step past 0 and never end.
+    """
+    n = strict_int(n, "horizon n")
     if not 1 <= n <= sys.maxsize:
         raise InputError(f"horizon n must be in [1, {sys.maxsize}], got {n}")
     return n

@@ -27,7 +27,7 @@ import math
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
-from ._strict import InputError, check_horizon, check_index, check_multiplier
+from ._strict import InputError, check_horizon, check_index, check_multiplier, strict_int
 from .sequences import SequenceSpec
 from .trigpoly import (
     ZERO,
@@ -153,17 +153,12 @@ class DecayReport:
 def _backward_images(f: TrigPoly, mults: Iterable[int]) -> Iterator[TrigPoly]:
     """T*_{b_i} ... T*_{b_1} f for i = 1, 2, ... along mults = b_1, b_2, ...
 
-    Stops before the product b_1 ... b_i exceeds degree(f), past which every
-    image is annihilated exactly, or at the first zero image.  mults is read
-    lazily, so it may be infinite or expensive to evaluate deep down.
+    Stops at the first zero image, which comes at the latest once the product
+    b_1 ... b_i exceeds degree(f).  mults is read lazily, so it may be
+    infinite or expensive to evaluate deep down.
     """
-    deg = f.degree
     g = f
-    mult = 1
     for b in mults:
-        mult *= b
-        if mult > deg:
-            return
         g = transfer(b, g)
         if g.is_zero:
             return
@@ -182,7 +177,7 @@ def _walks(spec: SequenceSpec, degree: int, n: int) -> Iterator[tuple[tuple[int,
     the walk stops changing within depth + 1 steps, once prepending b and
     cutting gives it back; the rest of the run is then one segment.
     """
-    check_horizon(n)
+    n = check_horizon(n)
     walk: tuple[int, ...] = ()
     skip = True  # a_1 is in no walk: drop one index, not one run (a run may be empty)
     for a_next, length in spec.runs():
@@ -212,21 +207,21 @@ def _u_of_walk(f: TrigPoly, walk: Iterable[int]) -> TrigPoly:
     return linear_combine([(1.0, t) for t in reversed(terms)])
 
 
-def _by_window(f: TrigPoly, spec: SequenceSpec, n: int, compute: Callable, with_next=False):
-    """compute(walk_k, a_{k+1}) for k = 1..n, once per distinct key and one object per key.
-
-    The key is what the value depends on: walk_k, or the pair
-    (walk_k, a_{k+1}) when with_next is set.
-    """
+def _by_window(f: TrigPoly, spec: SequenceSpec, n: int, compute: Callable) -> Iterator:
+    """Segments (compute(walk_k), a_{k+1}, count) covering k = 1..n in order:
+    compute runs once per distinct walk_k, all that u_k and the k-th covariance
+    step depend on, and every segment with that walk holds the same object."""
     memo: dict = {}
+    for walk, a_next, count in _walks(spec, f.degree, n):
+        value = memo.get(walk)
+        if value is None:
+            value = memo[walk] = compute(walk)
+        yield value, a_next, count
 
-    def repeated(walk: tuple[int, ...], a_next: int, count: int) -> Iterator:
-        key = (walk, a_next) if with_next else walk
-        if key not in memo:
-            memo[key] = compute(walk, a_next)
-        return itertools.repeat(memo[key], count)
 
-    return itertools.chain.from_iterable(itertools.starmap(repeated, _walks(spec, f.degree, n)))
+def _per_index(segments: Iterable) -> Iterator:
+    """The value of each segment, count times over: one entry per index."""
+    return itertools.chain.from_iterable(itertools.repeat(v, count) for v, _, count in segments)
 
 
 def _kahan_prefix(values: Iterable[float]) -> Iterator[float]:
@@ -246,7 +241,7 @@ def u_sequence(f: TrigPoly, spec: SequenceSpec, n: int) -> list[TrigPoly]:
     The u_k are exact and degree(u_k) <= degree(f) for every k, since
     transfer operators never raise the degree.
     """
-    return list(_by_window(f, spec, n, lambda walk, _: _u_of_walk(f, walk)))
+    return list(_per_index(_by_window(f, spec, n, lambda walk: _u_of_walk(f, walk))))
 
 
 def u_at(f: TrigPoly, spec: SequenceSpec, k: int) -> TrigPoly:
@@ -270,12 +265,17 @@ def _angle_record(u: TrigPoly, a_next: int) -> AngleRecord:
 def angle_profile(f: TrigPoly, spec: SequenceSpec, n: int) -> list[AngleRecord]:
     """Transversality records for k = 1..n (uses a_{k+1} for the projection).
 
-    A record is a function of (walk_k, a_{k+1}): it is computed once per
-    distinct pair, and every index with that pair holds the same object.
+    u_k is computed once per distinct walk_k, and a record once per distinct
+    pair (walk_k, a_{k+1}): every index with that pair holds the same object.
     """
-    return list(_by_window(
-        f, spec, n, lambda walk, a: _angle_record(_u_of_walk(f, walk), a), with_next=True
-    ))
+    def record(entry: tuple[TrigPoly, dict], a_next: int, count: int) -> Iterator[AngleRecord]:
+        u, by_next = entry  # u_k of one walk, and its record for each a_{k+1} met so far
+        if a_next not in by_next:
+            by_next[a_next] = _angle_record(u, a_next)
+        return itertools.repeat(by_next[a_next], count)
+
+    segments = _by_window(f, spec, n, lambda walk: (_u_of_walk(f, walk), {}))
+    return list(itertools.chain.from_iterable(itertools.starmap(record, segments)))
 
 
 def accumulated_transversality(profile: list[AngleRecord], N: int) -> float:
@@ -299,13 +299,13 @@ def variance_covariance_curve(f: TrigPoly, spec: SequenceSpec, n: int) -> list[f
     """
     norm_sq = l2_inner(f, f)
 
-    def step(walk: tuple[int, ...], _) -> float:
+    def step(walk: tuple[int, ...]) -> float:
         total = norm_sq
         for g in _backward_images(f, walk):
             total += 2.0 * l2_inner(g, f)
         return total
 
-    return list(_kahan_prefix(_by_window(f, spec, n, step)))
+    return list(_kahan_prefix(_per_index(_by_window(f, spec, n, step))))
 
 
 def variance_covariance(f: TrigPoly, spec: SequenceSpec, n: int) -> float:
@@ -325,6 +325,7 @@ def variance_martingale_curve(
     the composition operators are L2 isometries, so every statistic of the
     approximating martingale is a statistic of u_i.
     """
+    n = check_horizon(n)
     if profile is None:
         profile = angle_profile(f, spec, n)
     if len(profile) < n:
@@ -357,10 +358,10 @@ def verify_decay(f: TrigPoly, maps: list[int]) -> DecayReport:
     ||image|| <= 2 * 2^-j * ||f||; the left side uses the certified upper
     bound and the right side the plain grid estimate of ||f||, so a reported
     pass is conservative.  The images are those of _backward_images, which
-    ends once b_1 ... b_j exceeds degree(f) or an image vanishes; every later
-    image is exactly zero, with norm C1Norm(0.0, 0.0).  So the letters past
-    that end are not walked, but each of them is still checked.  A zero
-    image has ratio 0.0, also where the bound has underflowed to 0.0.
+    ends at the first zero image; every later image is exactly zero, with
+    norm C1Norm(0.0, 0.0).  So the letters past that end are not walked, but
+    each of them is still checked.  A zero image has ratio 0.0, also where
+    the bound has underflowed to 0.0.
     """
     if f.is_zero:
         raise InputError("decay verification needs a nonzero observable")
@@ -386,7 +387,7 @@ def decay_certificate(f: TrigPoly, k: int) -> tuple[float, tuple[int, ...]]:
     deepest word.  Each ratio is verify_decay's bit for bit, and no word
     reaches past degree(f).bit_length() letters, whatever k is.
     """
-    if k < 1 or f.is_zero:
+    if (k := strict_int(k, "k")) < 1 or f.is_zero:
         raise InputError(f"decay certificate needs k >= 1 and a nonzero observable, got k={k}")
     ref = c1_norm(f)
     words: dict[int, tuple[int, ...]] = {1: ()}  # B -> one word of j letters with product B
@@ -404,14 +405,12 @@ def decay_certificate(f: TrigPoly, k: int) -> tuple[float, tuple[int, ...]]:
 
 
 def neumann_sum(f: TrigPoly, b: int) -> TrigPoly:
-    """sum_{i>=0} (T*_b)^i f, exact: terms vanish once b^i exceeds degree(f)."""
-    terms = [f, *_backward_images(f, itertools.repeat(b))]
-    return linear_combine([(1.0, t) for t in terms])
+    """sum_{i>=0} (T*_b)^i f, exact: terms vanish once b^i exceeds degree(f).
+    It is u_k along the walk (b, b, ...), summed deepest-first as u_k is."""
+    return _u_of_walk(f, itertools.repeat(b))
 
 
-def block_shadowing_check(
-    f: TrigPoly, spec: SequenceSpec, K: int, k: int
-) -> float:
+def block_shadowing_check(f: TrigPoly, spec: SequenceSpec, K: int, k: int) -> float:
     """Distance of u_k, u_{k+1} from the constant-run Neumann limit.
 
     Requires a_{k-K} = ... = a_{k+2} = b; returns the larger certified C1
@@ -424,9 +423,7 @@ def block_shadowing_check(
     b = spec.value_at(k)
     for j in range(k - K, k + 3):
         if spec.value_at(j) != b:
-            raise InputError(
-                f"sequence is not constant on [{k - K}, {k + 2}]: a_{j} != {b}"
-            )
+            raise InputError(f"sequence is not constant on [{k - K}, {k + 2}]: a_{j} != {b}")
     target = neumann_sum(f, b)
     return max(
         c1_norm(linear_combine([(1.0, u_at(f, spec, j)), (-1.0, target)])).value
@@ -482,15 +479,12 @@ def example1_threshold(f: TrigPoly) -> ThresholdCert:
     return best[1]
 
 
-def separation_bound_check(
-    f: TrigPoly, spec: SequenceSpec, cert: ThresholdCert, k: int
-) -> bool:
+def separation_bound_check(f: TrigPoly, spec: SequenceSpec, cert: ThresholdCert, k: int) -> bool:
     """Check ||u_k||^2 sin^2(chi_k) >= delta^2 * eps / 64 above the threshold.
 
     Only meaningful (and only allowed) when min(a_k, a_{k+1}) > cert.L.
     """
-    a_k = spec.value_at(k)
-    a_next = spec.value_at(k + 1)
+    a_k, a_next = spec.value_at(k), spec.value_at(k + 1)
     if min(a_k, a_next) <= cert.L:
         raise InputError(
             f"separation bound needs min(a_k, a_k+1) > L={cert.L}, got {min(a_k, a_next)}"

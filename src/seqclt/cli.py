@@ -12,8 +12,9 @@ Exit codes: 0 success; 1 bad input: a value that an input rule rejects
 number, a boolean or string where a number belongs, non-integral where an
 integer belongs, a scenario, sequence or coefficient key that nothing reads,
 a horizon n outside [1, sys.maxsize], a seed outside [0, 2^64), a base
-below 2, --k < 1, --threads < 1, or a flag that is missing, unknown or not
-read by the command; 2 I/O failure; 3 internal failure: any other error,
+below 2, --k < 1, --threads < 1, a flag that is missing, unknown or not
+read by the command, or an --out prefix that names the scenario file as one
+of the command's outputs (nothing is written then); 2 I/O failure; 3 internal failure: any other error,
 such as a failed consistency check (variance cross-check, decay bound, or
 a coboundary result that `coboundary.verify` rejects, which then prints
 nothing to stdout), a result that overflows to a non-finite value (the
@@ -36,6 +37,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass, fields
 
@@ -165,6 +167,14 @@ def _dumps(obj, indent: int = 0) -> str:
     return _fmt(obj)
 
 
+def _check_outputs(args: argparse.Namespace, *paths: str) -> None:
+    """Reject an output path that is the scenario file, before anything is
+    written: writing it would replace the input the command just read."""
+    for path in paths:
+        if os.path.exists(path) and os.path.samefile(path, args.scenario):
+            raise InputError(f"--out {args.out} would overwrite the scenario file {path}")
+
+
 def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
@@ -250,7 +260,9 @@ def _analyze_csv(report: analysis.VarianceReport) -> str:
 
 
 def cmd_analyze(scenario: Scenario, args: argparse.Namespace) -> int:
-    n, out_prefix = scenario.n, args.out
+    csv_path, json_path, svg_path = paths = [args.out + s for s in (".csv", ".json", ".svg")]
+    _check_outputs(args, *paths)
+    n = scenario.n
     report = analysis.variance_report(scenario.function, scenario.sequence, n)
     csv = _analyze_csv(report)
     summary = _dumps({
@@ -259,11 +271,11 @@ def cmd_analyze(scenario: Scenario, args: argparse.Namespace) -> int:
         "var_mart": report.var_mart,
         "acc_transversality": report.acc_transversality,
     })
-    _write_text(out_prefix + ".csv", csv)
+    _write_text(csv_path, csv)
     del csv  # the SVG is built without the CSV text alive
-    _write_text(out_prefix + ".json", summary + "\n")
+    _write_text(json_path, summary + "\n")
     _svg_curves(
-        out_prefix + ".svg",
+        svg_path,
         n,
         [
             ("Var(S_k)", "#1f77b4", report.cov_curve),
@@ -283,18 +295,20 @@ def cmd_analyze(scenario: Scenario, args: argparse.Namespace) -> int:
 def cmd_simulate(scenario: Scenario, args: argparse.Namespace) -> int:
     if scenario.samples is None or scenario.seed is None:
         raise InputError("simulate needs 'samples' and 'seed' in the scenario")
+    mc_path, samples_path = args.out + ".mc.json", args.out + ".samples.csv"
+    _check_outputs(args, mc_path, *([samples_path] if args.dump_samples else []))
     from . import montecarlo  # and numpy, which analyze and coboundary never import
-    f, spec, n, out_prefix = scenario.function, scenario.sequence, scenario.n, args.out
+    f, spec, n = scenario.function, scenario.sequence, scenario.n
     sums = montecarlo.birkhoff_samples(
         f, spec, n, scenario.samples, scenario.seed, args.threads
     )
     report = montecarlo.report_from_samples(
         sums, f, spec, n, scenario.seed, scenario.standardization
     )
-    _write_text(out_prefix + ".mc.json", _dumps(asdict(report)) + "\n")
+    _write_text(mc_path, _dumps(asdict(report)) + "\n")
     if args.dump_samples:
         text = _csv_text(["sample"], map("%.17g\n".__mod__, sums))
-        _write_text(out_prefix + ".samples.csv", text)
+        _write_text(samples_path, text)
     return EXIT_OK
 
 

@@ -57,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis
-from ._strict import InputError, check_horizon, check_standardization, check_u64
+from ._strict import InputError, check_horizon, check_standardization, check_u64, strict_int
 from .sequences import SequenceSpec
 from .trigpoly import TrigPoly
 
@@ -95,6 +95,8 @@ class DyadicPoint:
     numerator: int
 
     def __post_init__(self):
+        object.__setattr__(self, "bits", strict_int(self.bits, "bits"))
+        object.__setattr__(self, "numerator", strict_int(self.numerator, "numerator"))
         if self.bits < 1:
             raise InputError("bits must be >= 1")
         if not 0 <= self.numerator < (1 << self.bits):
@@ -346,9 +348,10 @@ def birkhoff_samples(
     only affects wall time, never bytes.  At most min(threads, cpu count, m)
     worker processes start; with one, the samples are drawn in this process.
     """
+    m, threads = strict_int(m, "sample count"), strict_int(threads, "threads")
     if m < 1 or threads < 1:
         raise InputError(f"sample count and threads must be >= 1, got {m} and {threads}")
-    check_u64(seed, "seed")
+    seed = check_u64(seed, "seed")
     mults = _multipliers(spec, n)
     bits = _log2_ceil(mults) + _GUARD_BITS
     coef, blocks = _coef_table(f), _blocks(mults)
@@ -421,7 +424,7 @@ def sample_birkhoff(
     threads: int = 1,
 ) -> MCReport:
     """Draw m exact orbits, return the statistical summary."""
-    if m < 2:
+    if strict_int(m, "sample count") < 2:
         raise InputError("sample count must be >= 2")
     check_standardization(standardization)
     sums = birkhoff_samples(f, spec, n, m, seed, threads)

@@ -166,7 +166,8 @@ class Triples(SequenceSpec):
         check_multiplier(self.B)
         if self.B <= self.b0:
             raise InputError("spike value must exceed the background value")
-        if not isinstance(self.p0, int) or self.p0 < 1:
+        object.__setattr__(self, "p0", strict_int(self.p0, "first spike position p0"))
+        if self.p0 < 1:
             raise InputError("first spike position p0 must be an integer >= 1")
         check_multiplier(self.r, "position ratio r")
         if self.p0 * (self.r - 1) < 3:
@@ -196,7 +197,7 @@ class Blocks(SequenceSpec):
     kind = "blocks"
 
     def __post_init__(self):
-        object.__setattr__(self, "D", float(self.D))
+        object.__setattr__(self, "D", strict_float(self.D, "block growth D"))
         if not (math.isfinite(self.D) and self.D > 1.0):
             raise InputError(f"block schedule needs a finite growth D > 1, got {self.D!r}")
         # D = p/q exactly, so that every block start is an exact integer

@@ -28,7 +28,9 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from ._strict import InputError, check_keys, check_multiplier, strict_float, strict_int
+from ._strict import (
+    InputError, check_keys, check_multiplier, strict_complex, strict_float, strict_int,
+)
 
 __all__ = [
     "TrigPoly",
@@ -99,7 +101,7 @@ def make_trigpoly(entries) -> TrigPoly:
             raise InputError(f"frequency {n} < 1 (zero mean requires n >= 1)")
         if n in out:
             raise InputError(f"duplicate frequency {n}")
-        c = complex(c)
+        c = strict_complex(c, f"coefficient at frequency {n}")
         if not cmath.isfinite(c):
             raise InputError(f"coefficient at frequency {n} is not finite: {c!r}")
         out[n] = c

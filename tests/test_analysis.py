@@ -126,6 +126,8 @@ def _reference_martingale_curve(profile, n):
     return curve
 
 
+# The Neumann sum transfers until the image is zero and adds the terms
+# deepest-first, the order in which u_k sums its backward images.
 def _reference_neumann_sum(f, b):
     terms = [f]
     g = f
@@ -134,7 +136,7 @@ def _reference_neumann_sum(f, b):
         if g.is_zero:
             break
         terms.append(g)
-    return linear_combine([(1.0, t) for t in terms])
+    return linear_combine([(1.0, t) for t in reversed(terms)])
 
 
 ALL_KINDS = [
@@ -244,26 +246,50 @@ def test_each_memo_is_keyed_by_what_its_value_depends_on(monkeypatch):
     # u_k and the k-th covariance step depend on walk_k alone, the k-th angle
     # record on (walk_k, a_{k+1}); on a random word one walk meets many a_{k+1}
     f, spec, n = DEGREE_300, RANDOM_WORD, 1200
-    pairs = set(_reference_walks(spec, f.degree, n))
+    index_pairs = list(_reference_walks(spec, f.degree, n))
+    pairs = set(index_pairs)
     walks = {walk for walk, _ in pairs}
     assert len(walks) < len(pairs)
     u_calls = _counting(monkeypatch, "_u_of_walk")
     u_sequence(f, spec, n)
     assert sorted(u_calls) == sorted(walks)
     u_calls.clear()
-    angle_profile(f, spec, n)
-    assert len(u_calls) == len(pairs) and set(u_calls) == walks
+    profile = angle_profile(f, spec, n)
+    assert sorted(u_calls) == sorted(walks)
+    # one record object per pair, held by every index with that pair
+    record_of = {}
+    for pair, record in zip(index_pairs, profile):
+        assert record_of.setdefault(pair, record) is record
+    assert len({id(record) for record in profile}) == len(pairs)
     image_calls = _counting(monkeypatch, "_backward_images")
     variance_covariance_curve(f, spec, n)
     assert sorted(image_calls) == sorted(walks)
 
 
 def test_neumann_sum_matches_reference_walk():
+    # 17 of these 800 cases round differently when the terms are summed
+    # shallowest-first
     rng = np.random.default_rng(41)
-    for _ in range(20):
+    for _ in range(200):
         f = random_poly(rng, max_degree=64, density=0.5)
         for b in (2, 3, 5, 7):
             assert neumann_sum(f, b) == _reference_neumann_sum(f, b)
+
+
+def test_neumann_sum_is_the_saturated_u():
+    # inside a run of b deeper than the walk, u_k is the Neumann sum bit for bit
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        f = random_poly(rng, max_degree=64, density=0.5)
+        for b in (2, 3, 5, 7):
+            assert neumann_sum(f, b) == u_sequence(f, Constant(b), 40)[-1]
+
+
+def test_block_shadowing_is_zero_inside_a_saturated_run():
+    # a_2 .. a_43 are all 2 and 2^7 > 64: u_40 and u_41 are the Neumann sum itself
+    f = random_poly(np.random.default_rng(5), max_degree=64, density=1.0)
+    spec = Explicit((3,) + (2,) * 60, Constant(2))
+    assert block_shadowing_check(f, spec, 20, 40) == 0.0
 
 
 def test_u_sequence_cos_constant2(f1):

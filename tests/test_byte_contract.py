@@ -31,7 +31,7 @@ def test_reference_outputs_match_fingerprints(tmp_path, name):
     recorded = FINGERPRINTS[name]["reference"]
     scenario = workloads.scenario_bytes(workloads.reference_scenario(w))
     assert _sha256(scenario) == recorded["scenario"]
-    path = tmp_path / "reference.json"
+    path = tmp_path / "scenario.json"  # not reference.json, which --out reference writes
     path.write_bytes(scenario)
     prefix = str(tmp_path / "reference")
     assert cli.main(workloads.cli_argv(w, str(path), prefix)) == cli.EXIT_OK

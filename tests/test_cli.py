@@ -451,6 +451,30 @@ def test_analyze_unwritable_path(tmp_path):
     assert main(["analyze", path, "--out", "/nonexistent-dir/report"]) == EXIT_IO
 
 
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("s.json", ["analyze", "{dir}/s.json", "--out", "{dir}/s"]),
+        ("s.json", ["analyze", "s.json", "--out", "{dir}/./s"]),
+        ("x.mc.json", ["simulate", "{dir}/x.mc.json", "--out", "{dir}/x"]),
+        ("x.samples.csv", ["simulate", "{dir}/x.samples.csv", "--out", "{dir}/x", "--dump-samples"]),
+    ],
+    ids=["analyze", "analyze-another-spelling", "simulate", "simulate-samples"],
+)
+def test_out_never_overwrites_the_scenario(tmp_path, capsys, monkeypatch, name, argv):
+    # an --out prefix that names the scenario file as an output exits 1 and
+    # writes nothing: the scenario is still there to run again
+    path = Path(write_scenario(tmp_path, name=name, samples=20, seed=3))
+    before = path.read_bytes()
+    monkeypatch.chdir(tmp_path)
+    assert main([arg.format(dir=tmp_path) for arg in argv]) == EXIT_BAD_SCENARIO
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: --out \S+ would overwrite the scenario file \S+\n", captured.err)
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_bytes() == before
+
+
 def test_analyze_inconsistency_exit_code(tmp_path, monkeypatch):
     path = write_scenario(tmp_path)
     curve = analysis.variance_martingale_curve

@@ -61,7 +61,8 @@ def _modules_loaded_by(code: str) -> set[str]:
 
 def test_analysis_walks_backward_in_one_place():
     # one backward-walk primitive: every transfer in analysis is a step of
-    # _backward_images, which ends the walk where the images vanish
+    # _backward_images, which ends the walk where the images vanish, and
+    # keeps no product bookkeeping of its own: the cut lives in _walks
     tree = ast.parse((SRC / "analysis.py").read_text(encoding="utf-8"))
     callers = {
         getattr(stmt, "name", "<module>")
@@ -71,6 +72,9 @@ def test_analysis_walks_backward_in_one_place():
         and "transfer" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
     }
     assert callers == {"_backward_images"}
+    walk = next(stmt for stmt in tree.body if getattr(stmt, "name", None) == "_backward_images")
+    names = {getattr(node, "id", None) or getattr(node, "attr", None) for node in ast.walk(walk)}
+    assert "degree" not in names
 
 
 def test_import_leaves_the_process_pool_out():
@@ -107,6 +111,7 @@ def test_input_rules_raise_input_error():
     bad_calls = {
         "strict_int": (2.5, "n"),
         "strict_float": (True, "re"),
+        "strict_complex": ("0.5", "coefficient"),
         "check_keys": ({"bogus": 1}, ("n",), "scenario"),
         "check_multiplier": (1,),
         "check_u64": (-1, "seed"),
@@ -237,6 +242,25 @@ _CERT = analysis.ThresholdCert(0.0, 0.5, 0.25, 0.1, 10)
         lambda: montecarlo.sample_birkhoff(_F, sequences.Constant(2), 4, 1, 1),
         lambda: montecarlo.ks_statistic([]),
         lambda: trigpoly.grid_values(trigpoly.cosine(8), 16),
+        # values that mean something else than they say are rejected, not coerced;
+        # a walk over n = 2.5 would step past 0 and never end
+        lambda: next(analysis._walks(sequences.Periodic((2, 3)), 4, 2.5)),
+        lambda: analysis.variance_report(_F, sequences.Constant(2), True),
+        lambda: analysis.variance_martingale_curve(
+            _F, sequences.Constant(2), 2.5, analysis.angle_profile(_F, sequences.Constant(2), 3)),
+        lambda: sequences.Blocks("4"),
+        lambda: sequences.Blocks(b"4"),
+        lambda: trigpoly.make_trigpoly([(1, "0.5")]),
+        lambda: trigpoly.make_trigpoly([(1, True)]),
+        lambda: sequences.Triples(2, 80, True, 4),
+        lambda: montecarlo.DyadicPoint(True, 1),
+        lambda: montecarlo.DyadicPoint(64, 1.5),
+        lambda: montecarlo.birkhoff_samples(_F, sequences.Constant(2), 4, 4, True),
+        lambda: montecarlo.birkhoff_samples(_F, sequences.Constant(2), 4, 4, 1, threads=True),
+        lambda: montecarlo.birkhoff_samples(_F, sequences.Constant(2), 4, 2.5, 1),
+        lambda: montecarlo.sample_birkhoff(_F, sequences.Constant(2), 4, "4", 1),
+        lambda: montecarlo.required_bits(sequences.Constant(2), 2.5),
+        lambda: analysis.decay_certificate(_F, 1.5),
     ],
     ids=[
         "spike", "spikes-overlap", "blocks-D=1", "blocks-overlap", "empty-word",
@@ -247,6 +271,10 @@ _CERT = analysis.ThresholdCert(0.0, 0.5, 0.25, 0.1, 10)
         "threshold-zero-f",
         "multiplier<=L", "dyadic-bits", "dyadic-numerator", "x0-bits", "m<1", "threads<1",
         "report-m<2", "standardization", "sample-m<2", "ks-empty", "grid-too-small",
+        "horizon-2.5", "horizon-true", "profile-horizon-2.5", "blocks-D-str", "blocks-D-bytes",
+        "coefficient-str", "coefficient-true", "triples-p0-true", "dyadic-bits-true",
+        "dyadic-numerator-1.5", "seed-true", "threads-true", "m-2.5", "sample-m-str",
+        "required-bits-2.5", "certificate-k-1.5",
     ],
 )
 def test_library_input_rules_raise_input_error(call):
