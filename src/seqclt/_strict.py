@@ -1,9 +1,16 @@
-"""Strict reading of values from JSON, and shared range rules.
+"""Strict reading of values from JSON and from library callers, and shared range rules.
 
 JSON delivers booleans, floats and integers alike; ``int()`` would read
 ``true`` as 1 and truncate ``2.5`` to 2, and ``float()`` would read ``true``
 as 1.0 and ``"0.25"`` as 0.25.  A misspelt key would be ignored, and its
 value with it.  Input that does not mean what it says is rejected instead.
+
+Every integer argument of the library, and every integer of a scenario, is
+read once, by ``strict_int`` with its bounds: an int, a numpy integer or an
+integral float is read as the int it equals, anything else is rejected, and
+so is a value outside the bounds.  ``check_multiplier``, ``check_u64`` and
+``check_horizon`` are that reader with their bounds.  ``check_index`` alone
+is a bare range check, because ``value_at`` runs it once per index.
 
 Every rule here raises ``InputError``, wherever it runs, and so do the
 argument rules of ``sequences``, ``trigpoly``, ``analysis`` and
@@ -23,13 +30,21 @@ class InputError(ValueError):
     """A value that an input rule rejects: bad input, not a failed computation."""
 
 
-def strict_int(value, what: str) -> int:
-    """value as an int; booleans, strings and non-integral numbers raise InputError."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise InputError(f"{what} must be an integer, got {value!r}")
+def strict_int(value, what: str, lo: int | None = None, hi: int | None = None) -> int:
+    """value as an int in [lo, hi] (hi only with lo; None: unbounded); booleans,
+    strings, non-integral numbers and values out of bounds raise InputError."""
+    if type(value) is not int:  # an exact int skips the ABC test: transfer reads its slope here
+        if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+                or isinstance(value, float) and value.is_integer()):
+            raise InputError(f"{what} must be an integer, got {value!r}")
+        value = int(value)
+    if lo is not None and value < lo or hi is not None and value > hi:
+        # str() refuses an int of over 4300 digits; hex() writes any
+        lo, hi, got = (v if v is None or v.bit_length() < 14000 else hex(v)
+                       for v in (lo, hi, value))
+        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise InputError(f"{what} must be {bound}, got {got}")
+    return value
 
 
 def strict_float(value, what: str) -> float:
@@ -60,22 +75,19 @@ def check_keys(obj: dict, allowed, what: str) -> None:
 
 
 def check_multiplier(value, what: str = "map multiplier") -> int:
-    """value, if it is an integer >= 2: a map's slope, a chain base, a spike ratio."""
-    if not isinstance(value, int) or value < 2:
-        raise InputError(f"{what} must be an integer >= 2, got {value!r}")
-    return value
+    """value as an int >= 2: a map's slope, a chain base, a spike ratio."""
+    return strict_int(value, what, 2)
 
 
 def check_u64(value, what: str) -> int:
     """value as an int in [0, 2^64): a Philox key word outside would alias another."""
-    value = strict_int(value, what)
-    if not 0 <= value < 1 << 64:
-        raise InputError(f"{what} must be in [0, 2^64), got {value}")
-    return value
+    return strict_int(value, what, 0, (1 << 64) - 1)
 
 
 def check_index(k: int) -> int:
-    """k, if it is >= 1: the sequence a_1, a_2, ... starts at index 1."""
+    """k, if it is >= 1: the sequence a_1, a_2, ... starts at index 1.
+
+    A range check only: value_at runs it on every index, and reads k as given."""
     if k < 1:
         raise InputError(f"sequence index must be >= 1, got {k}")
     return k
@@ -87,10 +99,7 @@ def check_horizon(n) -> int:
     A non-integral n is rejected, not rounded: a walk that counts it down
     by whole indices would step past 0 and never end.
     """
-    n = strict_int(n, "horizon n")
-    if not 1 <= n <= sys.maxsize:
-        raise InputError(f"horizon n must be in [1, {sys.maxsize}], got {n}")
-    return n
+    return strict_int(n, "horizon n", 1, sys.maxsize)
 
 
 def check_standardization(value) -> str:

@@ -27,7 +27,7 @@ import math
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
-from ._strict import InputError, check_horizon, check_index, check_multiplier, strict_int
+from ._strict import InputError, check_horizon, check_multiplier, strict_int
 from .sequences import SequenceSpec
 from .trigpoly import (
     ZERO,
@@ -246,7 +246,7 @@ def u_sequence(f: TrigPoly, spec: SequenceSpec, n: int) -> list[TrigPoly]:
 
 def u_at(f: TrigPoly, spec: SequenceSpec, k: int) -> TrigPoly:
     """u_k without scanning from the start: reads a_k, a_{k-1}, ... lazily."""
-    check_index(k)
+    k = strict_int(k, "sequence index", 1)
     return _u_of_walk(f, (spec.value_at(j) for j in range(k, 1, -1)))
 
 
@@ -280,8 +280,7 @@ def angle_profile(f: TrigPoly, spec: SequenceSpec, n: int) -> list[AngleRecord]:
 
 def accumulated_transversality(profile: list[AngleRecord], N: int) -> float:
     """sum_{k=1}^{N} min(sin^2 chi_k, sin^2 chi_{k+1}); needs records 1..N+1."""
-    if N < 0:
-        raise InputError("N must be >= 0")
+    N = strict_int(N, "N", 0)
     if len(profile) < N + 1 and N > 0:
         raise InputError(f"profile of length {len(profile)} too short for N={N}")
     return math.fsum(
@@ -387,8 +386,9 @@ def decay_certificate(f: TrigPoly, k: int) -> tuple[float, tuple[int, ...]]:
     deepest word.  Each ratio is verify_decay's bit for bit, and no word
     reaches past degree(f).bit_length() letters, whatever k is.
     """
-    if (k := strict_int(k, "k")) < 1 or f.is_zero:
-        raise InputError(f"decay certificate needs k >= 1 and a nonzero observable, got k={k}")
+    k = strict_int(k, "k", 1)
+    if f.is_zero:
+        raise InputError("decay certificate needs a nonzero observable")
     ref = c1_norm(f)
     words: dict[int, tuple[int, ...]] = {1: ()}  # B -> one word of j letters with product B
     deepest: dict[int, tuple[int, ...]] = {}  # B -> its word of the most letters
@@ -416,10 +416,8 @@ def block_shadowing_check(f: TrigPoly, spec: SequenceSpec, K: int, k: int) -> fl
     Requires a_{k-K} = ... = a_{k+2} = b; returns the larger certified C1
     norm of u_j - sum_i (T*_b)^i f over j in {k, k+1}.
     """
-    if K < 1:
-        raise InputError("run length K must be >= 1")
-    if k - K < 1:
-        raise InputError("run must start at index >= 1")
+    K = strict_int(K, "run length K", 1)
+    k = strict_int(k, "index k", K + 1)  # the run starts at k - K >= 1
     b = spec.value_at(k)
     for j in range(k - K, k + 3):
         if spec.value_at(j) != b:
@@ -484,10 +482,11 @@ def separation_bound_check(f: TrigPoly, spec: SequenceSpec, cert: ThresholdCert,
 
     Only meaningful (and only allowed) when min(a_k, a_{k+1}) > cert.L.
     """
+    u = u_at(f, spec, k)  # which reads k
     a_k, a_next = spec.value_at(k), spec.value_at(k + 1)
     if min(a_k, a_next) <= cert.L:
         raise InputError(
             f"separation bound needs min(a_k, a_k+1) > L={cert.L}, got {min(a_k, a_next)}"
         )
-    rec = _angle_record(u_at(f, spec, k), a_next)
+    rec = _angle_record(u, a_next)
     return rec.u_norm_sq - rec.proj_norm_sq >= cert.delta**2 * cert.eps / 64.0

@@ -9,12 +9,14 @@ verify-decay  certified transfer-operator decay over every map word
 
 Exit codes: 0 success; 1 bad input: a value that an input rule rejects
 (``_strict.InputError``), wherever that rule runs, such as a non-finite
-number, a boolean or string where a number belongs, non-integral where an
-integer belongs, a scenario, sequence or coefficient key that nothing reads,
-a horizon n outside [1, sys.maxsize], a seed outside [0, 2^64), a base
-below 2, --k < 1, --threads < 1, a flag that is missing, unknown or not
-read by the command, or an --out prefix that names the scenario file as one
-of the command's outputs (nothing is written then); 2 I/O failure; 3 internal failure: any other error,
+number, a boolean or string where a number belongs, a scenario, sequence
+or coefficient key that nothing reads, a flag that is missing, unknown or
+not read by the command, an --out prefix that names the scenario file as
+one of the command's outputs (nothing is written then), or an integer that
+``_strict.strict_int``, the one integer rule, rejects as non-integral or out
+of its bounds: a horizon n outside [1, sys.maxsize], samples below 2, a
+seed outside [0, 2^64), a multiplier or a base below 2, --k < 1 or
+--threads < 1; 2 I/O failure; 3 internal failure: any other error,
 such as a failed consistency check (variance cross-check, decay bound, or
 a coboundary result that `coboundary.verify` rejects, which then prints
 nothing to stdout), a result that overflows to a non-finite value (the
@@ -23,10 +25,11 @@ memory, or an exception of any other type; 10 coboundary obstruction (so
 shell pipelines can branch on the dichotomy).
 
 All real numbers in outputs are printed with 17 significant digits and are
-finite, and every output byte is a deterministic function of the inputs and
-flags.  A CSV is checked on the text it writes, where only inf, -inf and nan
-hold an "n"; analyze formats each distinct angle record once, and scales each
-SVG curve to its peak, a subnormal one too, without overflow.  analyze and
+finite (a JSON real keeps its point, as 1.0 and -0.0), and every output
+byte is a deterministic function of the inputs and flags.  A CSV is
+checked on the text it writes, where only inf, -inf and nan hold an "n";
+analyze formats each distinct angle record once, and scales each SVG curve
+to its peak, a subnormal one too, without overflow.  analyze and
 coboundary never import numpy; simulate imports it, with montecarlo, when it
 runs, and verify-decay through c1_norm only.  simulate --threads N starts at
 most min(N, cpu count, samples) worker processes; N changes wall time only.
@@ -82,18 +85,13 @@ def scenario_from_obj(obj) -> Scenario:
         check_keys(obj, [field.name for field in fields(Scenario)], "scenario")
         function = trigpoly_from_obj(obj["function"])
         sequence = sequence_from_obj(obj["sequence"])
-        n = strict_int(obj["n"], "n")
-        samples = None if obj.get("samples") is None else strict_int(obj["samples"], "samples")
-        seed = None if obj.get("seed") is None else strict_int(obj["seed"], "seed")
+        n = check_horizon(obj["n"])
+        samples = None if obj.get("samples") is None else strict_int(obj["samples"], "samples", 2)
+        seed = None if obj.get("seed") is None else check_u64(obj["seed"], "seed")
     except (KeyError, TypeError) as exc:  # a missing key, or a value of the wrong shape
         raise InputError(f"bad scenario: {exc}") from exc
     if function.is_zero:
         raise InputError("scenario function must be nonzero")
-    check_horizon(n)
-    if samples is not None and samples < 2:
-        raise InputError("samples must be >= 2")
-    if seed is not None:
-        check_u64(seed, "seed")
     standardization = check_standardization(obj.get("standardization", "empirical"))
     return Scenario(function, sequence, n, samples, seed, standardization)
 
@@ -164,7 +162,8 @@ def _dumps(obj, indent: int = 0) -> str:
         return "null"
     if isinstance(obj, str):
         return json.dumps(obj)
-    return _fmt(obj)
+    text = _fmt(obj)  # an integral float keeps its point, so that JSON reads it back as a float
+    return text + ".0" if isinstance(obj, float) and text.lstrip("-").isdigit() else text
 
 
 def _check_outputs(args: argparse.Namespace, *paths: str) -> None:
@@ -360,8 +359,7 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command and return its exit code; --help exits 0 itself."""
     try:
         args = _build_parser().parse_args(argv)
-        if getattr(args, "threads", 1) < 1:
-            raise InputError(f"--threads must be >= 1, got {args.threads}")
+        strict_int(getattr(args, "threads", 1), "--threads", 1)
         return args.run(_load_scenario(args.scenario), args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -53,7 +53,7 @@ def solve(f: TrigPoly, b: int) -> CoboundaryResult:
     frequency chain sums to zero; otherwise the smallest violating chain
     root together with its nonzero total.
     """
-    check_multiplier(b, "base")
+    b = check_multiplier(b, "base")
     coeffs = dict(f.coeffs)
     deg = f.degree
     tol = RESIDUAL_RTOL * f.abs_coeff_sum()
@@ -80,6 +80,7 @@ def verify(f: TrigPoly, b: int, result: CoboundaryResult) -> bool:
     brute force over the powers r*b^i <= degree(f) and must be nonzero
     (which rules out any square-summable solution).
     """
+    b = check_multiplier(b, "base")
     tol = RESIDUAL_RTOL * f.abs_coeff_sum()
     if result.status == "solution":
         if result.solution is None:

@@ -95,12 +95,9 @@ class DyadicPoint:
     numerator: int
 
     def __post_init__(self):
-        object.__setattr__(self, "bits", strict_int(self.bits, "bits"))
-        object.__setattr__(self, "numerator", strict_int(self.numerator, "numerator"))
-        if self.bits < 1:
-            raise InputError("bits must be >= 1")
-        if not 0 <= self.numerator < (1 << self.bits):
-            raise InputError("numerator out of range for bit width")
+        object.__setattr__(self, "bits", strict_int(self.bits, "bits", 1))
+        top = (1 << self.bits) - 1
+        object.__setattr__(self, "numerator", strict_int(self.numerator, "numerator", 0, top))
 
     def as_float(self) -> float:
         """Double nearest the top 53 bits (exact when bits <= 53)."""
@@ -192,7 +189,7 @@ def draw_numerator(seed: int, index: int, bits: int) -> int:
     costs about 0.5 ms, a tile of 256 about 1.3 ms.
     """
     index = np.array([check_u64(index, "index")], dtype=np.uint64)
-    return _draw_numerators(check_u64(seed, "seed"), index, bits)[0]
+    return _draw_numerators(check_u64(seed, "seed"), index, strict_int(bits, "bits", 1))[0]
 
 
 def _coef_table(f: TrigPoly) -> tuple[tuple[float, float, float], ...]:
@@ -348,9 +345,7 @@ def birkhoff_samples(
     only affects wall time, never bytes.  At most min(threads, cpu count, m)
     worker processes start; with one, the samples are drawn in this process.
     """
-    m, threads = strict_int(m, "sample count"), strict_int(threads, "threads")
-    if m < 1 or threads < 1:
-        raise InputError(f"sample count and threads must be >= 1, got {m} and {threads}")
+    m, threads = strict_int(m, "sample count", 1), strict_int(threads, "threads", 1)
     seed = check_u64(seed, "seed")
     mults = _multipliers(spec, n)
     bits = _log2_ceil(mults) + _GUARD_BITS
@@ -388,6 +383,7 @@ def report_from_samples(
     m = len(sums)
     if m < 2:
         raise InputError("need at least 2 samples")
+    n, seed = check_horizon(n), check_u64(seed, "seed")
     check_standardization(standardization)
     mean = math.fsum(sums) / m
     try:
@@ -424,8 +420,7 @@ def sample_birkhoff(
     threads: int = 1,
 ) -> MCReport:
     """Draw m exact orbits, return the statistical summary."""
-    if strict_int(m, "sample count") < 2:
-        raise InputError("sample count must be >= 2")
+    m = strict_int(m, "sample count", 2)
     check_standardization(standardization)
     sums = birkhoff_samples(f, spec, n, m, seed, threads)
     return report_from_samples(sums, f, spec, n, seed, standardization)

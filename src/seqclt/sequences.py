@@ -99,7 +99,7 @@ class Constant(SequenceSpec):
     kind = "constant"
 
     def __post_init__(self):
-        check_multiplier(self.b)
+        object.__setattr__(self, "b", check_multiplier(self.b))
         # built once, as value_at reads it at every index
         object.__setattr__(self, "_runs", ((self.b, math.inf),))
 
@@ -162,14 +162,12 @@ class Triples(SequenceSpec):
     kind = "triples"
 
     def __post_init__(self):
-        check_multiplier(self.b0)
-        check_multiplier(self.B)
+        object.__setattr__(self, "b0", check_multiplier(self.b0))
+        object.__setattr__(self, "B", check_multiplier(self.B))
         if self.B <= self.b0:
             raise InputError("spike value must exceed the background value")
-        object.__setattr__(self, "p0", strict_int(self.p0, "first spike position p0"))
-        if self.p0 < 1:
-            raise InputError("first spike position p0 must be an integer >= 1")
-        check_multiplier(self.r, "position ratio r")
+        object.__setattr__(self, "p0", strict_int(self.p0, "first spike position p0", 1))
+        object.__setattr__(self, "r", check_multiplier(self.r, "position ratio r"))
         if self.p0 * (self.r - 1) < 3:
             raise InputError("spikes overlap: need p0*(r-1) >= 3")
 
@@ -213,7 +211,8 @@ class Blocks(SequenceSpec):
                 break
 
     def block_start(self, l: int) -> int:
-        """ceil(D^l), exactly."""
+        """ceil(D^l), exactly, for a level l >= 1."""
+        l = strict_int(l, "block level l", 1)
         p, q = self._ratio
         return -(-(p**l) // q**l)
 
@@ -232,17 +231,11 @@ def generate(spec: SequenceSpec, k: int) -> int:
     return spec.value_at(k)
 
 
-def _field(name: str, value):
-    """A number field of a kind parsed from JSON; the field names are the JSON keys."""
-    if name == "values":
-        return tuple(strict_int(v, name) for v in value)
-    if name == "D":
-        return strict_float(value, name)
-    return strict_int(value, name)
-
-
 def sequence_from_obj(obj) -> SequenceSpec:
-    """Parse the serialized {"kind": ..., ...} form; a key the kind does not read is rejected."""
+    """Parse the serialized {"kind": ..., ...} form; a key the kind does not read is rejected.
+
+    The field names are the JSON keys, and each kind's constructor reads its
+    own numbers, once, as it reads them from a library caller."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise InputError("sequence must be an object with a 'kind' field")
     kind = obj["kind"]
@@ -255,5 +248,5 @@ def sequence_from_obj(obj) -> SequenceSpec:
     for name in names:  # a loop, so that each explicit tail costs one stack frame
         if name not in obj:
             raise InputError(f"sequence kind {kind!r} is missing field {name!r}")
-        args.append(sequence_from_obj(obj[name]) if name == "tail" else _field(name, obj[name]))
+        args.append(sequence_from_obj(obj[name]) if name == "tail" else obj[name])
     return cls(*args)

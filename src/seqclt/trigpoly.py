@@ -96,9 +96,7 @@ def make_trigpoly(entries) -> TrigPoly:
     """
     out: dict[int, complex] = {}
     for freq, c in entries:
-        n = strict_int(freq, "frequency")
-        if n < 1:
-            raise InputError(f"frequency {n} < 1 (zero mean requires n >= 1)")
+        n = strict_int(freq, "frequency", 1)  # frequency 0 would carry a nonzero mean
         if n in out:
             raise InputError(f"duplicate frequency {n}")
         c = strict_complex(c, f"coefficient at frequency {n}")
@@ -127,7 +125,7 @@ def koopman(a: int, g: TrigPoly) -> TrigPoly:
 
     Exact for any TrigPoly; the degree multiplies by a.
     """
-    check_multiplier(a)
+    a = check_multiplier(a)
     return TrigPoly(tuple((a * n, c) for n, c in g.coeffs))
 
 
@@ -138,13 +136,13 @@ def transfer(a: int, g: TrigPoly) -> TrigPoly:
     divisible by a are annihilated.  Equivalent to the quadrature form
     (1/a) * sum_{j<a} g((x+j)/a), but exact.
     """
-    check_multiplier(a)
+    a = check_multiplier(a)
     return TrigPoly(tuple((n // a, c) for n, c in g.coeffs if n % a == 0))
 
 
 def project_measurable(a: int, g: TrigPoly) -> TrigPoly:
     """Orthogonal projection onto frequencies divisible by a (koopman o transfer)."""
-    check_multiplier(a)
+    a = check_multiplier(a)
     return TrigPoly(tuple((n, c) for n, c in g.coeffs if n % a == 0))
 
 
@@ -186,8 +184,7 @@ def grid_values(g: TrigPoly, size: int) -> np.ndarray:
     frequency aliases.
     """
     import numpy as np  # here, not at import time: the exact operators never need it
-    if size < 2 * g.degree + 2:
-        raise InputError(f"grid of {size} points cannot resolve degree {g.degree}")
+    size = strict_int(size, f"grid size for degree {g.degree}", 2 * g.degree + 2)
     spectrum = np.zeros(size // 2 + 1, dtype=complex)
     for n, c in g.coeffs:
         spectrum[n] = c * size

@@ -671,7 +671,7 @@ def test_decay_certificate_finds_a_word_sampling_can_miss():
 
 
 def test_decay_certificate_rejects_k_below_one():
-    with pytest.raises(InputError, match="k >= 1"):
+    with pytest.raises(InputError, match="k must be >= 1"):
         decay_certificate(COS, 0)
 
 

@@ -537,8 +537,21 @@ def test_analyze_golden_format(tmp_path):
     )
     assert (tmp_path / "g.json").read_text() == (
         '{\n  "n": 3,\n  "var_cov": 1.5,\n  "var_mart": 1.5,\n'
-        '  "acc_transversality": 2\n}\n'
+        '  "acc_transversality": 2.0\n}\n'
     )
+
+
+def test_json_keeps_the_float_type_of_integral_values(tmp_path, capsys):
+    # %.17g writes 1.0 as "1" and -0.0 as "-0", which JSON reads back as ints
+    path = write_scenario(tmp_path, function=F1_FUNCTION, n=1024)
+    assert main(["analyze", path, "--out", str(tmp_path / "f1")]) == EXIT_OK
+    summary = json.loads((tmp_path / "f1.json").read_text())
+    assert summary == {"n": 1024, "var_cov": 1.0, "var_mart": 1.0, "acc_transversality": 0.0}
+    assert [type(summary[k]) for k in summary] == [int, float, float, float]
+    assert main(["coboundary", path, "--base", "2"]) == EXIT_OK
+    (u,) = json.loads(capsys.readouterr().out)["u"]
+    assert u == {"freq": 1, "re": 0.5, "im": 0.0} and type(u["im"]) is float
+    assert math.copysign(1.0, u["im"]) == -1.0
 
 
 # The per-cell writers that cli's column writers replaced, kept as oracles:
@@ -950,7 +963,7 @@ def test_missing_scenario_file_is_bad_input(tmp_path, capsys):
     [
         pytest.param(["coboundary", "{path}", "--base", "1"], "base", id="base=1"),
         pytest.param(["coboundary", "{path}", "--base", "-3"], "base", id="base=-3"),
-        pytest.param(["verify-decay", "{path}", "--k", "0"], "k >= 1", id="k=0"),
+        pytest.param(["verify-decay", "{path}", "--k", "0"], "k must be >= 1", id="k=0"),
     ],
 )
 def test_library_rule_on_a_flag_is_bad_input(tmp_path, capsys, argv, named):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from seqclt import _strict, analysis, montecarlo, sequences, trigpoly
+from seqclt import _strict, analysis, coboundary, montecarlo, sequences, trigpoly
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "seqclt"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "seqclt"}
@@ -33,6 +33,27 @@ def test_runtime_imports_are_stdlib_or_numpy():
         path.name: sorted(_imported_modules(path) - ALLOWED) for path in sources
     }
     assert {name: mods for name, mods in foreign.items() if mods} == {}
+
+
+def test_every_imported_name_is_read():
+    # no linter runs here: a deletion must not leave its imports behind;
+    # __init__ re-exports, so it imports names it never reads
+    unread = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if imported - read:
+            unread[path.name] = sorted(imported - read)
+    assert unread == {}
 
 
 def test_every_public_name_resolves():
@@ -197,6 +218,7 @@ def test_monte_carlo_commands_still_run(tmp_path):
 _F = trigpoly.cosine(1)
 _ZERO = trigpoly.make_trigpoly([])
 _CERT = analysis.ThresholdCert(0.0, 0.5, 0.25, 0.1, 10)
+_PROFILE = analysis.angle_profile(_F, sequences.Constant(2), 4)
 
 
 @pytest.mark.parametrize(
@@ -261,6 +283,27 @@ _CERT = analysis.ThresholdCert(0.0, 0.5, 0.25, 0.1, 10)
         lambda: montecarlo.sample_birkhoff(_F, sequences.Constant(2), 4, "4", 1),
         lambda: montecarlo.required_bits(sequences.Constant(2), 2.5),
         lambda: analysis.decay_certificate(_F, 1.5),
+        lambda: analysis.accumulated_transversality(_PROFILE, 2.5),
+        lambda: analysis.accumulated_transversality(_PROFILE, True),
+        lambda: analysis.block_shadowing_check(_F, sequences.Constant(3), 2.5, 5),
+        lambda: analysis.block_shadowing_check(_F, sequences.Constant(3), True, 5),
+        lambda: analysis.u_at(_F, sequences.Constant(2), 2.5),
+        lambda: analysis.u_at(_F, sequences.Constant(2), True),
+        lambda: analysis.separation_bound_check(_F, sequences.Constant(11), _CERT, 2.5),
+        lambda: trigpoly.grid_values(trigpoly.cosine(1), 8.5),
+        lambda: trigpoly.grid_values(trigpoly.cosine(1), True),
+        lambda: sequences.Blocks(4).block_start(2.5),
+        lambda: sequences.Blocks(4).block_start(True),
+        lambda: montecarlo.report_from_samples(
+            [1.0, 2.0, 3.0], _F, sequences.Constant(2), True, 1),
+        lambda: montecarlo.report_from_samples(
+            [1.0, 2.0, 3.0], _F, sequences.Constant(2), 4, 2.5),
+        lambda: coboundary.verify(
+            _F, 1, coboundary.CoboundaryResult("obstruction", None, 1, 0.5j)),
+        lambda: montecarlo.draw_numerator(1, 0, 0),
+        lambda: montecarlo.draw_numerator(1, 0, 2.5),
+        # a bound past the 4300 digits that str() writes is still one message
+        lambda: montecarlo.DyadicPoint(20_000, 1 << 20_000),
     ],
     ids=[
         "spike", "spikes-overlap", "blocks-D=1", "blocks-overlap", "empty-word",
@@ -274,13 +317,42 @@ _CERT = analysis.ThresholdCert(0.0, 0.5, 0.25, 0.1, 10)
         "horizon-2.5", "horizon-true", "profile-horizon-2.5", "blocks-D-str", "blocks-D-bytes",
         "coefficient-str", "coefficient-true", "triples-p0-true", "dyadic-bits-true",
         "dyadic-numerator-1.5", "seed-true", "threads-true", "m-2.5", "sample-m-str",
-        "required-bits-2.5", "certificate-k-1.5",
+        "required-bits-2.5", "certificate-k-1.5", "N-2.5", "N-true", "K-2.5", "K-true",
+        "u_at-2.5", "u_at-true", "separation-k-2.5", "grid-8.5", "grid-true",
+        "block-start-2.5", "block-start-true", "report-n-true", "report-seed-2.5",
+        "verify-base-1", "draw-bits-0", "draw-bits-2.5", "dyadic-numerator-wide",
     ],
 )
 def test_library_input_rules_raise_input_error(call):
     # a library caller tells bad input from a failed computation by its type
     with pytest.raises(_strict.InputError):
         call()
+
+
+def test_numpy_integers_and_integral_floats_read_as_ints():
+    # one integer rule: each reads as the int it equals, in results and in fields
+    import numpy as np
+
+    f = trigpoly.make_trigpoly([(1, 0.5), (3, 0.25j), (6, -1.0), (12, 0.125)])
+    assert sequences.Constant(np.int64(2)) == sequences.Constant(2)
+    assert type(sequences.Constant(2.0).b) is int
+    assert sequences.Periodic((2.0, np.int32(3))).values == (2, 3)
+    assert all(type(v) is int for v in sequences.Periodic((2.0, np.int32(3))).values)
+    triples = sequences.Triples(np.int64(2), 80.0, np.uint8(10), 2.0)
+    assert triples == sequences.Triples(2, 80, 10, 2)
+    assert all(type(v) is int for v in vars(triples).values())
+    spec = sequences.sequence_from_obj({"kind": "periodic", "values": [2.0, 3]})
+    assert spec == sequences.Periodic((2, 3)) and spec.to_obj()["values"] == [2, 3]
+    for op in (trigpoly.koopman, trigpoly.transfer, trigpoly.project_measurable):
+        image = op(np.int64(3), f)
+        assert image == op(3, f) and all(type(n) is int for n, _ in image.coeffs)
+    assert coboundary.solve(f, np.int64(2)) == coboundary.solve(f, 2)
+    assert analysis.verify_decay(f, [np.int64(2)]) == analysis.verify_decay(f, [2])
+    point = montecarlo.DyadicPoint(np.int64(64), 5.0)
+    assert point == montecarlo.DyadicPoint(64, 5) and type(point.numerator) is int
+    report = montecarlo.report_from_samples(
+        [1.0, 2.0, 3.0], _F, sequences.Constant(2), np.int64(4), 7.0)
+    assert (type(report.n), type(report.seed)) == (int, int)
 
 
 @pytest.mark.parametrize(
