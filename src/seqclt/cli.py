@@ -29,19 +29,30 @@ finite (a JSON real keeps its point, as 1.0 and -0.0), and every output
 byte is a deterministic function of the inputs and flags.  A CSV is
 checked on the text it writes, where only inf, -inf and nan hold an "n";
 analyze formats each distinct angle record once, and scales each SVG curve
-to its peak, a subnormal one too, without overflow.  analyze and
-coboundary never import numpy; simulate imports it, with montecarlo, when it
-runs, and verify-decay through c1_norm only.  simulate --threads N starts at
-most min(N, cpu count, samples) worker processes; N changes wall time only.
+to its peak, a subnormal one too, without overflow.
+
+Every output is written in chunks of at most _CHUNK_ROWS rows or points to
+a temporary file beside it, then renamed over it: an output appears
+complete or not at all, and a failed run leaves a previous run's file as
+it was.  Beyond the report itself, the CSV and SVG cost one chunk of
+memory, whatever n is.  analyze runs every check, the CSV's as it streams
+and then the summary's, before any output appears.
+
+analyze and coboundary never import numpy; simulate imports it, with
+montecarlo, when it runs, and verify-decay through c1_norm only.  simulate
+--threads N starts at most min(N, cpu count, samples) worker processes; N
+changes wall time only.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
 import sys
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, fields
 
 from . import analysis, coboundary
@@ -174,58 +185,84 @@ def _check_outputs(args: argparse.Namespace, *paths: str) -> None:
             raise InputError(f"--out {args.out} would overwrite the scenario file {path}")
 
 
+def _write_chunks(path: str, chunks) -> None:
+    """Write the chunks to a sibling temporary file, then move it over path: path
+    holds its old bytes or all the new ones, never a part.  On any exception,
+    the chunks' own included, the temporary file is removed."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    # created exclusively, with the umask's permissions, as open(path, "w") would create path
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
 def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    _write_chunks(path, (text,))
 
 
-def _csv_text(names, rows) -> str:
-    """The rows joined, once every cell is finite: of what "%d" and "%.17g" write, only
-    inf, -inf and nan hold an "n".  A text with one raises ValueError naming the
-    first such cell by its line k and, through names, its column."""
-    text = "".join(rows)
-    if "n" in text:
-        k, line = next((k, line) for k, line in enumerate(text.splitlines(), 1) if "n" in line)
-        name, cell = next((name, cell) for name, cell in zip(names, line.split(",")) if "n" in cell)
-        raise ValueError(f"cannot write the non-finite value {cell} in {name} at k={k}")
-    return text
+_CHUNK_ROWS = 1024  # CSV rows or SVG points formatted and written at a time
+
+
+def _csv_text(names, rows) -> Iterator[str]:
+    """The rows joined _CHUNK_ROWS at a time, each chunk once its every cell is finite:
+    of what "%d" and "%.17g" write, only inf, -inf and nan hold an "n".  A chunk with
+    one raises ValueError naming the first such cell by its line k and, through names,
+    its column."""
+    rows = iter(rows)
+    for start in itertools.count(0, _CHUNK_ROWS):
+        text = "".join(itertools.islice(rows, _CHUNK_ROWS))
+        if not text:
+            return
+        if "n" in text:
+            k, line = next((k, line) for k, line in enumerate(text.splitlines(), start + 1)
+                           if "n" in line)
+            name, cell = next((name, cell) for name, cell in zip(names, line.split(","))
+                              if "n" in cell)
+            raise ValueError(f"cannot write the non-finite value {cell} in {name} at k={k}")
+        yield text
 
 
 # ---------------------------------------------------------------------------
 # SVG line plots (hand-emitted, dependency-free, deterministic bytes)
 
 
-def _svg_curves(path: str, n: int, curves) -> None:
-    """curves: list of (label, color, values); each scaled to its own max."""
+def _svg_curves(n: int, curves) -> Iterator[str]:
+    """The plot's text in chunks; curves: list of (label, color, values), each
+    scaled to its own max and written _CHUNK_ROWS points at a time."""
     width, height = 720, 420
     left, right, top, bottom = 60, 20, 24, 40
     span_x = width - left - right
     span_y = height - top - bottom
-    parts = [
+    last = max(n - 1, 1)
+    yield "\n".join([
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<line x1="{left}" y1="{height - bottom}" x2="{width - right}" '
         f'y2="{height - bottom}" stroke="black"/>',
         f'<line x1="{left}" y1="{top}" x2="{left}" y2="{height - bottom}" stroke="black"/>',
         f'<text x="{left + span_x // 2}" y="{height - 10}" font-size="12" '
-        f'text-anchor="middle">k (1..{n})</text>',
-    ]
-    xs = ["%.2f," % (left + (span_x * i / max(n - 1, 1))) for i in range(n)]  # shared
+        f'text-anchor="middle">k (1..{n})</text>\n'])
     for idx, (label, color, values) in enumerate(curves):
         peak = max(map(abs, values), default=0.0)
         scale = span_y / peak if peak > 0 else 0.0
         if scale == math.inf:  # a subnormal peak: scale each value to the peak first
-            values, scale = [v / peak for v in values], span_y
-        ys = ("%.2f" % ((height - bottom) - v * scale) for v in values)
-        points = " ".join(map(str.__add__, xs, ys))
-        parts.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="1.2" points="{points}"/>')
-        parts.append(
-            f'<text x="{left + 8}" y="{top + 14 + 16 * idx}" font-size="12" '
-            f'fill="{color}">{label} (max {_fmt(peak)})</text>'
-        )
-    parts.append("</svg>")
-    _write_text(path, "\n".join(parts) + "\n")
+            values, scale = (v / peak for v in values), span_y
+        yield f'<polyline fill="none" stroke="{color}" stroke-width="1.2" points="'
+        values = iter(values)
+        for start in range(0, n, _CHUNK_ROWS):
+            pairs = ["%.2f,%.2f" % (left + (span_x * i / last), (height - bottom) - v * scale)
+                     for i, v in zip(range(start, n), itertools.islice(values, _CHUNK_ROWS))]
+            if not pairs:
+                break
+            yield (" " if start else "") + " ".join(pairs)
+        yield (f'"/>\n<text x="{left + 8}" y="{top + 14 + 16 * idx}" font-size="12" '
+               f'fill="{color}">{label} (max {_fmt(peak)})</text>\n')
+    yield "</svg>\n"
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +272,7 @@ _ANALYZE_HEADER = (  # the CSV's first line, and its column names
     "k,u_norm_sq,cos_sq,sin_sq,min_pair_sin_sq,acc_transversality,var_cov_prefix,var_mart_prefix")
 
 
-def _analyze_csv(report: analysis.VarianceReport) -> str:
+def _analyze_csv(report: analysis.VarianceReport) -> Iterator[str]:
     """Row k: record k, its min-pair sine with record k + 1, and the three
     running sums; the last row, which has no record k + 1, leaves two empty."""
     profile, acc, cov, mart = report.per_step, report.acc_curve, report.cov_curve, report.mart_curve
@@ -251,11 +288,13 @@ def _analyze_csv(report: analysis.VarianceReport) -> str:
         return cells[key]
 
     n, last = report.n, profile[-1]
-    rows = zip(range(1, n), map(record_cells, profile, profile[1:]), acc, cov, mart)
-    return _ANALYZE_HEADER + "\n" + _csv_text(_ANALYZE_HEADER.split(","), [
-        *map("%d,%s,%.17g,%.17g,%.17g\n".__mod__, rows),
-        "%d,%.17g,%.17g,%.17g,,,%.17g,%.17g\n"  # no record k + 1: two empty cells
-        % (n, last.u_norm_sq, last.cos_sq, last.sin_sq, cov[-1], mart[-1])])
+    rows = zip(range(1, n), map(record_cells, profile, itertools.islice(profile, 1, None)),
+               acc, cov, mart)
+    yield _ANALYZE_HEADER + "\n"
+    yield from _csv_text(_ANALYZE_HEADER.split(","), itertools.chain(
+        map("%d,%s,%.17g,%.17g,%.17g\n".__mod__, rows),
+        ["%d,%.17g,%.17g,%.17g,,,%.17g,%.17g\n"  # no record k + 1: two empty cells
+         % (n, last.u_norm_sq, last.cos_sq, last.sin_sq, cov[-1], mart[-1])]))
 
 
 def cmd_analyze(scenario: Scenario, args: argparse.Namespace) -> int:
@@ -263,24 +302,26 @@ def cmd_analyze(scenario: Scenario, args: argparse.Namespace) -> int:
     _check_outputs(args, *paths)
     n = scenario.n
     report = analysis.variance_report(scenario.function, scenario.sequence, n)
-    csv = _analyze_csv(report)
-    summary = _dumps({
-        "n": n,
-        "var_cov": report.var_cov,
-        "var_mart": report.var_mart,
-        "acc_transversality": report.acc_transversality,
-    })
-    _write_text(csv_path, csv)
-    del csv  # the SVG is built without the CSV text alive
+    summary = None
+
+    def csv_then_summary():
+        # every check runs before the CSV is moved into place: the CSV's as it is written,
+        # then the summary's, so that no output appears, and the CSV's message comes first
+        nonlocal summary
+        yield from _analyze_csv(report)
+        summary = _dumps({
+            "n": n,
+            "var_cov": report.var_cov,
+            "var_mart": report.var_mart,
+            "acc_transversality": report.acc_transversality,
+        })
+
+    _write_chunks(csv_path, csv_then_summary())
     _write_text(json_path, summary + "\n")
-    _svg_curves(
-        svg_path,
-        n,
-        [
-            ("Var(S_k)", "#1f77b4", report.cov_curve),
-            ("accumulated transversality", "#d62728", report.acc_curve or [0.0]),
-        ],
-    )
+    _write_chunks(svg_path, _svg_curves(n, [
+        ("Var(S_k)", "#1f77b4", report.cov_curve),
+        ("accumulated transversality", "#d62728", report.acc_curve or [0.0]),
+    ]))
     if not report.consistent():
         print(
             f"variance cross-check failed: cov={report.var_cov!r} "
@@ -306,8 +347,7 @@ def cmd_simulate(scenario: Scenario, args: argparse.Namespace) -> int:
     )
     _write_text(mc_path, _dumps(asdict(report)) + "\n")
     if args.dump_samples:
-        text = _csv_text(["sample"], map("%.17g\n".__mod__, sums))
-        _write_text(samples_path, text)
+        _write_chunks(samples_path, _csv_text(["sample"], map("%.17g\n".__mod__, sums)))
     return EXIT_OK
 
 

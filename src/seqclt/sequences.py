@@ -107,6 +107,15 @@ class Constant(SequenceSpec):
         return self._runs
 
 
+def _word(values, need: str) -> tuple[int, ...]:
+    """values, an iterable of at least one multiplier, as a tuple of ints; anything else
+    raises InputError, before a non-iterable is iterated."""
+    word = tuple(map(check_multiplier, values)) if isinstance(values, Iterable) else ()
+    if not word:
+        raise InputError(f"{need}, got {values!r}")
+    return word
+
+
 @dataclass(frozen=True)
 class Periodic(SequenceSpec):
     values: tuple[int, ...]
@@ -114,9 +123,8 @@ class Periodic(SequenceSpec):
     kind = "periodic"
 
     def __post_init__(self):
-        if not self.values:
-            raise InputError("periodic spec needs a nonempty word")
-        object.__setattr__(self, "values", tuple(check_multiplier(v) for v in self.values))
+        object.__setattr__(self, "values", _word(
+            self.values, "periodic spec needs a nonempty word"))
 
     def runs(self) -> Iterator[tuple[int, int]]:
         return itertools.cycle(zip(self.values, itertools.repeat(1)))
@@ -134,9 +142,8 @@ class Explicit(SequenceSpec):
     kind = "explicit"
 
     def __post_init__(self):
-        if not self.values:
-            raise InputError("explicit spec needs a nonempty head")
-        object.__setattr__(self, "values", tuple(check_multiplier(v) for v in self.values))
+        object.__setattr__(self, "values", _word(
+            self.values, "explicit spec needs a nonempty head"))
         if not isinstance(self.tail, SequenceSpec):
             raise InputError("explicit tail must be a SequenceSpec")
 

@@ -1,6 +1,7 @@
 import concurrent.futures
 import contextlib
 import dataclasses
+import errno
 import io
 import itertools
 import json
@@ -9,6 +10,7 @@ import os
 import re
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -451,6 +453,65 @@ def test_analyze_unwritable_path(tmp_path):
     assert main(["analyze", path, "--out", "/nonexistent-dir/report"]) == EXIT_IO
 
 
+def _fail_on_second_chunk(real):
+    def chunks(*args):
+        it = real(*args)
+        yield next(it)
+        raise OSError(errno.ENOSPC, "No space left on device")
+    return chunks
+
+
+def test_write_failure_leaves_no_output_and_no_temporary_file(tmp_path, capsys, monkeypatch):
+    path = write_scenario(tmp_path)
+    monkeypatch.setattr(cli, "_analyze_csv", _fail_on_second_chunk(cli._analyze_csv))
+    assert main(["analyze", path, "--out", str(tmp_path / "r")]) == EXIT_IO
+    assert capsys.readouterr().err == "i/o error: [Errno 28] No space left on device\n"
+    assert list(tmp_path.iterdir()) == [tmp_path / "scenario.json"]
+
+
+def test_failed_run_keeps_the_previous_outputs(tmp_path, monkeypatch):
+    # an output appears complete or not at all: a run that fails, on an I/O
+    # error or on a non-finite cell, leaves a previous run's files as they were
+    out = str(tmp_path / "r")
+    assert main(["analyze", write_scenario(tmp_path), "--out", out]) == EXIT_OK
+    files = sorted(tmp_path.iterdir())
+    before = [p.read_bytes() for p in files]
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_analyze_csv", _fail_on_second_chunk(cli._analyze_csv))
+        assert main(["analyze", write_scenario(tmp_path), "--out", out]) == EXIT_IO
+    big = write_scenario(tmp_path, "big.json", function=[{"freq": 1, "re": 1e300, "im": 0.0}])
+    assert main(["analyze", big, "--out", out]) == EXIT_INCONSISTENT
+    assert sorted(tmp_path.iterdir()) == sorted([*files, tmp_path / "big.json"])
+    assert [p.read_bytes() for p in files] == before
+
+
+def test_outputs_get_the_permissions_open_gives(tmp_path):
+    cli._write_text(str(tmp_path / "new.txt"), "x\n")
+    with open(tmp_path / "plain.txt", "w"):
+        pass
+    assert (tmp_path / "new.txt").stat().st_mode == (tmp_path / "plain.txt").stat().st_mode
+
+
+@pytest.mark.parametrize("n", [20_000, 80_000])
+def test_writing_analyze_outputs_costs_a_chunk_not_n_rows(tmp_path, n):
+    # over a report that is held anyway, the CSV and the SVG cost one chunk of
+    # text at a time: the same bound at both sizes, so it does not grow with n
+    report = analysis.variance_report(trigpoly_from_obj(F1_FUNCTION), Blocks(4), n)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        cli._write_chunks(str(tmp_path / "r.csv"), cli._analyze_csv(report))
+        cli._write_chunks(str(tmp_path / "r.svg"), cli._svg_curves(n, [
+            ("Var(S_k)", "#1f77b4", report.cov_curve),
+            ("accumulated transversality", "#d62728", report.acc_curve)]))
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    with open(tmp_path / "r.csv", "rb") as fh:
+        assert sum(1 for _ in fh) == n + 1  # every row was written
+    assert peak < 1 << 20
+
+
 @pytest.mark.parametrize(
     "name, argv",
     [
@@ -670,7 +731,7 @@ def test_first_non_finite_cell_in_row_order_is_named(sin_sq, named):
     with pytest.raises(ValueError) as old:
         _oracle_csv(report)
     with pytest.raises(ValueError) as new:
-        cli._analyze_csv(report)
+        "".join(cli._analyze_csv(report))
     assert str(new.value) == str(old.value) == f"cannot write the non-finite value {named}"
 
 
@@ -699,8 +760,33 @@ def test_non_finite_cells_are_named_as_the_oracle_names_them(poisons):
     with pytest.raises(ValueError) as old:
         _oracle_csv(report)
     with pytest.raises(ValueError) as new:
-        cli._analyze_csv(report)
+        "".join(cli._analyze_csv(report))
     assert str(new.value) == str(old.value)
+
+
+@pytest.mark.parametrize("rows", [1, 3, 7])
+def test_chunk_edges_change_no_byte_and_no_named_cell(tmp_path, monkeypatch, rows):
+    # chunks of a few rows and points: the same files as the oracles write, and
+    # a non-finite cell past the first chunk is named by its line in the file
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", rows)
+    n = 20
+    path = write_scenario(tmp_path, function=F1_FUNCTION, sequence={"kind": "blocks", "D": 4}, n=n)
+    assert main(["analyze", path, "--out", str(tmp_path / "r")]) == EXIT_OK
+    report = analysis.variance_report(trigpoly_from_obj(F1_FUNCTION), Blocks(4), n)
+    assert (tmp_path / "r.csv").read_text() == _oracle_csv(report)
+    assert (tmp_path / "r.svg").read_text() == _oracle_svg(n, [
+        ("Var(S_k)", "#1f77b4", report.cov_curve),
+        ("accumulated transversality", "#d62728", report.acc_curve),
+    ])
+    for k in (8, n):
+        bad = dataclasses.replace(
+            report, mart_curve=report.mart_curve[:k - 1] + (math.nan,) * (n - k + 1))
+        with pytest.raises(ValueError) as old:
+            _oracle_csv(bad)
+        with pytest.raises(ValueError) as new:
+            "".join(cli._analyze_csv(bad))
+        assert str(new.value) == str(old.value) == (
+            f"cannot write the non-finite value nan in var_mart_prefix at k={k}")
 
 
 def test_non_finite_sample_is_named_by_its_line(tmp_path, capsys, monkeypatch):

@@ -98,6 +98,36 @@ def test_analysis_walks_backward_in_one_place():
     assert "degree" not in names
 
 
+def _opens_for_writing(call: ast.Call) -> bool:
+    """Whether a call may open a file for writing: os.open, a method named
+    open, fdopen, write_text or write_bytes, or the open builtin in a mode
+    that is not a literal read mode."""
+    func = call.func
+    name = getattr(func, "id", None) or getattr(func, "attr", None)
+    if name in ("fdopen", "write_text", "write_bytes") or name == "open" and isinstance(
+            func, ast.Attribute):
+        return True
+    if name != "open":
+        return False
+    mode = call.args[1] if len(call.args) > 1 else next(
+        (kw.value for kw in call.keywords if kw.arg == "mode"), None)
+    return not (mode is None or isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and set(mode.value) <= set("rbt"))
+
+
+def test_cli_opens_files_for_writing_in_one_place():
+    # every output goes through _write_chunks, which writes a temporary file and
+    # moves it into place, so that an output appears complete or not at all
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    openers = {
+        getattr(stmt, "name", "<module>")
+        for stmt in tree.body
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Call) and _opens_for_writing(node)
+    }
+    assert openers == {"_write_chunks"}
+
+
 def test_import_leaves_the_process_pool_out():
     assert "concurrent.futures.process" not in _modules_loaded_by("import seqclt")
 
@@ -304,6 +334,9 @@ _PROFILE = analysis.angle_profile(_F, sequences.Constant(2), 4)
         lambda: montecarlo.draw_numerator(1, 0, 2.5),
         # a bound past the 4300 digits that str() writes is still one message
         lambda: montecarlo.DyadicPoint(20_000, 1 << 20_000),
+        # a word that is not iterable is rejected before it is iterated
+        lambda: sequences.Periodic(5),
+        lambda: sequences.Explicit(5, sequences.Constant(2)),
     ],
     ids=[
         "spike", "spikes-overlap", "blocks-D=1", "blocks-overlap", "empty-word",
@@ -321,6 +354,7 @@ _PROFILE = analysis.angle_profile(_F, sequences.Constant(2), 4)
         "u_at-2.5", "u_at-true", "separation-k-2.5", "grid-8.5", "grid-true",
         "block-start-2.5", "block-start-true", "report-n-true", "report-seed-2.5",
         "verify-base-1", "draw-bits-0", "draw-bits-2.5", "dyadic-numerator-wide",
+        "periodic-word-int", "explicit-head-int",
     ],
 )
 def test_library_input_rules_raise_input_error(call):
