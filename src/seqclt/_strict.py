@@ -9,8 +9,13 @@ Every integer argument of the library, and every integer of a scenario, is
 read once, by ``strict_int`` with its bounds: an int, a numpy integer or an
 integral float is read as the int it equals, anything else is rejected, and
 so is a value outside the bounds.  ``check_multiplier``, ``check_u64`` and
-``check_horizon`` are that reader with their bounds.  ``check_index`` alone
-is a bare range check, because ``value_at`` runs it once per index.
+``check_horizon`` are that reader with their bounds; so is every sequence
+index that ``value_at`` reads.
+
+Every JSON object of a scenario (the scenario, a sequence, a coefficient)
+is read by ``check_keys`` with its required and optional keys: a value that
+is not an object, a key that nothing reads and a key that is missing are
+rejected, in that order, before any field is read.
 
 Every rule here raises ``InputError``, wherever it runs, and so do the
 argument rules of ``sequences``, ``trigpoly``, ``analysis`` and
@@ -67,11 +72,17 @@ def strict_complex(value, what: str) -> complex:
     raise InputError(f"{what} must be a number, got {value!r}")
 
 
-def check_keys(obj: dict, allowed, what: str) -> None:
-    """Reject a key of obj outside allowed: a field that is never read means nothing."""
+def check_keys(obj, required, what: str, optional=()) -> None:
+    """Reject obj unless it is an object whose keys are all of required and
+    some of optional: a field that is never read means nothing."""
+    if not isinstance(obj, dict):
+        raise InputError(f"{what} must be a JSON object, got {type(obj).__name__}")
     for key in obj:
-        if key not in allowed:
+        if key not in required and key not in optional:
             raise InputError(f"unknown {what} key {key!r}")
+    for key in required:
+        if key not in obj:
+            raise InputError(f"{what} is missing key {key!r}")
 
 
 def check_multiplier(value, what: str = "map multiplier") -> int:
@@ -82,15 +93,6 @@ def check_multiplier(value, what: str = "map multiplier") -> int:
 def check_u64(value, what: str) -> int:
     """value as an int in [0, 2^64): a Philox key word outside would alias another."""
     return strict_int(value, what, 0, (1 << 64) - 1)
-
-
-def check_index(k: int) -> int:
-    """k, if it is >= 1: the sequence a_1, a_2, ... starts at index 1.
-
-    A range check only: value_at runs it on every index, and reads k as given."""
-    if k < 1:
-        raise InputError(f"sequence index must be >= 1, got {k}")
-    return k
 
 
 def check_horizon(n) -> int:

@@ -39,7 +39,7 @@ import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
-from ._strict import InputError, check_index, check_keys, check_multiplier, strict_float, strict_int
+from ._strict import InputError, check_keys, check_multiplier, strict_float, strict_int
 
 __all__ = [
     "SequenceSpec",
@@ -74,8 +74,7 @@ class SequenceSpec:
 
     def value_at(self, k: int) -> int:
         """a_k, by a scan over the runs up to index k."""
-        if k < 1:  # a call only on failure: value_at runs once per index
-            check_index(k)
+        k = strict_int(k, "sequence index", 1)
         for value, length in self.runs():
             if k <= length:
                 return value
@@ -130,7 +129,7 @@ class Periodic(SequenceSpec):
         return itertools.cycle(zip(self.values, itertools.repeat(1)))
 
     def value_at(self, k: int) -> int:
-        check_index(k)
+        k = strict_int(k, "sequence index", 1)
         return self.values[(k - 1) % len(self.values)]
 
 
@@ -151,7 +150,7 @@ class Explicit(SequenceSpec):
         return itertools.chain(zip(self.values, itertools.repeat(1)), self.tail.runs())
 
     def value_at(self, k: int) -> int:
-        check_index(k)
+        k = strict_int(k, "sequence index", 1)
         if k <= len(self.values):
             return self.values[k - 1]
         return self.tail.value_at(k - len(self.values))
@@ -239,12 +238,11 @@ def generate(spec: SequenceSpec, k: int) -> int:
 
 
 def sequence_from_obj(obj) -> SequenceSpec:
-    """Parse the serialized {"kind": ..., ...} form; a key the kind does not read is rejected.
+    """Parse the serialized {"kind": ..., ...} form: the kind's fields are its keys, all required.
 
     The field names are the JSON keys, and each kind's constructor reads its
     own numbers, once, as it reads them from a library caller."""
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise InputError("sequence must be an object with a 'kind' field")
+    check_keys(obj, ("kind",), "sequence", optional=obj)  # the kind names the other keys
     kind = obj["kind"]
     cls = next((c for c in (Constant, Periodic, Explicit, Triples, Blocks) if c.kind == kind), None)
     if cls is None:
@@ -253,7 +251,5 @@ def sequence_from_obj(obj) -> SequenceSpec:
     check_keys(obj, ("kind", *names), f"{kind} sequence")
     args = []
     for name in names:  # a loop, so that each explicit tail costs one stack frame
-        if name not in obj:
-            raise InputError(f"sequence kind {kind!r} is missing field {name!r}")
         args.append(sequence_from_obj(obj[name]) if name == "tail" else obj[name])
     return cls(*args)

@@ -239,8 +239,6 @@ def trigpoly_from_obj(obj) -> TrigPoly:
         raise InputError("function must be an array of {freq, re, im} objects")
     entries = []
     for item in obj:
-        if not isinstance(item, dict) or not {"freq", "re", "im"} <= set(item):
-            raise InputError(f"bad coefficient entry {item!r}")
         check_keys(item, ("freq", "re", "im"), "coefficient")
         re, im = strict_float(item["re"], "re"), strict_float(item["im"], "im")
         entries.append((item["freq"], complex(re, im)))

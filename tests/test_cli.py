@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqclt import analysis, cli, coboundary, montecarlo
+from seqclt._strict import InputError
 from seqclt.cli import (
     EXIT_BAD_SCENARIO,
     EXIT_INCONSISTENT,
@@ -546,6 +547,24 @@ def test_analyze_inconsistency_exit_code(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli.analysis, "variance_martingale_curve", skewed)
     assert main(["analyze", path, "--out", str(tmp_path / "bad")]) == EXIT_INCONSISTENT
+
+
+def test_failed_cross_check_writes_nothing(tmp_path, capsys, monkeypatch):
+    # the cross-check runs before any output appears: a failed one exits 3 with
+    # one line, leaves no file and no temporary file, and keeps a previous run's
+    path = write_scenario(tmp_path)
+    out = str(tmp_path / "r")
+    assert main(["analyze", path, "--out", out]) == EXIT_OK
+    files = sorted(tmp_path.iterdir())
+    before = [p.read_bytes() for p in files]
+    monkeypatch.setattr(analysis.VarianceReport, "consistent", lambda self: False)
+    for prefix in (str(tmp_path / "new"), out):
+        assert main(["analyze", path, "--out", prefix]) == EXIT_INCONSISTENT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"error: variance cross-check failed: cov=\S+ mart=\S+\n", captured.err)
+        assert sorted(tmp_path.iterdir()) == files
+    assert [p.read_bytes() for p in files] == before
 
 
 def test_simulate_writes_report_and_samples(tmp_path):
@@ -1116,8 +1135,8 @@ _FLAG_MUTATIONS = [
 ]
 
 
-def _mutated(path, value):
-    obj = json.loads(json.dumps(_VALID_SCENARIO))
+def _mutated(path, value, base=_VALID_SCENARIO):
+    obj = json.loads(json.dumps(base))
     *head, last = path
     node = obj
     for key in head:
@@ -1166,3 +1185,58 @@ def test_malformed_input_is_bad_input(case):
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
         assert "Traceback" not in err.getvalue()
         assert os.listdir(tmp) == ["scenario.json"]
+
+
+# Every field of a scenario, of a coefficient and of each sequence kind, and
+# the kind, takes each of these JSON values in turn: parsing returns a
+# Scenario or raises InputError, and never turns another error into bad input.
+_JSON_VALUES = {
+    "null": None, "true": True, "false": False, "0": 0, "1": 1, "-1": -1, "2": 2, "3": 3,
+    "2^64": 2**64, "10^400": 10**400, "0.5": 0.5, "2.5": 2.5, "4.0": 4.0, "-0.0": -0.0,
+    "nan": math.nan, "inf": math.inf, "-inf": -math.inf, "1e300": 1e300, "empty-str": "",
+    "str-2": "2", "str-constant": "constant", "empty-list": [], "list-2": [2],
+    "list-2-3": [2, 3], "empty-object": {}, "constant-object": {"kind": "constant", "b": 2},
+}
+_SEQUENCES = {
+    "constant": _CONSTANT,
+    "periodic": {"kind": "periodic", "values": [2, 3]},
+    "explicit": {"kind": "explicit", "values": [3], "tail": _CONSTANT},
+    "triples": {"kind": "triples", "b0": 2, "B": 80, "p0": 10, "r": 2},
+    "blocks": {"kind": "blocks", "D": 4},
+}
+_BASE = {**_VALID_SCENARIO, "standardization": "empirical"}
+_FIELDS = [  # (base scenario, path of the field)
+    *((_BASE, (key,)) for key in _BASE),
+    *((_BASE, ("function", 0, key)) for key in ("freq", "re", "im")),
+    *(({**_BASE, "sequence": obj}, ("sequence", key))
+      for obj in _SEQUENCES.values() for key in obj if key != "kind"),
+    (_BASE, ("sequence", "kind")),
+]
+
+
+@pytest.mark.parametrize(
+    "base, path, value",
+    [(base, path, value) for base, path in _FIELDS for value in _JSON_VALUES.values()],
+    ids=[f"{base['sequence']['kind']}-{'.'.join(map(str, path))}={name}"
+         for base, path in _FIELDS for name in _JSON_VALUES],
+)
+def test_scenario_parsing_fails_only_as_bad_input(base, path, value):
+    obj = _mutated(path, value, base)
+    try:
+        assert isinstance(scenario_from_obj(obj), Scenario)
+    except InputError as exc:
+        assert exc.__context__ is None, exc  # raised by a rule, not from a caught error
+
+
+@pytest.mark.parametrize(
+    "base, path",
+    [
+        (_BASE, ("n",)),
+        (_BASE, ("function", 0, "im")),
+        *(({**_BASE, "sequence": obj}, ("sequence", list(obj)[-1])) for obj in _SEQUENCES.values()),
+    ],
+    ids=["scenario-n", "coefficient-im", *_SEQUENCES],
+)
+def test_missing_key_is_named(base, path):
+    with pytest.raises(InputError, match=f"is missing key {path[-1]!r}"):
+        scenario_from_obj(_mutated(path, _DROP, base))

@@ -128,6 +128,19 @@ def test_cli_opens_files_for_writing_in_one_place():
     assert openers == {"_write_chunks"}
 
 
+def test_no_except_clause_catches_key_or_type_errors():
+    # check_keys rejects a missing key and a non-object before any field is
+    # read, so no parser turns a KeyError or a TypeError into bad input
+    catchers = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                names = {getattr(n, "id", None) for n in ast.walk(node.type)}
+                if names & {"KeyError", "TypeError"}:
+                    catchers.setdefault(path.name, []).append(node.lineno)
+    assert catchers == {}
+
+
 def test_import_leaves_the_process_pool_out():
     assert "concurrent.futures.process" not in _modules_loaded_by("import seqclt")
 
@@ -167,7 +180,6 @@ def test_input_rules_raise_input_error():
         "check_multiplier": (1,),
         "check_u64": (-1, "seed"),
         "check_horizon": (0,),
-        "check_index": (0,),
         "check_standardization": ("exacts",),
     }
     rules = sorted(
@@ -249,6 +261,13 @@ _F = trigpoly.cosine(1)
 _ZERO = trigpoly.make_trigpoly([])
 _CERT = analysis.ThresholdCert(0.0, 0.5, 0.25, 0.1, 10)
 _PROFILE = analysis.angle_profile(_F, sequences.Constant(2), 4)
+_KINDS = (
+    sequences.Constant(2),
+    sequences.Periodic((2, 3)),
+    sequences.Explicit((3, 2, 5), sequences.Periodic((2, 3))),
+    sequences.Triples(2, 80, 2, 3),
+    sequences.Blocks(2),
+)
 
 
 @pytest.mark.parametrize(
@@ -337,6 +356,8 @@ _PROFILE = analysis.angle_profile(_F, sequences.Constant(2), 4)
         # a word that is not iterable is rejected before it is iterated
         lambda: sequences.Periodic(5),
         lambda: sequences.Explicit(5, sequences.Constant(2)),
+        # a sequence index is an integer too, on every kind
+        *(lambda spec=spec, k=k: spec.value_at(k) for spec in _KINDS for k in (2.5, True)),
     ],
     ids=[
         "spike", "spikes-overlap", "blocks-D=1", "blocks-overlap", "empty-word",
@@ -355,6 +376,7 @@ _PROFILE = analysis.angle_profile(_F, sequences.Constant(2), 4)
         "block-start-2.5", "block-start-true", "report-n-true", "report-seed-2.5",
         "verify-base-1", "draw-bits-0", "draw-bits-2.5", "dyadic-numerator-wide",
         "periodic-word-int", "explicit-head-int",
+        *(f"value_at-{spec.kind}-{k}" for spec in _KINDS for k in (2.5, True)),
     ],
 )
 def test_library_input_rules_raise_input_error(call):
@@ -377,6 +399,8 @@ def test_numpy_integers_and_integral_floats_read_as_ints():
     assert all(type(v) is int for v in vars(triples).values())
     spec = sequences.sequence_from_obj({"kind": "periodic", "values": [2.0, 3]})
     assert spec == sequences.Periodic((2, 3)) and spec.to_obj()["values"] == [2, 3]
+    for spec in _KINDS:
+        assert spec.value_at(3.0) == spec.value_at(np.int64(3)) == spec.value_at(3), spec
     for op in (trigpoly.koopman, trigpoly.transfer, trigpoly.project_measurable):
         image = op(np.int64(3), f)
         assert image == op(3, f) and all(type(n) is int for n, _ in image.coeffs)
