@@ -17,6 +17,11 @@ is read by ``check_keys`` with its required and optional keys: a value that
 is not an object, a key that nothing reads and a key that is missing are
 rejected, in that order, before any field is read.
 
+A rule that rejects a value shows it by ``shown``: an int, a float or a
+complex as it reads (an int of 14000 bits or more in hex), anything else by
+its type name, so that no message holds the repr of a list or a string,
+whatever its length.
+
 Every rule here raises ``InputError``, wherever it runs, and so do the
 argument rules of ``sequences``, ``trigpoly``, ``analysis`` and
 ``montecarlo``: the command line reads that type, and that type alone, as
@@ -35,20 +40,28 @@ class InputError(ValueError):
     """A value that an input rule rejects: bad input, not a failed computation."""
 
 
+def shown(value) -> str:
+    """value as a rejection message shows it, without raising: an int, a float
+    or a complex by its repr, but an int of 14000 bits or more in hex, as str()
+    refuses one of over 4300 digits; anything else by its type name."""
+    if isinstance(value, int) and value.bit_length() >= 14000:
+        return hex(value)
+    if isinstance(value, (numbers.Integral, float, complex)):
+        return repr(value)
+    return type(value).__name__
+
+
 def strict_int(value, what: str, lo: int | None = None, hi: int | None = None) -> int:
     """value as an int in [lo, hi] (hi only with lo; None: unbounded); booleans,
     strings, non-integral numbers and values out of bounds raise InputError."""
     if type(value) is not int:  # an exact int skips the ABC test: transfer reads its slope here
         if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
                 or isinstance(value, float) and value.is_integer()):
-            raise InputError(f"{what} must be an integer, got {value!r}")
+            raise InputError(f"{what} must be an integer, got {shown(value)}")
         value = int(value)
     if lo is not None and value < lo or hi is not None and value > hi:
-        # str() refuses an int of over 4300 digits; hex() writes any
-        lo, hi, got = (v if v is None or v.bit_length() < 14000 else hex(v)
-                       for v in (lo, hi, value))
-        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
-        raise InputError(f"{what} must be {bound}, got {got}")
+        bound = f">= {shown(lo)}" if hi is None else f"in [{shown(lo)}, {shown(hi)}]"
+        raise InputError(f"{what} must be {bound}, got {shown(value)}")
     return value
 
 
@@ -59,7 +72,7 @@ def strict_float(value, what: str) -> float:
             return float(value)
         except OverflowError:
             pass
-    raise InputError(f"{what} must be a number, got {value!r}")
+    raise InputError(f"{what} must be a number, got {shown(value)}")
 
 
 def strict_complex(value, what: str) -> complex:
@@ -69,14 +82,14 @@ def strict_complex(value, what: str) -> complex:
             return complex(value)
         except OverflowError:
             pass
-    raise InputError(f"{what} must be a number, got {value!r}")
+    raise InputError(f"{what} must be a number, got {shown(value)}")
 
 
 def check_keys(obj, required, what: str, optional=()) -> None:
     """Reject obj unless it is an object whose keys are all of required and
     some of optional: a field that is never read means nothing."""
     if not isinstance(obj, dict):
-        raise InputError(f"{what} must be a JSON object, got {type(obj).__name__}")
+        raise InputError(f"{what} must be a JSON object, got {shown(obj)}")
     for key in obj:
         if key not in required and key not in optional:
             raise InputError(f"unknown {what} key {key!r}")

@@ -42,8 +42,8 @@ appears: a failed cross-check exits 3 and writes nothing.
 
 analyze and coboundary never import numpy; simulate imports it, with
 montecarlo, when it runs, and verify-decay through c1_norm only.  simulate
---threads N starts at most min(N, cpu count, samples) worker processes; N
-changes wall time only.
+--threads N starts at most min(N, cpu count, number of 256-sample tiles)
+worker processes; N changes wall time only.
 """
 
 from __future__ import annotations

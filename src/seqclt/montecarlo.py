@@ -12,8 +12,11 @@ precision.
 
 Sampling is counter-based: each sample's initial numerator is drawn from a
 Philox stream keyed by (seed, sample index), so results are reproducible
-and independent of how samples are distributed over workers; a seed or
-index outside [0, 2^64) is rejected, since it would alias one inside.
+and independent of which worker runs which tile; a seed or index outside
+[0, 2^64) is rejected, since it would alias one inside.  The one unit of
+work is a tile of _TILE_SAMPLES samples, `_tile_sums`: `birkhoff_samples`
+runs the tiles in order in this process, or hands the same tiles to a
+worker pool.
 Aggregation (moment sums, sorting for the Kolmogorov-Smirnov distance,
 histogramming) is deterministic by construction.
 
@@ -322,13 +325,11 @@ def orbit_birkhoff(f: TrigPoly, spec: SequenceSpec, n: int, x0: DyadicPoint) -> 
     return _orbit_sums(_coef_table(f), bits, _blocks(mults), [num])[0]
 
 
-def _sum_range(args) -> list[float]:
+def _tile_sums(args) -> list[float]:
+    """S_n of the samples lo..hi-1 of one tile: lo a multiple of _TILE_SAMPLES."""
     coef, bits, blocks, seed, lo, hi = args
-    out: list[float] = []
-    for start in range(lo, hi, _TILE_SAMPLES):
-        indices = np.arange(start, min(start + _TILE_SAMPLES, hi), dtype=np.uint64)
-        out.extend(_orbit_sums(coef, bits, blocks, _draw_numerators(seed, indices, bits)))
-    return out
+    indices = np.arange(lo, hi, dtype=np.uint64)
+    return _orbit_sums(coef, bits, blocks, _draw_numerators(seed, indices, bits))
 
 
 def birkhoff_samples(
@@ -342,28 +343,24 @@ def birkhoff_samples(
     """m values of S_n at counter-seeded uniform dyadic initial points.
 
     The result is a pure function of (f, spec, n, m, seed): worker count
-    only affects wall time, never bytes.  At most min(threads, cpu count, m)
-    worker processes start; with one, the samples are drawn in this process.
+    only affects wall time, never bytes.  The samples are cut into tiles of
+    _TILE_SAMPLES, the one task, run here or by at most min(threads, cpu
+    count, number of tiles) worker processes; with one, none starts.
     """
     m, threads = strict_int(m, "sample count", 1), strict_int(threads, "threads", 1)
     seed = check_u64(seed, "seed")
     mults = _multipliers(spec, n)
     bits = _log2_ceil(mults) + _GUARD_BITS
     coef, blocks = _coef_table(f), _blocks(mults)
-    workers = min(threads, os.cpu_count() or 1, m)
+    tiles = [(coef, bits, blocks, seed, lo, min(lo + _TILE_SAMPLES, m))
+             for lo in range(0, m, _TILE_SAMPLES)]
+    workers = min(threads, os.cpu_count() or 1, len(tiles))
     if workers <= 1:
-        return _sum_range((coef, bits, blocks, seed, 0, m))
+        return list(itertools.chain.from_iterable(map(_tile_sums, tiles)))
     from concurrent.futures import ProcessPoolExecutor
 
-    chunk = -(-m // (4 * workers))
-    tasks = [
-        (coef, bits, blocks, seed, lo, min(lo + chunk, m)) for lo in range(0, m, chunk)
-    ]
-    out: list[float] = []
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_sum_range, tasks):
-            out.extend(part)
-    return out
+        return list(itertools.chain.from_iterable(pool.map(_tile_sums, tiles)))
 
 
 def report_from_samples(

@@ -39,7 +39,7 @@ import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
-from ._strict import InputError, check_keys, check_multiplier, strict_float, strict_int
+from ._strict import InputError, check_keys, check_multiplier, shown, strict_float, strict_int
 
 __all__ = [
     "SequenceSpec",
@@ -111,7 +111,7 @@ def _word(values, need: str) -> tuple[int, ...]:
     raises InputError, before a non-iterable is iterated."""
     word = tuple(map(check_multiplier, values)) if isinstance(values, Iterable) else ()
     if not word:
-        raise InputError(f"{need}, got {values!r}")
+        raise InputError(f"{need}, got {shown(values)}")
     return word
 
 

@@ -222,6 +222,14 @@ def test_scenario_rejects_non_integers(tmp_path, capsys, overrides):
     assert capsys.readouterr().err.count("\n") == 1
 
 
+def test_rejected_value_is_shown_in_one_short_line(tmp_path, capsys):
+    # a rejected list is named by its type, not written out
+    path = write_scenario(tmp_path, n=[8] * 10**6)
+    assert main(["analyze", path, "--out", str(tmp_path / "r")]) == EXIT_BAD_SCENARIO
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err.encode()) < 200, err[:200]
+
+
 _CONSTANT = {"kind": "constant", "b": 2}
 
 
@@ -587,7 +595,8 @@ def test_simulate_requires_samples(tmp_path):
 
 
 def test_simulate_thread_count_does_not_change_bytes(tmp_path):
-    path = write_scenario(tmp_path, n=64, samples=120, seed=5)
+    # three tiles, the last one partial: --threads 2 starts a real pool
+    path = write_scenario(tmp_path, n=64, samples=600, seed=5)
     a, b = str(tmp_path / "a"), str(tmp_path / "b")
     assert main(["simulate", path, "--out", a, "--threads", "1"]) == EXIT_OK
     assert main(["simulate", path, "--out", b, "--threads", "2"]) == EXIT_OK

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -98,6 +99,28 @@ def test_analysis_walks_backward_in_one_place():
     assert "degree" not in names
 
 
+def test_montecarlo_runs_one_grain_of_work():
+    # one task, a tile of samples: only _tile_sums draws a tile and sums it,
+    # for the in-process path and the pool alike; draw_numerator draws one
+    # index and orbit_birkhoff sums one orbit, and nothing loops over samples
+    tree = ast.parse((SRC / "montecarlo.py").read_text(encoding="utf-8"))
+
+    def users(name, within=ast.AST):
+        return {
+            getattr(stmt, "name", "<module>")
+            for stmt in tree.body
+            for scope in ast.walk(stmt)
+            if isinstance(scope, within)
+            for node in ast.walk(scope)
+            if isinstance(node, ast.Name) and node.id == name
+        }
+
+    assert users("_draw_numerators") == {"_tile_sums", "draw_numerator"}
+    assert users("_orbit_sums") == {"_tile_sums", "orbit_birkhoff"}
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    assert users("_orbit_sums", loops) == set()
+
+
 def _opens_for_writing(call: ast.Call) -> bool:
     """Whether a call may open a file for writing: os.open, a method named
     open, fdopen, write_text or write_bytes, or the open builtin in a mode
@@ -186,7 +209,8 @@ def test_input_rules_raise_input_error():
         name for name, obj in vars(_strict).items()
         if inspect.isfunction(obj) and obj.__module__ == _strict.__name__
     )
-    assert rules == sorted(bad_calls)
+    # shown is the one function here that rejects nothing: it writes what a rule rejected
+    assert rules == sorted([*bad_calls, "shown"])
     for name, args in bad_calls.items():
         with pytest.raises(_strict.InputError):
             getattr(_strict, name)(*args)
@@ -356,6 +380,13 @@ _KINDS = (
         # a word that is not iterable is rejected before it is iterated
         lambda: sequences.Periodic(5),
         lambda: sequences.Explicit(5, sequences.Constant(2)),
+        # a rejected int of over 4300 digits, which repr() refuses, is still shown
+        lambda: sequences.Periodic(10**5000),
+        lambda: sequences.Blocks(10**5000),
+        lambda: _strict.strict_float(10**5000, "re"),
+        lambda: _strict.strict_complex(10**5000, "c"),
+        lambda: trigpoly.make_trigpoly([(1, 10**5000)]),
+        lambda: _strict.strict_int(Fraction(10**5000, 3), "n"),
         # a sequence index is an integer too, on every kind
         *(lambda spec=spec, k=k: spec.value_at(k) for spec in _KINDS for k in (2.5, True)),
     ],
@@ -376,6 +407,8 @@ _KINDS = (
         "block-start-2.5", "block-start-true", "report-n-true", "report-seed-2.5",
         "verify-base-1", "draw-bits-0", "draw-bits-2.5", "dyadic-numerator-wide",
         "periodic-word-int", "explicit-head-int",
+        "periodic-word-wide-int", "blocks-D-wide-int", "float-wide-int", "complex-wide-int",
+        "coefficient-wide-int", "int-wide-fraction",
         *(f"value_at-{spec.kind}-{k}" for spec in _KINDS for k in (2.5, True)),
     ],
 )

@@ -276,7 +276,8 @@ def test_largest_seed_is_accepted():
 
 
 def test_sample_birkhoff_reproducible_across_threads():
-    kwargs = dict(n=64, m=241, seed=99)
+    # two tiles, the last one partial: threads=3 starts a real pool on 2 or more cpus
+    kwargs = dict(n=64, m=300, seed=99)
     r1 = sample_birkhoff(cosine(1), Constant(2), **kwargs)
     r2 = sample_birkhoff(cosine(1), Constant(2), **kwargs, threads=3)
     assert r1 == r2
@@ -285,16 +286,19 @@ def test_sample_birkhoff_reproducible_across_threads():
 @pytest.mark.parametrize(
     "threads, cpus, m, workers",
     [
-        pytest.param(10_000, 4, 50, 4, id="cpu-count"),
-        pytest.param(3, 4, 50, 3, id="threads"),
-        pytest.param(8, 4, 2, 2, id="samples"),
+        pytest.param(10_000, 4, 2000, 4, id="cpu-count"),
+        pytest.param(3, 4, 2000, 3, id="threads"),
+        pytest.param(8, 4, 300, 2, id="samples"),
+        pytest.param(8, 2, 600, 2, id="tiles-cpu-count"),
+        pytest.param(8, 4, 256, None, id="one-tile-inline"),
         pytest.param(8, 1, 50, None, id="one-cpu-inline"),
         pytest.param(8, None, 50, None, id="unknown-cpus-inline"),
     ],
 )
 def test_birkhoff_samples_bounds_worker_count(monkeypatch, threads, cpus, m, workers):
     # the pool is a fake that records its size and runs the tasks here:
-    # no process is ever started
+    # no process is ever started.  Its size is min(threads, cpus, tiles):
+    # 300 samples are two 256-sample tiles, 256 samples are one
     pools = []
 
     class InlinePool:

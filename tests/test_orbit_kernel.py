@@ -128,13 +128,23 @@ def test_samples_match_scalar_loop(f, spec, n, m):
 
 
 @pytest.mark.parametrize("f, spec", CASES)
-def test_task_range_off_tile_boundaries(f, spec):
-    # a worker's task starts and ends inside tiles
-    n, lo, hi = 40, TILE_SAMPLES - 3, 2 * TILE_SAMPLES + 5
-    bits = required_bits(spec, n)
-    mults = list(itertools.islice(spec.iter_values(), n))
-    task = (montecarlo._coef_table(f), bits, montecarlo._blocks(mults), SEED, lo, hi)
-    assert montecarlo._sum_range(task) == _reference_samples(f, spec, n, SEED, range(lo, hi))
+def test_task_range_off_tile_boundaries(f, spec, monkeypatch):
+    # no task range is off a tile boundary: birkhoff_samples hands _tile_sums
+    # a full first tile, a tile from 256 and a partial last tile of 5 samples,
+    # and each tile's sums are the scalar loop's
+    n, m = 40, 2 * TILE_SAMPLES + 5
+    tile_sums, tiles = montecarlo._tile_sums, []
+
+    def recorded(task):
+        sums = tile_sums(task)
+        tiles.append((task[4:], sums))
+        return sums
+
+    monkeypatch.setattr(montecarlo, "_tile_sums", recorded)
+    birkhoff_samples(f, spec, n, m, SEED)
+    assert [bounds for bounds, _ in tiles] == [(0, 256), (256, 512), (512, 517)]
+    for (lo, hi), sums in tiles:
+        assert sums == _reference_samples(f, spec, n, SEED, range(lo, hi))
 
 
 @pytest.mark.parametrize("f, spec", CASES)
