@@ -18,9 +18,10 @@ is not an object, a key that nothing reads and a key that is missing are
 rejected, in that order, before any field is read.
 
 A rule that rejects a value shows it by ``shown``: an int, a float or a
-complex as it reads (an int of 14000 bits or more in hex), anything else by
-its type name, so that no message holds the repr of a list or a string,
-whatever its length.
+complex as it reads (an int of 14000 bits or more in hex), a string by at
+most its first _SHOWN_CHARS characters and, if it is longer, its length,
+anything else by its type name, so that no message holds the repr of a
+list, or of a string beyond a prefix, whatever its length.
 
 Every rule here raises ``InputError``, wherever it runs, and so do the
 argument rules of ``sequences``, ``trigpoly``, ``analysis`` and
@@ -35,6 +36,8 @@ from __future__ import annotations
 import numbers
 import sys
 
+_SHOWN_CHARS = 40
+
 
 class InputError(ValueError):
     """A value that an input rule rejects: bad input, not a failed computation."""
@@ -43,11 +46,17 @@ class InputError(ValueError):
 def shown(value) -> str:
     """value as a rejection message shows it, without raising: an int, a float
     or a complex by its repr, but an int of 14000 bits or more in hex, as str()
-    refuses one of over 4300 digits; anything else by its type name."""
+    refuses one of over 4300 digits; a string by its repr, but one of more
+    than _SHOWN_CHARS characters by the repr of that prefix and its length;
+    anything else by its type name."""
     if isinstance(value, int) and value.bit_length() >= 14000:
         return hex(value)
     if isinstance(value, (numbers.Integral, float, complex)):
         return repr(value)
+    if isinstance(value, str):
+        if len(value) <= _SHOWN_CHARS:
+            return repr(value)
+        return f"{value[:_SHOWN_CHARS]!r}... ({len(value)} characters)"
     return type(value).__name__
 
 
@@ -92,7 +101,7 @@ def check_keys(obj, required, what: str, optional=()) -> None:
         raise InputError(f"{what} must be a JSON object, got {shown(obj)}")
     for key in obj:
         if key not in required and key not in optional:
-            raise InputError(f"unknown {what} key {key!r}")
+            raise InputError(f"unknown {what} key {shown(key)}")
     for key in required:
         if key not in obj:
             raise InputError(f"{what} is missing key {key!r}")
@@ -120,5 +129,5 @@ def check_horizon(n) -> int:
 def check_standardization(value) -> str:
     """value, if it names a standardisation: "empirical" or "exact"."""
     if value not in ("empirical", "exact"):
-        raise InputError(f"unknown standardization {value!r}")
+        raise InputError(f"unknown standardization {shown(value)}")
     return value

@@ -246,7 +246,7 @@ def sequence_from_obj(obj) -> SequenceSpec:
     kind = obj["kind"]
     cls = next((c for c in (Constant, Periodic, Explicit, Triples, Blocks) if c.kind == kind), None)
     if cls is None:
-        raise InputError(f"unknown sequence kind {kind!r}")
+        raise InputError(f"unknown sequence kind {shown(kind)}")
     names = [f.name for f in dataclasses.fields(cls)]
     check_keys(obj, ("kind", *names), f"{kind} sequence")
     args = []

@@ -230,6 +230,30 @@ def test_rejected_value_is_shown_in_one_short_line(tmp_path, capsys):
     assert err.count("\n") == 1 and len(err.encode()) < 200, err[:200]
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        pytest.param({"k" * 10**6: 1}, id="key"),
+        pytest.param({"sequence": {"kind": "q" * 10**6}}, id="kind"),
+        pytest.param({"standardization": ["exact"] * 10**6}, id="standardization"),
+    ],
+)
+def test_rejected_string_is_shown_by_a_prefix(tmp_path, capsys, overrides):
+    # a long string shows its first characters and its length, a list its type
+    path = write_scenario(tmp_path, **overrides)
+    assert main(["analyze", path, "--out", str(tmp_path / "r")]) == EXIT_BAD_SCENARIO
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err.encode()) < 200, err[:200]
+    if "standardization" not in overrides:
+        assert "(1000000 characters)" in err
+
+
+def test_rejected_short_string_is_shown_whole(tmp_path, capsys):
+    path = write_scenario(tmp_path, standardization="exacts")
+    assert main(["analyze", path, "--out", str(tmp_path / "r")]) == EXIT_BAD_SCENARIO
+    assert capsys.readouterr().err == "error: unknown standardization 'exacts'\n"
+
+
 _CONSTANT = {"kind": "constant", "b": 2}
 
 

@@ -191,6 +191,59 @@ def test_single_worker_simulate_leaves_numpy_random_out(tmp_path):
     assert "numpy.random" not in modules and "seqclt.montecarlo" not in modules
 
 
+_BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum", "linalg", "@"}
+
+
+def test_library_makes_no_blas_call():
+    # main_entry gives OpenBLAS one thread; that costs nothing only while
+    # no numpy entry point into BLAS appears here
+    calls = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = set()
+            if isinstance(node, ast.Attribute):
+                names = {node.attr}
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+                names = {alias.name for alias in node.names} | set(node.module.split("."))
+            elif isinstance(node, ast.Import):
+                names = {part for alias in node.names for part in alias.name.split(".")}
+            elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                names = {"@"}
+            for name in sorted(names & _BLAS_NAMES):
+                calls.setdefault(path.name, []).append((node.lineno, name))
+    assert calls == {}
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task") or os.cpu_count() == 1,
+    reason="needs /proc/self/task, and more than one CPU for OpenBLAS to start a pool",
+)
+def test_commands_that_load_numpy_run_on_one_thread(tmp_path):
+    # the process entry pins OpenBLAS to one thread, so numpy starts no idle
+    # pool; the count is taken at exit, after the command has run
+    path = _write_scenario(tmp_path, samples=30, seed=5)
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    code = (
+        "import atexit, os, sys\n"
+        "atexit.register(lambda: print('threads', len(os.listdir('/proc/self/task'))))\n"
+        "from seqclt.cli import main_entry\n"
+        "sys.argv[1:] = {argv!r}\n"
+        "main_entry()\n"
+    )
+    for argv in (
+        ["simulate", path, "--out", str(tmp_path / "m"), "--threads", "1"],
+        ["verify-decay", path, "--k", "3"],
+    ):
+        out = subprocess.run(
+            [sys.executable, "-c", code.format(argv=argv)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines()[-1] == "threads 1", (argv[0], out.stdout)
+    assert (tmp_path / "m.mc.json").exists()
+
+
 def test_input_rules_raise_input_error():
     # one error type marks bad input: the CLI maps it, and it alone, to exit 1
     from seqclt import _strict, cli

@@ -318,6 +318,43 @@ def test_kernel_matches_scalar_loop_on_random_words(data):
     assert got == [_reference_birkhoff_sum(num, bits, mults, coef) for num in nums]
 
 
+@pytest.mark.parametrize("terms", [1, 2], ids=["alone", "freq1-and-5"])
+@pytest.mark.parametrize(
+    "c",
+    [
+        pytest.param(0.5, id="amp1-ph0"),
+        pytest.param(-0.5, id="ph-pi"),
+        pytest.param(0.25 + 0.5j, id="amp-and-ph"),
+        pytest.param(complex(0.25, -0.0), id="ph-minus-zero"),
+        pytest.param(1e-310, id="subnormal-amp"),
+        pytest.param(5e-324, id="least-subnormal-amp"),
+    ],
+)
+def test_trimmed_evaluation_matches_scalar_loop(c, terms):
+    # the kernel skips adding a zero ph, multiplying by amp 1 and adding the
+    # first term to 0.0; each coefficient takes one of those branches, at
+    # frequency 1 alone and again at frequency 5, where the scalar loop
+    # sums its terms from 0.0 (and where, by x = 1/4, both terms fall below
+    # zero together)
+    mults = list(itertools.islice(Periodic((2, 3)).iter_values(), TILE_STEPS + 44))
+    bits = (math.prod(mults) - 1).bit_length() + GUARD
+    coef = montecarlo._coef_table(make_trigpoly([(1, c), (5, c)][:terms]))
+    nums = [_reference_draw(SEED, i, bits) for i in range(40)]
+    got = montecarlo._orbit_sums(coef, bits, montecarlo._blocks(mults), nums)
+    ref = [_reference_birkhoff_sum(num, bits, mults, coef) for num in nums]
+    assert [repr(v) for v in got] == [repr(v) for v in ref]
+    if c == 5e-324:  # the least amplitude rounds some steps' every term to -0.0
+        mask, shift = (1 << bits) - 1, bits - 53
+        steps = 0
+        for num in nums:
+            for a in mults:
+                num = (a * num) & mask
+                x = (num >> shift) * 2.0**-53
+                values = [amp * math.cos(w * x + ph) for amp, w, ph in coef]
+                steps += all(v == 0.0 and math.copysign(1.0, v) < 0 for v in values)
+        assert steps > 0
+
+
 @pytest.mark.parametrize("re", [1e300, 1e308], ids=["huge", "infinite-amplitude"])
 def test_non_finite_values_flow_as_with_python_floats(re):
     # amplitude 2e300 stays finite; 2e308 is inf, and Kahan turns it into nan
