@@ -42,12 +42,13 @@ appears: a failed cross-check exits 3 and writes nothing.
 
 analyze and coboundary never import numpy; simulate imports it, with
 montecarlo, when it runs, and verify-decay through c1_norm only.  No
-command makes a BLAS call (a tier-1 test keeps it so), so `main_entry`
-gives OpenBLAS one thread before any command runs: numpy then loads
-without the idle thread pool that would cost CPU at start and exit, in
-this process and in every worker.  simulate
---threads N starts at most min(N, cpu count, number of 256-sample tiles)
-worker processes; N changes wall time only.
+command calls BLAS (a tier-1 test keeps numpy's BLAS entry points, and the
+numpy functions known to reach them, out of src), so `main_entry` gives
+OpenBLAS one thread before any command runs: numpy then loads without the
+idle thread pool that would cost CPU at start and exit, in this process
+and in every worker.  simulate --threads N starts at most min(N, cpu
+count, number of 256-sample tiles) worker processes; N changes wall time
+only.
 """
 
 from __future__ import annotations
@@ -423,7 +424,7 @@ def main(argv: list[str] | None = None) -> int:
 def main_entry() -> None:
     """The `seqclt` script and `python -m seqclt.cli`: run main, exit with its code.
 
-    seqclt makes no BLAS call, so OpenBLAS, loaded with numpy, gets one
+    seqclt calls no BLAS, so OpenBLAS, loaded with numpy, gets one
     thread: it starts no pool, here or in a worker, which inherits the
     environment."""
     os.environ["OPENBLAS_NUM_THREADS"] = "1"

@@ -34,12 +34,8 @@ _TILE_SAMPLES orbits at a time:
    numpy joins two adjacent frame words into the top 53 bits of every
    step;
 3. before the next block is read, numpy scales the block's steps by
-   2^-53, sums amp*cos(w*x + ph) term by term in coefficient order, then
-   runs the Kahan update across samples, one step at a time.  It skips
-   the passes that change no bit of S_n: adding ph when ph is 0 (w*x is
-   +0 or more), multiplying by amp when amp is 1, and adding the first
-   term to 0.0, which changes only a -0.0 term, into a +0.0 that the Kahan
-   sum, started at +0.0, reads alike.
+   2^-53, adds amp*cos(w*x + ph) to 0.0 term by term in coefficient order,
+   then runs the Kahan update across samples, one step at a time.
 
 Numerators are at least 64 bits wide, so that an event's word is its
 state's top 64 bits; `orbit_birkhoff` widens a narrower x0 by shifting its
@@ -276,7 +272,6 @@ def _orbit_sums(coef, bits: int, blocks: tuple, nums: list[int]) -> list[float]:
     x, term, value = np.empty((3, _TILE_STEPS, count))
     heads, lows = term.view(np.uint64), x.view(np.uint64)  # the gathers reuse their memory
     total, comp, y, t = np.zeros((4, count))
-    add, sub, mul, cos = np.add, np.subtract, np.multiply, np.cos
     with np.errstate(all="ignore"):  # overflow and nan pass silently, as in Python floats
         for (a0, t0), size, events, (hi, left, right) in blocks:
             frame = np.empty((size + len(events), count), dtype=np.uint64)
@@ -299,22 +294,19 @@ def _orbit_sums(coef, bits: int, blocks: tuple, nums: list[int]) -> list[float]:
             head |= low
             head >>= 11
             xs, v, fx = x[:steps], term[:steps], value[:steps]
-            mul(head, 2.0**-53, xs)
-            for k, (amp, w, ph) in enumerate(coef):
-                out = v if k else fx  # step 3 of the module docstring: why no bit changes
-                mul(xs, w, out)
-                if ph:
-                    add(out, ph, out)
-                cos(out, out)
-                if amp != 1.0:
-                    mul(out, amp, out)
-                if k:
-                    add(fx, v, fx)
-            for vk in fx:  # out passed by position: cheaper per call than out=
-                sub(vk, comp, y)
-                add(total, y, t)
-                sub(t, total, comp)
-                sub(comp, y, comp)
+            np.multiply(head, 2.0**-53, out=xs)
+            fx.fill(0.0)
+            for amp, w, ph in coef:
+                np.multiply(xs, w, out=v)
+                v += ph
+                np.cos(v, out=v)
+                v *= amp
+                fx += v
+            for vk in fx:
+                np.subtract(vk, comp, out=y)
+                np.add(total, y, out=t)
+                np.subtract(t, total, out=comp)
+                comp -= y
                 total, t = t, total
     return total.tolist()
 

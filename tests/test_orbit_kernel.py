@@ -330,12 +330,11 @@ def test_kernel_matches_scalar_loop_on_random_words(data):
         pytest.param(5e-324, id="least-subnormal-amp"),
     ],
 )
-def test_trimmed_evaluation_matches_scalar_loop(c, terms):
-    # the kernel skips adding a zero ph, multiplying by amp 1 and adding the
-    # first term to 0.0; each coefficient takes one of those branches, at
-    # frequency 1 alone and again at frequency 5, where the scalar loop
-    # sums its terms from 0.0 (and where, by x = 1/4, both terms fall below
-    # zero together)
+def test_edge_coefficients_match_scalar_loop(c, terms):
+    # coefficients whose phase is 0, pi or -0.0, whose amplitude is 1 or
+    # subnormal, at frequency 1 alone and again at frequency 5, where the
+    # scalar loop sums its terms from 0.0 (and where, by x = 1/4, both terms
+    # fall below zero together)
     mults = list(itertools.islice(Periodic((2, 3)).iter_values(), TILE_STEPS + 44))
     bits = (math.prod(mults) - 1).bit_length() + GUARD
     coef = montecarlo._coef_table(make_trigpoly([(1, c), (5, c)][:terms]))
@@ -353,6 +352,21 @@ def test_trimmed_evaluation_matches_scalar_loop(c, terms):
                 values = [amp * math.cos(w * x + ph) for amp, w, ph in coef]
                 steps += all(v == 0.0 and math.copysign(1.0, v) < 0 for v in values)
         assert steps > 0
+
+
+@pytest.mark.parametrize("f, spec", CASES[:3])
+def test_zero_polynomial_sums_to_zero(f, spec):
+    # f = 0 has no coefficient, so the kernel evaluates no term; every S_n is
+    # the scalar loop's 0.0, also right after a nonzero f has used the memory
+    zero = make_trigpoly([])
+    n, m = TILE_STEPS + 44, TILE_SAMPLES + 5
+    x0 = DyadicPoint(bits=required_bits(spec, n), numerator=12345)
+    for g in (f, zero, f, zero):
+        samples = birkhoff_samples(g, spec, n, m, SEED)
+        if g is zero:
+            assert [repr(v) for v in samples] == ["0.0"] * m
+            assert repr(orbit_birkhoff(zero, spec, n, x0)) == "0.0"
+    assert _reference_samples(zero, spec, n, SEED, range(3)) == [0.0] * 3
 
 
 @pytest.mark.parametrize("re", [1e300, 1e308], ids=["huge", "infinite-amplitude"])
