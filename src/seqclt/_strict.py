@@ -18,10 +18,11 @@ is not an object, a key that nothing reads and a key that is missing are
 rejected, in that order, before any field is read.
 
 A rule that rejects a value shows it by ``shown``: an int, a float or a
-complex as it reads (an int of 14000 bits or more in hex), a string by at
-most its first _SHOWN_CHARS characters and, if it is longer, its length,
-anything else by its type name, so that no message holds the repr of a
-list, or of a string beyond a prefix, whatever its length.
+complex as it reads (an int of 14000 bits or more in hex), a string by the
+repr of its longest prefix whose repr takes at most _SHOWN_BYTES bytes and,
+if that prefix is not all of it, its length, anything else by its type
+name, so that no message holds the repr of a list, or more than
+_SHOWN_BYTES bytes of a string's repr, whatever its length or characters.
 
 Every rule here raises ``InputError``, wherever it runs, and so do the
 argument rules of ``sequences``, ``trigpoly``, ``analysis`` and
@@ -36,7 +37,7 @@ from __future__ import annotations
 import numbers
 import sys
 
-_SHOWN_CHARS = 40
+_SHOWN_BYTES = 42  # the repr of 40 printable ASCII characters
 
 
 class InputError(ValueError):
@@ -46,17 +47,21 @@ class InputError(ValueError):
 def shown(value) -> str:
     """value as a rejection message shows it, without raising: an int, a float
     or a complex by its repr, but an int of 14000 bits or more in hex, as str()
-    refuses one of over 4300 digits; a string by its repr, but one of more
-    than _SHOWN_CHARS characters by the repr of that prefix and its length;
+    refuses one of over 4300 digits; a string by its repr if that takes at
+    most _SHOWN_BYTES bytes in UTF-8, else by the repr of its longest prefix
+    that does and its length (an escaped character takes up to 10 bytes);
     anything else by its type name."""
     if isinstance(value, int) and value.bit_length() >= 14000:
         return hex(value)
     if isinstance(value, (numbers.Integral, float, complex)):
         return repr(value)
     if isinstance(value, str):
-        if len(value) <= _SHOWN_CHARS:
+        head = value[:_SHOWN_BYTES - 2]  # no longer prefix has a short enough repr
+        while len(repr(head).encode()) > _SHOWN_BYTES:
+            head = head[:-1]
+        if head == value:
             return repr(value)
-        return f"{value[:_SHOWN_CHARS]!r}... ({len(value)} characters)"
+        return f"{head!r}... ({len(value)} characters)"
     return type(value).__name__
 
 

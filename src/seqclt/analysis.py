@@ -22,9 +22,10 @@ as reductions keep a fixed summation order.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 from ._strict import InputError, check_horizon, check_multiplier, strict_int
@@ -95,12 +96,15 @@ class VarianceReport:
 
     cov_curve and mart_curve are Var(S_k) by the two routes; acc_curve is
     the running (left-to-right) sum of min-pair sines for k = 1..n-1.
+    variance_report builds the curves as array('d') columns, 8 bytes a
+    value, which hold each double bit for bit; per_step holds references to
+    shared records.
     """
 
     per_step: tuple[AngleRecord, ...]
-    cov_curve: tuple[float, ...]
-    mart_curve: tuple[float, ...]
-    acc_curve: tuple[float, ...]
+    cov_curve: Sequence[float]
+    mart_curve: Sequence[float]
+    acc_curve: Sequence[float]
 
     @property
     def n(self) -> int:
@@ -235,6 +239,12 @@ def _kahan_prefix(values: Iterable[float]) -> Iterator[float]:
         yield total
 
 
+def _last(values: Iterable[float]) -> float:
+    """The last of values, holding no other."""
+    (last,) = collections.deque(values, maxlen=1)
+    return last
+
+
 def u_sequence(f: TrigPoly, spec: SequenceSpec, n: int) -> list[TrigPoly]:
     """u_1 ... u_n, each computed once per distinct window.
 
@@ -262,12 +272,8 @@ def _angle_record(u: TrigPoly, a_next: int) -> AngleRecord:
     return AngleRecord(u_norm_sq, proj_norm_sq, cos_sq, 1.0 - cos_sq)
 
 
-def angle_profile(f: TrigPoly, spec: SequenceSpec, n: int) -> list[AngleRecord]:
-    """Transversality records for k = 1..n (uses a_{k+1} for the projection).
-
-    u_k is computed once per distinct walk_k, and a record once per distinct
-    pair (walk_k, a_{k+1}): every index with that pair holds the same object.
-    """
+def _angle_records(f: TrigPoly, spec: SequenceSpec, n: int) -> Iterator[AngleRecord]:
+    """The records of angle_profile, one per index, as a stream."""
     def record(entry: tuple[TrigPoly, dict], a_next: int, count: int) -> Iterator[AngleRecord]:
         u, by_next = entry  # u_k of one walk, and its record for each a_{k+1} met so far
         if a_next not in by_next:
@@ -275,7 +281,16 @@ def angle_profile(f: TrigPoly, spec: SequenceSpec, n: int) -> list[AngleRecord]:
         return itertools.repeat(by_next[a_next], count)
 
     segments = _by_window(f, spec, n, lambda walk: (_u_of_walk(f, walk), {}))
-    return list(itertools.chain.from_iterable(itertools.starmap(record, segments)))
+    return itertools.chain.from_iterable(itertools.starmap(record, segments))
+
+
+def angle_profile(f: TrigPoly, spec: SequenceSpec, n: int) -> list[AngleRecord]:
+    """Transversality records for k = 1..n (uses a_{k+1} for the projection).
+
+    u_k is computed once per distinct walk_k, and a record once per distinct
+    pair (walk_k, a_{k+1}): every index with that pair holds the same object.
+    """
+    return list(_angle_records(f, spec, n))
 
 
 def accumulated_transversality(profile: list[AngleRecord], N: int) -> float:
@@ -288,14 +303,8 @@ def accumulated_transversality(profile: list[AngleRecord], N: int) -> float:
     )
 
 
-def variance_covariance_curve(f: TrigPoly, spec: SequenceSpec, n: int) -> list[float]:
-    """Var(S_k) for k = 1..n from pair covariances.
-
-    cov(j, k) = <T*_{[j+1..k]} f, f> depends only on the product of the
-    multipliers between the two indices and vanishes exactly once that
-    product exceeds degree(f), so each new index contributes only a short
-    backward walk, computed once per distinct window.
-    """
+def _covariance_prefix(f: TrigPoly, spec: SequenceSpec, n: int) -> Iterator[float]:
+    """Var(S_k) for k = 1..n from pair covariances, as a stream."""
     norm_sq = l2_inner(f, f)
 
     def step(walk: tuple[int, ...]) -> float:
@@ -304,19 +313,40 @@ def variance_covariance_curve(f: TrigPoly, spec: SequenceSpec, n: int) -> list[f
             total += 2.0 * l2_inner(g, f)
         return total
 
-    return list(_kahan_prefix(_per_index(_by_window(f, spec, n, step))))
+    return _kahan_prefix(_per_index(_by_window(f, spec, n, step)))
+
+
+def variance_covariance_curve(f: TrigPoly, spec: SequenceSpec, n: int) -> list[float]:
+    """Var(S_k) for k = 1..n from pair covariances.
+
+    cov(j, k) = <T*_{[j+1..k]} f, f> depends only on the product of the
+    multipliers between the two indices and vanishes exactly once that
+    product exceeds degree(f), so each new index contributes only a short
+    backward walk, computed once per distinct window.
+    """
+    return list(_covariance_prefix(f, spec, n))
 
 
 def variance_covariance(f: TrigPoly, spec: SequenceSpec, n: int) -> float:
-    """Exact Var(S_n) as n*||f||^2 + 2 sum_{j<k} cov(j, k)."""
-    return variance_covariance_curve(f, spec, n)[-1]
+    """Exact Var(S_n) as n*||f||^2 + 2 sum_{j<k} cov(j, k): the last value of
+    the covariance curve's stream, without the curve."""
+    return _last(_covariance_prefix(f, spec, n))
+
+
+def _martingale_prefix(records: Iterable[AngleRecord]) -> Iterator[float]:
+    """Var(S_k) for k = 1, 2, ... from records 1, 2, ...: the running defect
+    sum over i < k plus ||u_k||^2.  records is iterated once: the defect sum
+    reads each record one step after the curve does, so tee holds one."""
+    records, ahead = itertools.tee(records)
+    defects = itertools.chain((0.0,), _kahan_prefix(r.u_norm_sq - r.proj_norm_sq for r in ahead))
+    return (d + r.u_norm_sq for r, d in zip(records, defects))
 
 
 def variance_martingale_curve(
     f: TrigPoly,
     spec: SequenceSpec,
     n: int,
-    profile: list[AngleRecord] | None = None,
+    profile: Sequence[AngleRecord] | None = None,
 ) -> list[float]:
     """Var(S_k) for k = 1..n from the martingale decomposition.
 
@@ -329,25 +359,31 @@ def variance_martingale_curve(
         profile = angle_profile(f, spec, n)
     if len(profile) < n:
         raise InputError("profile too short for requested horizon")
-    defects = itertools.chain((0.0,), _kahan_prefix(r.u_norm_sq - r.proj_norm_sq for r in profile))
-    return [d + r.u_norm_sq for r, d in zip(itertools.islice(profile, n), defects)]
+    return list(_martingale_prefix(itertools.islice(profile, n)))
 
 
 def variance_martingale(f: TrigPoly, spec: SequenceSpec, n: int) -> float:
-    return variance_martingale_curve(f, spec, n)[-1]
+    """Var(S_n) from the martingale decomposition: the last value of the
+    martingale curve's stream, without the curve or the profile."""
+    return _last(_martingale_prefix(_angle_records(f, spec, n)))
 
 
 def variance_report(f: TrigPoly, spec: SequenceSpec, n: int) -> VarianceReport:
     """The transversality profile, both variance curves and the running sum
-    of min-pair sines (accumulated transversality) for k = 1..n."""
-    profile = angle_profile(f, spec, n)
+    of min-pair sines (accumulated transversality) for k = 1..n.
+
+    Each curve comes from its module-level function, so that a caller may
+    replace one, and becomes its column at once: no two n-long lists are
+    alive together.
+    """
+    # a shared library on common builds: simulate, which builds no report, never loads it
+    from array import array
+
+    profile = tuple(angle_profile(f, spec, n))
+    cov = array("d", variance_covariance_curve(f, spec, n))
+    mart = array("d", variance_martingale_curve(f, spec, n, profile))
     pairs = (min(a.sin_sq, b.sin_sq) for a, b in itertools.pairwise(profile))
-    return VarianceReport(
-        tuple(profile),
-        tuple(variance_covariance_curve(f, spec, n)),
-        tuple(variance_martingale_curve(f, spec, n, profile)),
-        tuple(itertools.accumulate(pairs)),
-    )
+    return VarianceReport(profile, cov, mart, array("d", itertools.accumulate(pairs)))
 
 
 def verify_decay(f: TrigPoly, maps: list[int]) -> DecayReport:

@@ -1,5 +1,7 @@
 import itertools
 import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -221,6 +223,42 @@ def test_martingale_curve_matches_reference_loop(spec, cases):
         # a profile longer than the horizon: only its first records count
         short = variance_martingale_curve(f, spec, n - 1, profile)
         assert short == _reference_martingale_curve(profile, n - 1)
+
+
+@pytest.mark.parametrize("spec, cases", WALK_CASES)
+def test_scalar_variances_are_the_curves_last_values(spec, cases):
+    # the scalars stream the curves' values and keep the last: the same bits
+    for f, n in cases:
+        for m in (1, n // 2, n):
+            assert struct.pack("<d", variance_covariance(f, spec, m)) == struct.pack(
+                "<d", variance_covariance_curve(f, spec, m)[-1])
+            assert struct.pack("<d", variance_martingale(f, spec, m)) == struct.pack(
+                "<d", variance_martingale_curve(f, spec, m)[-1])
+
+
+def _traced(fn, *args):
+    # (result, live bytes, peak bytes) of one call, counted from its start
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        live, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, live - held, peak - held
+
+
+@pytest.mark.parametrize(
+    "fn, curve",
+    [(variance_covariance, variance_covariance_curve),
+     (variance_martingale, variance_martingale_curve)],
+    ids=["covariance", "martingale"],
+)
+def test_scalar_variances_hold_no_curve(f1, fn, curve):
+    # a curve of 10^5 floats alone takes 3.2 MB
+    value, _, peak = _traced(fn, f1, Blocks(4), 10**5)
+    assert value == curve(f1, Blocks(4), 10**5)[-1]
+    assert peak < 0.5e6
 
 
 @pytest.mark.parametrize("spec, cases", WALK_CASES)
@@ -453,14 +491,14 @@ def test_variance_report_fields(f1):
 def test_variance_report_curves(f1):
     spec = Blocks(2.0)
     rep = variance_report(f1, spec, 60)
-    assert rep.cov_curve == tuple(variance_covariance_curve(f1, spec, 60))
-    assert rep.mart_curve == tuple(variance_martingale_curve(f1, spec, 60))
+    assert tuple(rep.cov_curve) == tuple(variance_covariance_curve(f1, spec, 60))
+    assert tuple(rep.mart_curve) == tuple(variance_martingale_curve(f1, spec, 60))
     assert (rep.var_cov, rep.var_mart) == (rep.cov_curve[-1], rep.mart_curve[-1])
     acc, running = 0.0, []
     for a, b in zip(rep.per_step, rep.per_step[1:]):
         acc += min(a.sin_sq, b.sin_sq)
         running.append(acc)
-    assert rep.acc_curve == tuple(running)
+    assert tuple(rep.acc_curve) == tuple(running)
     assert rep.acc_transversality == running[-1]
 
 
@@ -483,14 +521,24 @@ def test_variance_report_reads_the_three_module_functions(f1, monkeypatch):
     assert sorted(calls) == ["angle_profile", "variance_covariance_curve",
                              "variance_martingale_curve"]
     assert rep.per_step == tuple(profile)
-    assert rep.cov_curve == (1.0, 2.0, 3.0, 4.0, 5.0)
-    assert rep.mart_curve == (1.5, 2.5, 3.5, 4.5, 5.5)
+    assert tuple(rep.cov_curve) == (1.0, 2.0, 3.0, 4.0, 5.0)
+    assert tuple(rep.mart_curve) == (1.5, 2.5, 3.5, 4.5, 5.5)
 
 
 def test_variance_report_single_step_has_no_pairs(f1):
     rep = variance_report(f1, Blocks(4), 1)
-    assert rep.n == 1 and rep.acc_curve == ()
+    assert rep.n == 1 and tuple(rep.acc_curve) == ()
     assert rep.acc_transversality == 0.0
+
+
+@pytest.mark.parametrize("spec", [Blocks(4), Periodic((2, 3))], ids=["blocks4", "periodic23"])
+def test_variance_report_holds_float64_columns(f1, spec):
+    # a record reference and three 8-byte running sums per index; building it
+    # holds at most one n-long list of floats beside the columns made so far
+    n = 80_000
+    rep, live, peak = _traced(variance_report, f1, spec, n)
+    assert rep.n == n and len(rep.acc_curve) == n - 1
+    assert live <= 40 * n and peak <= 64 * n
 
 
 def test_acc_transversality_running_sum_close_to_fsum():

@@ -234,6 +234,7 @@ def test_rejected_value_is_shown_in_one_short_line(tmp_path, capsys):
     "overrides",
     [
         pytest.param({"k" * 10**6: 1}, id="key"),
+        pytest.param({"\U000e0000" * 10**6: 1}, id="escaped-key"),  # a repr of 10 bytes a character
         pytest.param({"sequence": {"kind": "q" * 10**6}}, id="kind"),
         pytest.param({"standardization": ["exact"] * 10**6}, id="standardization"),
     ],
@@ -252,6 +253,14 @@ def test_rejected_short_string_is_shown_whole(tmp_path, capsys):
     path = write_scenario(tmp_path, standardization="exacts")
     assert main(["analyze", path, "--out", str(tmp_path / "r")]) == EXIT_BAD_SCENARIO
     assert capsys.readouterr().err == "error: unknown standardization 'exacts'\n"
+
+
+def test_rejected_short_escaped_string_is_shown_by_a_prefix(tmp_path, capsys):
+    # 40 characters, but a 402-byte repr: the shown repr stays within 42 bytes
+    path = write_scenario(tmp_path, **{"\U000e0000" * 40: 1})
+    assert main(["analyze", path, "--out", str(tmp_path / "r")]) == EXIT_BAD_SCENARIO
+    assert capsys.readouterr().err == (
+        "error: unknown scenario key '" + "\\U000e0000" * 4 + "'... (40 characters)\n")
 
 
 _CONSTANT = {"kind": "constant", "b": 2}
@@ -776,8 +785,8 @@ def test_first_non_finite_cell_in_row_order_is_named(sin_sq, named):
     bad = analysis.AngleRecord(math.nan, rec.proj_norm_sq, rec.cos_sq, sin_sq or rec.sin_sq)
     report = analysis.VarianceReport(
         report.per_step[:3] + (bad, bad, bad),
-        report.cov_curve[:2] + (math.inf,) * 4,
-        report.mart_curve[:2] + (math.nan,) * 4,
+        tuple(report.cov_curve[:2]) + (math.inf,) * 4,
+        tuple(report.mart_curve[:2]) + (math.nan,) * 4,
         report.acc_curve,
     )
     with pytest.raises(ValueError) as old:
@@ -832,7 +841,7 @@ def test_chunk_edges_change_no_byte_and_no_named_cell(tmp_path, monkeypatch, row
     ])
     for k in (8, n):
         bad = dataclasses.replace(
-            report, mart_curve=report.mart_curve[:k - 1] + (math.nan,) * (n - k + 1))
+            report, mart_curve=tuple(report.mart_curve[:k - 1]) + (math.nan,) * (n - k + 1))
         with pytest.raises(ValueError) as old:
             _oracle_csv(bad)
         with pytest.raises(ValueError) as new:
