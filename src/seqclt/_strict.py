@@ -5,24 +5,26 @@ JSON delivers booleans, floats and integers alike; ``int()`` would read
 as 1.0 and ``"0.25"`` as 0.25.  A misspelt key would be ignored, and its
 value with it.  Input that does not mean what it says is rejected instead.
 
-Every integer argument of the library, and every integer of a scenario, is
-read once, by ``strict_int`` with its bounds: an int, a numpy integer or an
-integral float is read as the int it equals, anything else is rejected, and
-so is a value outside the bounds.  ``check_multiplier``, ``check_u64`` and
-``check_horizon`` are that reader with their bounds; so is every sequence
-index that ``value_at`` reads.
+Each value is read once, by one rule, in the library as in a scenario.  An
+integer is read by ``strict_int`` with its bounds (``check_multiplier``,
+``check_u64`` and ``check_horizon`` are that rule with theirs): an int, a
+numpy integer or an integral float reads as the int it equals.  A real or
+complex number is read by ``strict_complex``, and a real one by
+``strict_float``, that rule on a ``numbers.Real``, whose ``.real`` is the
+double ``float()`` gives, -0.0 included: a boolean, a string, bytes or a
+value beyond float range fails as ``{what} must be a number, got ...``, and
+inf or nan as ``{what} is not finite: ...``.  Samples of the orbit kernel
+(``normal_cdf``'s x, ``ks_statistic``'s values, ``report_from_samples``'
+sums) stay outside: a non-finite one is a failed computation (exit 3), not
+bad input (exit 1).
 
 Every JSON object of a scenario (the scenario, a sequence, a coefficient)
 is read by ``check_keys`` with its required and optional keys: a value that
 is not an object, a key that nothing reads and a key that is missing are
 rejected, in that order, before any field is read.
 
-A rule that rejects a value shows it by ``shown``: an int, a float or a
-complex as it reads (an int of 14000 bits or more in hex), a string by the
-repr of its longest prefix whose repr takes at most _SHOWN_BYTES bytes and,
-if that prefix is not all of it, its length, anything else by its type
-name, so that no message holds the repr of a list, or more than
-_SHOWN_BYTES bytes of a string's repr, whatever its length or characters.
+A rule that rejects a value shows it by ``shown``: one line of bounded
+length, whatever the value.
 
 Every rule here raises ``InputError``, wherever it runs, and so do the
 argument rules of ``sequences``, ``trigpoly``, ``analysis`` and
@@ -34,6 +36,7 @@ arc pair, an exact variance of 0.0) raises a plain ``ValueError``.
 
 from __future__ import annotations
 
+import cmath
 import numbers
 import sys
 
@@ -80,23 +83,21 @@ def strict_int(value, what: str, lo: int | None = None, hi: int | None = None) -
 
 
 def strict_float(value, what: str) -> float:
-    """value as a float; booleans, strings and integers beyond float range raise InputError."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        try:
-            return float(value)
-        except OverflowError:
-            pass
-    raise InputError(f"{what} must be a number, got {shown(value)}")
+    """value as a finite float: strict_complex's rule, on a real number only."""
+    return strict_complex(value, what, numbers.Real).real
 
 
-def strict_complex(value, what: str) -> complex:
-    """value as a complex; booleans, strings, bytes and ints beyond float range raise InputError."""
-    if isinstance(value, numbers.Complex) and not isinstance(value, bool):
-        try:
-            return complex(value)
-        except OverflowError:
-            pass
-    raise InputError(f"{what} must be a number, got {shown(value)}")
+def strict_complex(value, what: str, kind=numbers.Complex) -> complex:
+    """value, a number of kind but not a bool, as a finite complex; else InputError."""
+    try:
+        z = complex(value) if isinstance(value, kind) and not isinstance(value, bool) else None
+    except OverflowError:  # an int or a fraction beyond float range
+        z = None
+    if z is None:
+        raise InputError(f"{what} must be a number, got {shown(value)}")
+    if not cmath.isfinite(z):
+        raise InputError(f"{what} is not finite: {shown(value)}")
+    return z
 
 
 def check_keys(obj, required, what: str, optional=()) -> None:

@@ -8,22 +8,23 @@ coboundary    solve f = (u o T_b) - u for the scenario's function, verified
 verify-decay  certified transfer-operator decay over every map word
 
 Exit codes: 0 success; 1 bad input: a value that an input rule rejects
-(``_strict.InputError``), wherever that rule runs, such as a non-finite
-number, a boolean or string where a number belongs, a scenario, sequence
-or coefficient that is not a JSON object, lacks a key that is read or
-holds a key that nothing reads, a flag that is missing, unknown or
-not read by the command, an --out prefix that names the scenario file as
-one of the command's outputs (nothing is written then), or an integer that
-``_strict.strict_int``, the one integer rule, rejects as non-integral or out
-of its bounds: a horizon n outside [1, sys.maxsize], samples below 2, a
-seed outside [0, 2^64), a multiplier or a base below 2, --k < 1 or
---threads < 1; 2 I/O failure; 3 internal failure: any other error,
-such as a failed consistency check (variance cross-check, decay bound, or
-a coboundary result that `coboundary.verify` rejects, which then prints
-nothing to stdout), a result that overflows to a non-finite value (the
-message names the CSV column and k, or the JSON key), an allocation beyond
-memory, or an exception of any other type; 10 coboundary obstruction (so
-shell pipelines can branch on the dichotomy).
+(``_strict.InputError``), wherever that rule runs, such as a number that
+``_strict.strict_float`` rejects (a boolean, a string, inf, nan), a
+scenario, sequence or coefficient that is not a JSON object, lacks a key
+that is read or holds a key that nothing reads, a flag that is missing,
+unknown or not read by the command (analyze takes --threads, unread, so that
+one command line serves both report commands), an --out prefix that names
+the scenario file as one of the command's outputs (nothing is written then),
+or an integer that ``_strict.strict_int``, the one integer rule, rejects as
+non-integral or out of its bounds: a horizon n outside [1, sys.maxsize],
+samples below 2, a seed outside [0, 2^64), a multiplier or a base below 2,
+--k < 1 or --threads < 1; 2 I/O failure; 3 internal failure: any other
+error, such as a failed consistency check (variance cross-check, decay
+bound, or a coboundary result that `coboundary.verify` rejects, which then
+prints nothing to stdout), a result that overflows to a non-finite value
+(the message names the CSV column and k, or the JSON key), an allocation
+beyond memory, or an exception of any other type; 10 coboundary obstruction
+(so shell pipelines can branch on the dichotomy).
 
 All real numbers in outputs are printed with 17 significant digits and are
 finite (a JSON real keeps its point, as 1.0 and -0.0), and every output

@@ -35,6 +35,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import operator
 import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -177,16 +178,18 @@ class Triples(SequenceSpec):
         if self.p0 * (self.r - 1) < 3:
             raise InputError("spikes overlap: need p0*(r-1) >= 3")
 
-    def spike_positions(self, limit: int):
+    def _spike_starts(self) -> Iterator[int]:
+        """p0 * r^l for l = 0, 1, ...: every spike start, in increasing order."""
+        return itertools.accumulate(itertools.repeat(self.r), operator.mul, initial=self.p0)
+
+    def spike_positions(self, limit: int) -> Iterator[int]:
         """Spike start positions p <= limit, in increasing order."""
-        p = self.p0
-        while p <= limit:
-            yield p
-            p *= self.r
+        limit = strict_int(limit, "spike position limit", 0)
+        return itertools.takewhile(lambda p: p <= limit, self._spike_starts())
 
     def runs(self) -> Iterator[tuple[int, int]]:
         k = 1
-        for p in self.spike_positions(math.inf):
+        for p in self._spike_starts():
             yield self.b0, p - k
             yield self.B, 3
             k = p + 3
@@ -202,8 +205,8 @@ class Blocks(SequenceSpec):
 
     def __post_init__(self):
         object.__setattr__(self, "D", strict_float(self.D, "block growth D"))
-        if not (math.isfinite(self.D) and self.D > 1.0):
-            raise InputError(f"block schedule needs a finite growth D > 1, got {self.D!r}")
+        if not self.D > 1.0:
+            raise InputError(f"block schedule needs a growth D > 1, got {self.D!r}")
         # D = p/q exactly, so that every block start is an exact integer
         object.__setattr__(self, "_ratio", self.D.as_integer_ratio())
         # Blocks must not overlap anywhere we may ever be asked to evaluate.

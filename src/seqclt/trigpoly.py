@@ -24,7 +24,6 @@ canonical representation.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -81,10 +80,7 @@ ZERO = TrigPoly(())
 
 
 def _canonical(entries: dict[int, complex]) -> TrigPoly:
-    items = tuple(
-        (n, complex(c)) for n, c in sorted(entries.items()) if complex(c) != 0
-    )
-    return TrigPoly(items)
+    return TrigPoly(tuple((n, c) for n, c in sorted(entries.items()) if c != 0))
 
 
 def make_trigpoly(entries) -> TrigPoly:
@@ -99,20 +95,18 @@ def make_trigpoly(entries) -> TrigPoly:
         n = strict_int(freq, "frequency", 1)  # frequency 0 would carry a nonzero mean
         if n in out:
             raise InputError(f"duplicate frequency {n}")
-        c = strict_complex(c, f"coefficient at frequency {n}")
-        if not cmath.isfinite(c):
-            raise InputError(f"coefficient at frequency {n} is not finite: {c!r}")
-        out[n] = c
+        out[n] = strict_complex(c, f"coefficient at frequency {n}")
     return _canonical(out)
 
 
 def cosine(n: int, amplitude: float = 1.0) -> TrigPoly:
     """amplitude * cos(2*pi*n*x) as a TrigPoly (coefficient amplitude/2 at n)."""
-    return make_trigpoly([(n, amplitude / 2.0)])
+    return make_trigpoly([(n, strict_float(amplitude, "amplitude") / 2.0)])
 
 
 def evaluate(g: TrigPoly, x: float) -> float:
     """Pointwise value g(x) = sum_n 2*Re(c_n e^{2 pi i n x})."""
+    x = strict_float(x, "evaluation point x")
     total = 0.0
     for n, c in g.coeffs:
         t = TWO_PI * n * x
@@ -165,7 +159,7 @@ def linear_combine(terms) -> TrigPoly:
     """
     out: dict[int, complex] = {}
     for scalar, g in terms:
-        s = float(scalar)
+        s = strict_float(scalar, "linear_combine scalar")
         for n, c in g.coeffs:
             prev = out.get(n)
             out[n] = s * c if prev is None else prev + s * c

@@ -36,6 +36,7 @@ from seqclt.trigpoly import (
     ZERO,
     c1_norm,
     cosine,
+    evaluate,
     l2_inner,
     linear_combine,
     make_trigpoly,
@@ -808,6 +809,18 @@ def test_example1_threshold_certificate_is_sound():
         on_x = ((xs - cert.x) % 1.0) <= cert.eps
         on_y = ((xs - cert.y) % 1.0) <= cert.eps
         assert vals[on_x].min() > cert.delta + vals[on_y].max()
+
+
+def test_example1_threshold_doubles_its_grid_past_degree_2047():
+    # degree 3000 needs more than 2^12 points: the search grid doubles to 2^13
+    # and reads every other point
+    f = make_trigpoly([(1, 0.5), (3000, 0.0005)])
+    cert = example1_threshold(f)
+    assert cert.L == 218
+    pts = 4096  # about 85 points per period of the degree-3000 term
+    on_x = [evaluate(f, (cert.x + cert.eps * j / pts) % 1.0) for j in range(pts + 1)]
+    on_y = [evaluate(f, (cert.y + cert.eps * j / pts) % 1.0) for j in range(pts + 1)]
+    assert min(on_x) - max(on_y) >= cert.delta > 0.0
 
 
 def test_example1_threshold_halved_arcs_for_double_frequency():

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import re
+import subprocess
 import sys
 import tempfile
 import tracemalloc
@@ -355,6 +356,35 @@ def test_deeply_nested_scenario_is_bad_input(tmp_path, capsys):
     argv[1] = _nested_scenario(tmp_path, 500)
     assert main(argv) == EXIT_OK
     assert (tmp_path / "r.json").exists()
+
+
+def test_nesting_near_the_recursion_limit_is_bad_input_or_runs(tmp_path):
+    # about limit - 20 explicit tails run; a few more load as JSON but are
+    # too deep for sequence_from_obj; more fail in json.load: all exit 0 or 1
+    limit = sys.getrecursionlimit()
+    depths = range(limit - 40, limit + 10)
+    paths = [_nested_scenario(tmp_path, depth) for depth in depths]
+    code = (
+        "import sys\n"
+        "from seqclt.cli import main\n"
+        "for path in sys.argv[2:]:\n"
+        "    print(main(['analyze', path, '--out', sys.argv[1]]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "r"), *paths],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    codes = [int(line) for line in out.stdout.split()]
+    assert len(codes) == len(depths) and codes[0] == EXIT_OK
+    assert codes == sorted(codes) and set(codes) == {EXIT_OK, EXIT_BAD_SCENARIO}
+    errors = out.stderr.splitlines()
+    sequence = "error: scenario sequence nests too deeply"
+    whole = "error: scenario file nests too deeply"
+    k = errors.count(sequence)
+    assert 0 < k < len(errors) == codes.count(EXIT_BAD_SCENARIO)
+    assert errors == [sequence] * k + [whole] * (len(errors) - k)
 
 
 def test_overflowing_result_is_an_internal_failure(tmp_path, capsys):

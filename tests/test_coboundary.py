@@ -82,6 +82,21 @@ def test_verify_rejects_wrong_certificate(f1):
     assert not verify(f1, 2, CoboundaryResult("obstruction", None, 1, -0.5 + 0j))
 
 
+def test_verify_rejects_malformed_results():
+    f = make_trigpoly([(1, 0.25), (3, 0.5)])
+    obstruction = solve(f, 3)
+    assert (obstruction.root, obstruction.residual) == (1, 0.75 + 0j)
+    # the chain from 3 totals 0.5: only the root rule rejects root 3
+    assert verify(f, 3, CoboundaryResult("obstruction", None, 1, 0.75 + 0j))
+    for result in (
+        CoboundaryResult("solution", None, None, None),
+        CoboundaryResult("obstruction", None, 3, 0.5 + 0j),
+        CoboundaryResult("obstruction", None, 1, None),
+        CoboundaryResult("undecided", None, 1, 0.75 + 0j),
+    ):
+        assert not verify(f, 3, result), result
+
+
 def test_soundness_on_random_inputs():
     rng = np.random.default_rng(41)
     for _ in range(120):

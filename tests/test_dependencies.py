@@ -1,6 +1,7 @@
 import ast
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -449,6 +450,15 @@ _KINDS = (
         lambda: _strict.strict_int(Fraction(10**5000, 3), "n"),
         # a sequence index is an integer too, on every kind
         *(lambda spec=spec, k=k: spec.value_at(k) for spec in _KINDS for k in (2.5, True)),
+        # every real argument is a finite number, read once by one rule
+        *(lambda s=s: trigpoly.linear_combine([(s, _F)])
+          for s in ("2", True, math.nan, math.inf, 1j, 10**400)),
+        *(lambda a=a: trigpoly.cosine(1, a) for a in (True, "2", 1j, 10**400)),
+        *(lambda x=x: trigpoly.evaluate(_F, x)
+          for x in (True, "0.25", math.inf, math.nan, 10**400)),
+        lambda: trigpoly.evaluate(_ZERO, True),
+        lambda: sequences.Triples(2, 80, 10, 2).spike_positions(True),
+        lambda: sequences.Triples(2, 80, 10, 2).spike_positions("x"),
     ],
     ids=[
         "spike", "spikes-overlap", "blocks-D=1", "blocks-overlap", "empty-word",
@@ -470,12 +480,128 @@ _KINDS = (
         "periodic-word-wide-int", "blocks-D-wide-int", "float-wide-int", "complex-wide-int",
         "coefficient-wide-int", "int-wide-fraction",
         *(f"value_at-{spec.kind}-{k}" for spec in _KINDS for k in (2.5, True)),
+        *(f"scalar-{s}" for s in ("str", "true", "nan", "inf", "complex", "wide-int")),
+        *(f"amplitude-{a}" for a in ("true", "str", "complex", "wide-int")),
+        *(f"evaluate-x-{x}" for x in ("true", "str", "inf", "nan", "wide-int")),
+        "evaluate-zero-x-true", "spike-limit-true", "spike-limit-str",
     ],
 )
 def test_library_input_rules_raise_input_error(call):
     # a library caller tells bad input from a failed computation by its type
     with pytest.raises(_strict.InputError):
         call()
+
+
+_RECORD = "a result record: the library builds it from values its rules have read"
+# public callables whose numeric parameters read no rule, each with its reason
+_NUMERIC_RULE_EXEMPT = {
+    **dict.fromkeys((
+        "seqclt.analysis.AngleRecord", "seqclt.trigpoly.C1Norm", "seqclt.analysis.ThresholdCert",
+        "seqclt.analysis.DecayReport", "seqclt.analysis.VarianceReport",
+        "seqclt.montecarlo.MCReport", "seqclt.coboundary.CoboundaryResult", "seqclt.cli.Scenario",
+    ), _RECORD),
+    "seqclt.montecarlo.normal_cdf": "it reads a sample of the kernel: a non-finite sample is "
+                                    "an internal failure (exit 3), not bad input (exit 1)",
+}
+# valid arguments of every other public callable with a numeric parameter
+_NUMERIC_VALID = {
+    "seqclt.analysis.accumulated_transversality": dict(profile=_PROFILE, N=2),
+    "seqclt.analysis.angle_profile": dict(f=_F, spec=sequences.Constant(2), n=3),
+    "seqclt.analysis.block_shadowing_check": dict(f=_F, spec=sequences.Constant(3), K=2, k=5),
+    "seqclt.analysis.decay_certificate": dict(f=_F, k=2),
+    "seqclt.analysis.neumann_sum": dict(f=_F, b=2),
+    "seqclt.analysis.separation_bound_check": dict(
+        f=_F, spec=sequences.Constant(11), cert=_CERT, k=2),
+    "seqclt.analysis.u_at": dict(f=_F, spec=sequences.Constant(2), k=2),
+    **{f"seqclt.analysis.{name}": dict(f=_F, spec=sequences.Constant(2), n=3) for name in (
+        "u_sequence", "variance_covariance", "variance_covariance_curve",
+        "variance_martingale", "variance_martingale_curve", "variance_report")},
+    "seqclt.coboundary.solve": dict(f=_F, b=2),
+    "seqclt.coboundary.verify": dict(f=_F, b=2, result=coboundary.solve(_F, 2)),
+    "seqclt.montecarlo.DyadicPoint": dict(bits=8, numerator=1),
+    "seqclt.montecarlo.birkhoff_samples": dict(
+        f=_F, spec=sequences.Constant(2), n=4, m=4, seed=1, threads=1),
+    "seqclt.montecarlo.draw_numerator": dict(seed=1, index=0, bits=8),
+    "seqclt.montecarlo.orbit_birkhoff": dict(
+        f=_F, spec=sequences.Constant(2), n=4, x0=montecarlo.DyadicPoint(64, 1)),
+    "seqclt.montecarlo.report_from_samples": dict(
+        sums=[1.0, 2.0, 3.0], f=_F, spec=sequences.Constant(2), n=4, seed=1),
+    "seqclt.montecarlo.required_bits": dict(spec=sequences.Constant(2), n=4),
+    "seqclt.montecarlo.sample_birkhoff": dict(
+        f=_F, spec=sequences.Constant(2), n=4, m=4, seed=1, threads=1),
+    "seqclt.sequences.Blocks": dict(D=2),
+    "seqclt.sequences.Blocks.block_start": dict(l=2),
+    "seqclt.sequences.Constant": dict(b=2),
+    "seqclt.sequences.Triples": dict(b0=2, B=80, p0=2, r=3),
+    "seqclt.sequences.Triples.spike_positions": dict(limit=100),
+    **{f"seqclt.sequences.{type(spec).__name__}.value_at": dict(k=2) for spec in _KINDS},
+    "seqclt.sequences.generate": dict(spec=sequences.Constant(2), k=2),
+    "seqclt.trigpoly.cosine": dict(n=1, amplitude=1.0),
+    "seqclt.trigpoly.evaluate": dict(g=_F, x=0.25),
+    "seqclt.trigpoly.grid_values": dict(g=_F, size=8),
+    **{f"seqclt.trigpoly.{name}": dict(a=2, g=_F)
+       for name in ("koopman", "transfer", "project_measurable")},
+}
+
+
+def _numeric_parameters() -> dict:
+    """{name: (callable, its parameters annotated int, float or complex)} over the
+    package's and each module's __all__ and the public methods of the sequence
+    kinds and DyadicPoint, each method bound to an instance."""
+    import seqclt
+    from seqclt import cli
+
+    callables = {}
+    for module in (seqclt, analysis, cli, coboundary, montecarlo, sequences, trigpoly):
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if callable(obj):
+                callables[f"{obj.__module__}.{obj.__qualname__}"] = obj
+    for instance in (*_KINDS, montecarlo.DyadicPoint(8, 1)):
+        cls = type(instance)
+        for name, method in inspect.getmembers(instance, inspect.ismethod):
+            if not name.startswith("_"):
+                callables[f"{cls.__module__}.{cls.__name__}.{name}"] = method
+    found = {}
+    for key, obj in callables.items():
+        names = [
+            name for name, param in inspect.signature(obj).parameters.items()
+            if str(param.annotation).removesuffix(" | None") in ("int", "float", "complex")
+        ]
+        if names:
+            found[key] = (obj, names)
+    return found
+
+
+def test_every_numeric_parameter_has_its_rule():
+    # a boolean or a string where a number belongs is rejected, never read as one
+    found = _numeric_parameters()
+    for key in _NUMERIC_RULE_EXEMPT:  # an exemption names a public object
+        module, _, name = key.rpartition(".")
+        assert name in sys.modules[module].__all__, key
+    assert sorted(found.keys() - _NUMERIC_RULE_EXEMPT.keys()) == sorted(_NUMERIC_VALID)
+    accepted = []
+    for key, valid in _NUMERIC_VALID.items():
+        call, names = found[key]
+        call(**valid)
+        for name in names:
+            for bad in (True, "2"):
+                try:
+                    call(**{**valid, name: bad})
+                except _strict.InputError:
+                    continue
+                except Exception as exc:  # any other type is a rule missing: named below
+                    accepted.append(f"{key}({name}={bad!r}) raised {type(exc).__name__}")
+                else:
+                    accepted.append(f"{key}({name}={bad!r}) returned")
+    # linear_combine's scalar has no annotation
+    for bad in (True, "2"):
+        try:
+            trigpoly.linear_combine([(bad, _F)])
+        except _strict.InputError:
+            continue
+        accepted.append(f"seqclt.trigpoly.linear_combine(scalar={bad!r}) returned")
+    assert accepted == []
 
 
 def test_numpy_integers_and_integral_floats_read_as_ints():

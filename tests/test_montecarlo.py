@@ -115,6 +115,14 @@ def test_dyadic_point_validation():
         DyadicPoint(bits=0, numerator=0)
 
 
+def test_dyadic_point_as_float_is_the_exact_quotient_up_to_53_bits():
+    assert DyadicPoint(3, 5).as_float() == 0.625
+    top = DyadicPoint(53, (1 << 53) - 1)
+    assert top.as_float() == 1.0 - 2.0**-53
+    # past 53 bits the point reads as its top 53
+    assert DyadicPoint(54, top.numerator << 1 | 1).as_float() == top.as_float()
+
+
 def test_orbit_single_step():
     x0 = DyadicPoint(bits=120, numerator=1 << 118)  # x0 = 1/4
     assert orbit_birkhoff(cosine(1), Constant(2), 1, x0) == pytest.approx(-1.0, abs=1e-14)

@@ -41,6 +41,13 @@ def test_triples_spike_placement():
     assert generate(spec, 9) == 2
 
 
+def test_triples_spike_positions_up_to_an_integer_limit():
+    spec = Triples(b0=2, B=70, p0=10, r=2)
+    assert list(spec.spike_positions(0)) == list(spec.spike_positions(9)) == []
+    assert list(spec.spike_positions(159)) == [10, 20, 40, 80]
+    assert list(spec.spike_positions(160.0)) == [10, 20, 40, 80, 160]
+
+
 def test_triples_every_spike_is_three_long():
     spec = Triples(b0=2, B=9, p0=5, r=3)
     run = 0
