@@ -48,24 +48,25 @@ class InputError(ValueError):
 
 
 def shown(value) -> str:
-    """value as a rejection message shows it, without raising: an int, a float
-    or a complex by its repr, but an int of 14000 bits or more in hex, as str()
-    refuses one of over 4300 digits; a string by its repr if that takes at
-    most _SHOWN_BYTES bytes in UTF-8, else by the repr of its longest prefix
-    that does and its length (an escaped character takes up to 10 bytes);
-    anything else by its type name."""
-    if isinstance(value, int) and value.bit_length() >= 14000:
-        return hex(value)
-    if isinstance(value, (numbers.Integral, float, complex)):
-        return repr(value)
+    """value as a rejection message shows it, in a bounded line, without raising.
+    A string: its repr, or past _SHOWN_BYTES bytes of UTF-8 the repr of its longest
+    prefix within them and its length (an escaped character takes up to 10 bytes).
+    An int, float or complex, numpy's float32 and complex64 too: its repr, in hex
+    for an int of 14000 bits or more (str() refuses over 4300 digits), and past
+    _SHOWN_BYTES a prefix and its length.  Else, a Fraction too: its type name."""
     if isinstance(value, str):
         head = value[:_SHOWN_BYTES - 2]  # no longer prefix has a short enough repr
         while len(repr(head).encode()) > _SHOWN_BYTES:
             head = head[:-1]
-        if head == value:
-            return repr(value)
-        return f"{head!r}... ({len(value)} characters)"
-    return type(value).__name__
+        return repr(value) if head == value else f"{head!r}... ({len(value)} characters)"
+    fraction = isinstance(value, numbers.Rational) and not isinstance(value, numbers.Integral)
+    if fraction or not isinstance(value, numbers.Complex):
+        return type(value).__name__  # a Fraction's repr may hold an int str() refuses
+    text = hex(value) if isinstance(value, int) and value.bit_length() >= 14000 else repr(value)
+    if len(text) <= _SHOWN_BYTES:
+        return text
+    size = f"{len(text.lstrip('-0x'))} digits" if type(value) is int else f"{len(text)} characters"
+    return f"{text[:_SHOWN_BYTES - 2]}... ({size})"
 
 
 def strict_int(value, what: str, lo: int | None = None, hi: int | None = None) -> int:

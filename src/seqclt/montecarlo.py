@@ -33,7 +33,8 @@ _TILE_SAMPLES orbits at a time:
    top bits, left-aligned, into its block's frame of uint64 words, and
    numpy joins two adjacent frame words into the top 53 bits of every
    step;
-3. before the next block is read, numpy scales the block's steps by
+3. before the next block is read, numpy takes the block's steps in strips
+   of _STRIP_STEPS: it joins each strip's frame words, scales its steps by
    2^-53, adds amp*cos(w*x + ph) to 0.0 term by term in coefficient order,
    then runs the Kahan update across samples, one step at a time.
 
@@ -44,7 +45,7 @@ numerator left, which leaves the point and its orbit's top bits as they are.
 Each sample thus sees the operations of the scalar loop in its order, and
 numpy's cos equals math.cos on these arguments (a tier-1 test guards this),
 so every S_n is bit-identical to a pure-Python loop.  The tile holds three
-_TILE_STEPS x _TILE_SAMPLES arrays (1.5 MB), whatever n and m are, and one
+_STRIP_STEPS x _TILE_SAMPLES arrays (192 KB), whatever n and m are, and one
 block's frame.  A run of powers of two costs one bigint shift per block
 it spans, and the float work is most of the kernel's cost on doubling words;
 odd multipliers still pay one bigint step each, which is then most of it.
@@ -85,9 +86,10 @@ _GUARD_BITS = 64  # orbit bits below the 53 read at step n: they absorb the trun
 # Philox4x64 round multipliers and Weyl key increments (Salmon et al. 2011)
 _PHILOX_M0, _PHILOX_M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
 _PHILOX_W0, _PHILOX_W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
-# One orbit tile: _TILE_STEPS x _TILE_SAMPLES floats, whatever n and m are
+# One orbit tile: _STRIP_STEPS x _TILE_SAMPLES floats, whatever n and m are
 _TILE_SAMPLES = 256
-_TILE_STEPS = 256
+_TILE_STEPS = 256  # the longest block
+_STRIP_STEPS = 32
 
 
 @dataclass(frozen=True)
@@ -262,14 +264,15 @@ def _orbit_sums(coef, bits: int, blocks: tuple, nums: list[int]) -> list[float]:
 
     Every orbit makes the block's first exact state, then steps over its
     events, writing each state's top bits into its column of the block's
-    frame; numpy joins two frame words into each step's top 53 bits.  Then
-    it evaluates f on the block's steps, step-major, and runs one Kahan
-    update per step across the samples: per sample, the operations of the
-    scalar loop in its order, so every sum is bit-identical to it.
+    frame.  Then, a strip of _STRIP_STEPS steps at a time, numpy joins two
+    frame words into each step's top 53 bits, evaluates f on the strip's
+    steps, step-major, and runs one Kahan update per step across the
+    samples: per sample, the operations of the scalar loop in its order, so
+    every sum is bit-identical to it.
     """
     mask, shift = (1 << bits) - 1, bits - 64  # an event's word: its state's top 64 bits
     count, nums = len(nums), list(nums)
-    x, term, value = np.empty((3, _TILE_STEPS, count))
+    x, term, value = np.empty((3, _STRIP_STEPS, count))
     heads, lows = term.view(np.uint64), x.view(np.uint64)  # the gathers reuse their memory
     total, comp, y, t = np.zeros((4, count))
     with np.errstate(all="ignore"):  # overflow and nan pass silently, as in Python floats
@@ -284,30 +287,31 @@ def _orbit_sums(coef, bits: int, blocks: tuple, nums: list[int]) -> list[float]:
                     frame[size:, j] = [(num := (a * num) & mask) >> shift for a in events]
                 nums[j] = num
             frame[:size] = np.frombuffer(b"".join(snap), dtype=">u8").reshape(count, size).T
-            steps = len(hi)
-            head, low = heads[:steps], lows[:steps]
-            np.take(frame, hi, axis=0, out=head, mode="clip")  # "raise" would buffer out
-            np.take(frame, hi + 1, axis=0, out=low, mode="clip")  # the last row reads itself
-            head <<= left
-            low >>= 1
-            low >>= right
-            head |= low
-            head >>= 11
-            xs, v, fx = x[:steps], term[:steps], value[:steps]
-            np.multiply(head, 2.0**-53, out=xs)
-            fx.fill(0.0)
-            for amp, w, ph in coef:
-                np.multiply(xs, w, out=v)
-                v += ph
-                np.cos(v, out=v)
-                v *= amp
-                fx += v
-            for vk in fx:
-                np.subtract(vk, comp, out=y)
-                np.add(total, y, out=t)
-                np.subtract(t, total, out=comp)
-                comp -= y
-                total, t = t, total
+            for s in range(0, len(hi), _STRIP_STEPS):
+                rows, steps = hi[s : s + _STRIP_STEPS], min(_STRIP_STEPS, len(hi) - s)  # views
+                head, low = heads[:steps], lows[:steps]
+                np.take(frame, rows, axis=0, out=head, mode="clip")  # "raise" would buffer out
+                np.take(frame, rows + 1, axis=0, out=low, mode="clip")  # the last row reads itself
+                head <<= left[s : s + steps]
+                low >>= 1
+                low >>= right[s : s + steps]
+                head |= low
+                head >>= 11
+                xs, v, fx = x[:steps], term[:steps], value[:steps]
+                np.multiply(head, 2.0**-53, out=xs)
+                fx.fill(0.0)
+                for amp, w, ph in coef:
+                    np.multiply(xs, w, out=v)
+                    v += ph
+                    np.cos(v, out=v)
+                    v *= amp
+                    fx += v
+                for vk in fx:
+                    np.subtract(vk, comp, out=y)
+                    np.add(total, y, out=t)
+                    np.subtract(t, total, out=comp)
+                    comp -= y
+                    total, t = t, total
     return total.tolist()
 
 

@@ -8,6 +8,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from seqclt import _strict, analysis, coboundary, montecarlo, sequences, trigpoly
@@ -353,6 +354,14 @@ _KINDS = (
     sequences.Triples(2, 80, 2, 3),
     sequences.Blocks(2),
 )
+# rejected numbers that a message shows by their value, in a line under 200
+# bytes: a long int by a prefix and its digit count, a numpy float32 or
+# complex64 by its repr
+_SHOWN_NUMBERS = {
+    (lambda: trigpoly.cosine(1, 10**400)): "1" + "0" * 39 + "... (401 digits)",
+    (lambda: sequences.Blocks(np.float32("inf"))): "np.float32(inf)",
+    (lambda: trigpoly.make_trigpoly([(1, np.complex64("nan"))])): "np.complex64(nan+0j)",
+}
 
 
 @pytest.mark.parametrize(
@@ -459,6 +468,7 @@ _KINDS = (
         lambda: trigpoly.evaluate(_ZERO, True),
         lambda: sequences.Triples(2, 80, 10, 2).spike_positions(True),
         lambda: sequences.Triples(2, 80, 10, 2).spike_positions("x"),
+        *_SHOWN_NUMBERS,
     ],
     ids=[
         "spike", "spikes-overlap", "blocks-D=1", "blocks-overlap", "empty-word",
@@ -484,12 +494,16 @@ _KINDS = (
         *(f"amplitude-{a}" for a in ("true", "str", "complex", "wide-int")),
         *(f"evaluate-x-{x}" for x in ("true", "str", "inf", "nan", "wide-int")),
         "evaluate-zero-x-true", "spike-limit-true", "spike-limit-str",
+        "amplitude-401-digits", "blocks-D-float32-inf", "coefficient-complex64-nan",
     ],
 )
 def test_library_input_rules_raise_input_error(call):
     # a library caller tells bad input from a failed computation by its type
-    with pytest.raises(_strict.InputError):
+    with pytest.raises(_strict.InputError) as info:
         call()
+    if call in _SHOWN_NUMBERS:
+        message = str(info.value)
+        assert len(message.encode()) < 200 and _SHOWN_NUMBERS[call] in message, message
 
 
 _RECORD = "a result record: the library builds it from values its rules have read"

@@ -9,6 +9,7 @@ operations in the same order, not merely the same values to a tolerance.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from seqclt.trigpoly import cosine, linear_combine, make_trigpoly
 
 TILE_SAMPLES = montecarlo._TILE_SAMPLES
 TILE_STEPS = montecarlo._TILE_STEPS
+STRIP_STEPS = montecarlo._STRIP_STEPS
 SEED = 2718
 GUARD = 64  # the guard bits required_bits adds to ceil(log2(a_1*...*a_n))
 
@@ -118,6 +120,8 @@ SHAPES = [
     pytest.param(TILE_STEPS + 44, TILE_SAMPLES + 45, id="ragged-tiles"),
     pytest.param(1, 5, id="one-step"),
     pytest.param(2 * TILE_STEPS + 88, 3, id="two-block-edges"),
+    pytest.param(STRIP_STEPS, 3, id="one-strip"),
+    pytest.param(STRIP_STEPS + 1, 3, id="strip-then-one-step"),
 ]
 
 
@@ -145,6 +149,24 @@ def test_task_range_off_tile_boundaries(f, spec, monkeypatch):
     assert [bounds for bounds, _ in tiles] == [(0, 256), (256, 512), (512, 517)]
     for (lo, hi), sums in tiles:
         assert sums == _reference_samples(f, spec, n, SEED, range(lo, hi))
+
+
+@pytest.mark.parametrize("n", [4 * TILE_STEPS, 16 * TILE_STEPS])
+def test_tile_working_set_is_bounded_by_the_strip(n):
+    # one tile of cos on Constant(2): its float arrays are three strips of
+    # STRIP_STEPS x TILE_SAMPLES, 192 KiB, not three blocks of 1.5 MB; the
+    # traced peak grows with n only through the tile's numerators
+    mults = [2] * n
+    bits = required_bits(Constant(2), n)
+    coef, blocks = montecarlo._coef_table(cosine(1)), montecarlo._blocks(mults)
+    nums = montecarlo._draw_numerators(SEED, np.arange(TILE_SAMPLES, dtype=np.uint64), bits)
+    tracemalloc.start()
+    try:
+        montecarlo._orbit_sums(coef, bits, blocks, nums)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 640 * 1024
 
 
 @pytest.mark.parametrize("f, spec", CASES)
