@@ -38,6 +38,8 @@ from .trigpoly import (
     grid_values,
     l2_inner,
     linear_combine,
+    project_measurable,
+    slope_bound,
     transfer,
 )
 
@@ -263,11 +265,10 @@ def u_at(f: TrigPoly, spec: SequenceSpec, k: int) -> TrigPoly:
 def _angle_record(u: TrigPoly, a_next: int) -> AngleRecord:
     """The angle between u and the functions measurable for x -> a_next x.
 
-    Both norms are fsums of the terms l2_inner(u, u) sums, squared once.
+    ||P u||^2 = <P u, u>, since P is an orthogonal projection.
     """
-    sq = [2.0 * (c.real * c.real + c.imag * c.imag) for _, c in u.coeffs]
-    u_norm_sq = math.fsum(sq)
-    proj_norm_sq = math.fsum(t for (n, _), t in zip(u.coeffs, sq) if n % a_next == 0)
+    u_norm_sq = l2_inner(u, u)
+    proj_norm_sq = l2_inner(project_measurable(a_next, u), u)
     cos_sq = min(proj_norm_sq / u_norm_sq, 1.0) if u_norm_sq > 0.0 else 1.0
     return AngleRecord(u_norm_sq, proj_norm_sq, cos_sq, 1.0 - cos_sq)
 
@@ -492,8 +493,7 @@ def example1_threshold(f: TrigPoly) -> ThresholdCert:
     while size < 2 * f.degree + 2:
         size *= 2
     vals = grid_values(f, size)[:: size // _ARC_GRID]
-    lip = 4.0 * math.pi * math.fsum(n * abs(c) for n, c in f.coeffs)
-    corr = lip / (2.0 * _ARC_GRID)
+    corr = slope_bound(f) / (2.0 * _ARC_GRID)
     fnorm = c1_norm(f).value
     best = None
     for e in _ARC_EPS_EXPONENTS:

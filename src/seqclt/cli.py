@@ -47,9 +47,9 @@ command calls BLAS (a tier-1 test keeps numpy's BLAS entry points, and the
 numpy functions known to reach them, out of src), so `main_entry` gives
 OpenBLAS one thread before any command runs: numpy then loads without the
 idle thread pool that would cost CPU at start and exit, in this process
-and in every worker.  simulate --threads N starts at most min(N, cpu
-count, number of 256-sample tiles) worker processes; N changes wall time
-only.
+and in every worker.  simulate --threads N starts at most min(N, the
+CPUs the process may run on, number of 256-sample tiles) worker
+processes; N changes wall time only.
 """
 
 from __future__ import annotations

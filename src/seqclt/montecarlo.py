@@ -35,8 +35,9 @@ _TILE_SAMPLES orbits at a time:
    step;
 3. before the next block is read, numpy takes the block's steps in strips
    of _STRIP_STEPS: it joins each strip's frame words, scales its steps by
-   2^-53, adds amp*cos(w*x + ph) to 0.0 term by term in coefficient order,
-   then runs the Kahan update across samples, one step at a time.
+   2^-53, adds amp*cos(w*x + ph) to 0.0 term by term over
+   `trigpoly.cosine_terms` (coefficient order), then runs the Kahan update
+   across samples, one step at a time.
 
 Numerators are at least 64 bits wide, so that an event's word is its
 state's top 64 bits; `orbit_birkhoff` widens a narrower x0 by shifting its
@@ -63,7 +64,7 @@ import numpy as np
 from . import analysis
 from ._strict import InputError, check_horizon, check_standardization, check_u64, strict_int
 from .sequences import SequenceSpec
-from .trigpoly import TrigPoly
+from .trigpoly import TrigPoly, cosine_terms
 
 __all__ = [
     "DyadicPoint",
@@ -199,14 +200,6 @@ def draw_numerator(seed: int, index: int, bits: int) -> int:
     return _draw_numerators(check_u64(seed, "seed"), index, strict_int(bits, "bits", 1))[0]
 
 
-def _coef_table(f: TrigPoly) -> tuple[tuple[float, float, float], ...]:
-    # 2*Re(c e^{i t}) = 2|c| cos(t + arg c)
-    return tuple(
-        (2.0 * abs(c), 2.0 * math.pi * n, math.atan2(c.imag, c.real))
-        for n, c in f.coeffs
-    )
-
-
 def _blocks(mults: list[int]) -> tuple:
     """Cut the orbit under mults into blocks, once per run, each reading
     only its own exact states.
@@ -328,7 +321,7 @@ def orbit_birkhoff(f: TrigPoly, spec: SequenceSpec, n: int, x0: DyadicPoint) -> 
         raise InputError(f"x0 has {x0.bits} bits, needs >= {need} for n={n}")
     bits = max(x0.bits, 64)
     num = x0.numerator << (bits - x0.bits)
-    return _orbit_sums(_coef_table(f), bits, _blocks(mults), [num])[0]
+    return _orbit_sums(cosine_terms(f), bits, _blocks(mults), [num])[0]
 
 
 def _tile_sums(args) -> list[float]:
@@ -350,17 +343,19 @@ def birkhoff_samples(
 
     The result is a pure function of (f, spec, n, m, seed): worker count
     only affects wall time, never bytes.  The samples are cut into tiles of
-    _TILE_SAMPLES, the one task, run here or by at most min(threads, cpu
-    count, number of tiles) worker processes; with one, none starts.
+    _TILE_SAMPLES, the one task, run here or by at most min(threads, usable
+    CPUs, number of tiles) worker processes; with one, none starts.
     """
     m, threads = strict_int(m, "sample count", 1), strict_int(threads, "threads", 1)
     seed = check_u64(seed, "seed")
     mults = _multipliers(spec, n)
     bits = _log2_ceil(mults) + _GUARD_BITS
-    coef, blocks = _coef_table(f), _blocks(mults)
+    coef, blocks = cosine_terms(f), _blocks(mults)
     tiles = [(coef, bits, blocks, seed, lo, min(lo + _TILE_SAMPLES, m))
              for lo in range(0, m, _TILE_SAMPLES)]
-    workers = min(threads, os.cpu_count() or 1, len(tiles))
+    # the CPUs this process may run on: cpu_count() also counts those taskset excludes
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(threads, cpus or 1, len(tiles))
     if workers <= 1:
         return list(itertools.chain.from_iterable(map(_tile_sums, tiles)))
     from concurrent.futures import ProcessPoolExecutor

@@ -53,9 +53,6 @@ __all__ = [
     "sequence_from_obj",
 ]
 
-_VALIDATE_HORIZON = 1 << 48
-
-
 class SequenceSpec:
     """Base class; kinds are frozen dataclasses that implement runs and may override value_at."""
 
@@ -209,14 +206,20 @@ class Blocks(SequenceSpec):
             raise InputError(f"block schedule needs a growth D > 1, got {self.D!r}")
         # D = p/q exactly, so that every block start is an exact integer
         object.__setattr__(self, "_ratio", self.D.as_integer_ratio())
-        # Blocks must not overlap anywhere we may ever be asked to evaluate.
+        # No block may overlap its predecessor, at any level.  With
+        # g_l = D^(l-1) (D-1), the gap d_l - d_(l-1) exceeds g_l - 1; and
+        # g_(l+1) = g_l + (D-1) g_l, so once g_L >= L and (D-1) g_L >= 1
+        # both hold at every later level, and no block from L on overlaps.
+        # The levels up to the first such L are checked one by one, the
+        # two conditions exactly, on g_l = p^(l-1) (p-q) / q^l.
+        p, q = self._ratio
         prev_end = 0
-        for l in range(1, 4096):
+        for l in itertools.count(1):
             d = self.block_start(l)
             if d < prev_end:
                 raise InputError(f"blocks overlap at l={l}: start {d} < previous end {prev_end}")
             prev_end = d + l
-            if d > _VALIDATE_HORIZON:
+            if p ** (l - 1) * (p - q) >= l * q**l and p ** (l - 1) * (p - q) ** 2 >= q ** (l + 1):
                 break
 
     def block_start(self, l: int) -> int:
@@ -227,7 +230,7 @@ class Blocks(SequenceSpec):
 
     def runs(self) -> Iterator[tuple[int, int]]:
         p, q = self._ratio
-        k = 1  # the blocks never overlap: __post_init__ checks the reachable ones
+        k = 1  # the blocks never overlap: __post_init__ proves it
         for l in itertools.count(1):
             d = -(-(p**l) // q**l)  # block_start(l), inlined: value_at scans the levels per call
             yield 2, d - k

@@ -20,6 +20,14 @@ discretisation error:
 Coefficients are double precision complex numbers; entries that are exactly
 zero are dropped, so degree bookkeeping is exact and every value has one
 canonical representation.
+
+This module owns that format: no other module turns a function's
+coefficients into numbers, they call the functions below (coboundary's
+chain elimination reads them by frequency only).  A function is evaluated in
+one of two forms.  :func:`evaluate` sums 2*(Re c_n cos t - Im c_n sin t) at
+t = 2*pi*n*x, which rounds less; the Monte Carlo orbit kernel sums
+amp*cos(w*x + ph) over :func:`cosine_terms`, one cos per term.  ROADMAP
+item 9 merges the two into one exact-phase form.
 """
 
 from __future__ import annotations
@@ -43,6 +51,8 @@ __all__ = [
     "l2_inner",
     "linear_combine",
     "derivative",
+    "slope_bound",
+    "cosine_terms",
     "c1_norm",
     "grid_values",
     "trigpoly_to_obj",
@@ -171,6 +181,20 @@ def derivative(g: TrigPoly) -> TrigPoly:
     return TrigPoly(tuple((n, complex(0.0, TWO_PI * n) * c) for n, c in g.coeffs))
 
 
+def slope_bound(g: TrigPoly) -> float:
+    """4*pi * sum_n n |c_n|, a certified upper bound on sup|g'|."""
+    return 4.0 * math.pi * math.fsum(n * abs(c) for n, c in g.coeffs)
+
+
+def cosine_terms(g: TrigPoly) -> tuple[tuple[float, float, float], ...]:
+    """(amp, w, ph) per stored frequency, in order: g(x) = sum amp*cos(w*x + ph).
+
+    2*Re(c e^{i t}) = 2|c| cos(t + arg c), so amp = 2|c_n|, w = 2*pi*n and
+    ph = atan2(Im c_n, Re c_n).
+    """
+    return tuple((2.0 * abs(c), TWO_PI * n, math.atan2(c.imag, c.real)) for n, c in g.coeffs)
+
+
 def grid_values(g: TrigPoly, size: int) -> np.ndarray:
     """Values of g at the equispaced points j/size, j = 0..size-1.
 
@@ -215,10 +239,9 @@ def c1_norm(g: TrigPoly) -> C1Norm:
     dvals = grid_values(derivative(g), size)
     sup_val = float(abs(vals).max())
     sup_der = float(abs(dvals).max())
-    lip_val = 4.0 * math.pi * math.fsum(n * abs(c) for n, c in g.coeffs)
     lip_der = 8.0 * math.pi**2 * math.fsum(n * n * abs(c) for n, c in g.coeffs)
     grid_estimate = sup_val + sup_der
-    value = (sup_val + lip_val / (2.0 * size)) + (sup_der + lip_der / (2.0 * size))
+    value = (sup_val + slope_bound(g) / (2.0 * size)) + (sup_der + lip_der / (2.0 * size))
     return C1Norm(value, grid_estimate)
 
 

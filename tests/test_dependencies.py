@@ -101,6 +101,20 @@ def test_analysis_walks_backward_in_one_place():
     assert "degree" not in names
 
 
+def test_only_trigpoly_reads_a_functions_coefficients():
+    # trigpoly owns the coefficient format (positive frequencies with a
+    # Hermitian factor 2): every other module calls it.  coboundary's chain
+    # elimination also reads .coeffs, but works on frequencies alone and
+    # uses no factor 2
+    readers = {
+        path.name
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "coeffs"
+    }
+    assert readers == {"trigpoly.py", "coboundary.py"}
+
+
 def test_montecarlo_runs_one_grain_of_work():
     # one task, a tile of samples: only _tile_sums draws a tile and sums it,
     # for the in-process path and the pool alike; draw_numerator draws one

@@ -292,21 +292,26 @@ def test_sample_birkhoff_reproducible_across_threads():
 
 
 @pytest.mark.parametrize(
-    "threads, cpus, m, workers",
+    "threads, affinity, cpus, m, workers",
     [
-        pytest.param(10_000, 4, 2000, 4, id="cpu-count"),
-        pytest.param(3, 4, 2000, 3, id="threads"),
-        pytest.param(8, 4, 300, 2, id="samples"),
-        pytest.param(8, 2, 600, 2, id="tiles-cpu-count"),
-        pytest.param(8, 4, 256, None, id="one-tile-inline"),
-        pytest.param(8, 1, 50, None, id="one-cpu-inline"),
-        pytest.param(8, None, 50, None, id="unknown-cpus-inline"),
+        pytest.param(10_000, 4, 4, 2000, 4, id="cpu-count"),
+        pytest.param(3, 4, 4, 2000, 3, id="threads"),
+        pytest.param(8, 4, 4, 300, 2, id="samples"),
+        pytest.param(8, 2, 2, 600, 2, id="tiles-cpu-count"),
+        pytest.param(8, 4, 4, 256, None, id="one-tile-inline"),
+        pytest.param(8, 1, 1, 50, None, id="one-cpu-inline"),
+        pytest.param(8, None, None, 50, None, id="unknown-cpus-inline"),
+        pytest.param(8, None, 4, 2000, 4, id="no-affinity-cpu-count"),
+        pytest.param(8, 1, 2, 2000, None, id="affinity-below-count-inline"),
+        pytest.param(8, 2, 4, 2000, 2, id="affinity-below-count"),
     ],
 )
-def test_birkhoff_samples_bounds_worker_count(monkeypatch, threads, cpus, m, workers):
+def test_birkhoff_samples_bounds_worker_count(monkeypatch, threads, affinity, cpus, m, workers):
     # the pool is a fake that records its size and runs the tasks here:
-    # no process is ever started.  Its size is min(threads, cpus, tiles):
-    # 300 samples are two 256-sample tiles, 256 samples are one
+    # no process is ever started.  Its size is min(threads, usable cpus,
+    # tiles): the affinity set where os has one (taskset narrows it below
+    # cpu_count), else cpu_count; 300 samples are two 256-sample tiles,
+    # 256 samples are one
     pools = []
 
     class InlinePool:
@@ -324,6 +329,11 @@ def test_birkhoff_samples_bounds_worker_count(monkeypatch, threads, cpus, m, wor
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+    if affinity is None:
+        monkeypatch.delattr(montecarlo.os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(affinity)),
+                            raising=False)
     args = (cosine(1), Periodic((2, 3)), 16, m, 7)
     assert birkhoff_samples(*args, threads) == birkhoff_samples(*args, 1)
     assert pools == ([] if workers is None else [workers])

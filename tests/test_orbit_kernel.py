@@ -26,7 +26,7 @@ from seqclt.montecarlo import (
     required_bits,
 )
 from seqclt.sequences import Blocks, Constant, Explicit, Periodic, Triples
-from seqclt.trigpoly import cosine, linear_combine, make_trigpoly
+from seqclt.trigpoly import cosine, cosine_terms, linear_combine, make_trigpoly
 
 TILE_SAMPLES = montecarlo._TILE_SAMPLES
 TILE_STEPS = montecarlo._TILE_STEPS
@@ -78,7 +78,7 @@ def _reference_draw(seed: int, index: int, bits: int) -> int:
 def _reference_samples(f, spec, n: int, seed: int, indices) -> list[float]:
     bits = required_bits(spec, n)
     mults = list(itertools.islice(spec.iter_values(), n))
-    coef = montecarlo._coef_table(f)
+    coef = cosine_terms(f)
     return [
         _reference_birkhoff_sum(_reference_draw(seed, i, bits), bits, mults, coef)
         for i in indices
@@ -158,7 +158,7 @@ def test_tile_working_set_is_bounded_by_the_strip(n):
     # traced peak grows with n only through the tile's numerators
     mults = [2] * n
     bits = required_bits(Constant(2), n)
-    coef, blocks = montecarlo._coef_table(cosine(1)), montecarlo._blocks(mults)
+    coef, blocks = cosine_terms(cosine(1)), montecarlo._blocks(mults)
     nums = montecarlo._draw_numerators(SEED, np.arange(TILE_SAMPLES, dtype=np.uint64), bits)
     tracemalloc.start()
     try:
@@ -173,7 +173,7 @@ def test_tile_working_set_is_bounded_by_the_strip(n):
 def test_orbit_birkhoff_matches_scalar_loop(f, spec):
     n = TILE_STEPS + 44
     mults = list(itertools.islice(spec.iter_values(), n))
-    coef = montecarlo._coef_table(f)
+    coef = cosine_terms(f)
     rng = np.random.default_rng(72)
     for extra in (0, 1, 77):
         bits = required_bits(spec, n) - GUARD + 53 + extra
@@ -185,7 +185,7 @@ def test_orbit_birkhoff_matches_scalar_loop(f, spec):
 def test_orbit_birkhoff_on_narrow_numerators():
     # bits = n + 53 < 64: the frame holds the whole numerator and zeros below it
     spec = Constant(2)
-    coef = montecarlo._coef_table(RAND5)
+    coef = cosine_terms(RAND5)
     rng = np.random.default_rng(74)
     for n in range(1, 10):
         bits = required_bits(spec, n) - GUARD + 53
@@ -201,7 +201,7 @@ def test_narrow_numerators_through_the_export():
     # numerator; past bits doublings the state is 0, as in the loop.  These
     # widths are below what orbit_birkhoff accepts for this word, so the
     # numerators are widened to 64 bits here as orbit_birkhoff widens them
-    coef = montecarlo._coef_table(RAND5)
+    coef = cosine_terms(RAND5)
     rng = np.random.default_rng(75)
     mults = [2] * 20 + [3] + [2] * 70
     blocks = montecarlo._blocks(mults)
@@ -228,7 +228,7 @@ def test_orbit_birkhoff_on_narrow_odd_words(spec):
     # every width from ceil(log2 A_n) + 53 to 63, on words whose odd steps
     # are events: orbit_birkhoff widens the numerator to 64 bits, and every
     # state's top 53 bits, events' words included, stay those of the loop
-    coef = montecarlo._coef_table(F1)
+    coef = cosine_terms(F1)
     rng = np.random.default_rng(76)
     cases = 0
     for n in itertools.count(1):
@@ -331,7 +331,7 @@ def test_kernel_matches_scalar_loop_on_random_words(data):
     # the kernel's contract is 64 bits or more; orbit_birkhoff widens narrower ones
     bits = max(64, (math.prod(mults) - 1).bit_length() + 53 + data.draw(st.integers(0, 80)))
     nums = data.draw(st.lists(st.integers(0, (1 << bits) - 1), min_size=1, max_size=4))
-    coef = montecarlo._coef_table(F1)
+    coef = cosine_terms(F1)
     blocks = montecarlo._blocks(mults)
     # no uint64 shift reaches 64, whose result C leaves undefined
     shifts = [s for block in blocks for s in block[3][1:]]
@@ -359,7 +359,7 @@ def test_edge_coefficients_match_scalar_loop(c, terms):
     # fall below zero together)
     mults = list(itertools.islice(Periodic((2, 3)).iter_values(), TILE_STEPS + 44))
     bits = (math.prod(mults) - 1).bit_length() + GUARD
-    coef = montecarlo._coef_table(make_trigpoly([(1, c), (5, c)][:terms]))
+    coef = cosine_terms(make_trigpoly([(1, c), (5, c)][:terms]))
     nums = [_reference_draw(SEED, i, bits) for i in range(40)]
     got = montecarlo._orbit_sums(coef, bits, montecarlo._blocks(mults), nums)
     ref = [_reference_birkhoff_sum(num, bits, mults, coef) for num in nums]

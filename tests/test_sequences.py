@@ -116,14 +116,42 @@ def test_runs_longer_than_maxsize(spec, long_from):
 
 @pytest.mark.parametrize("D", [1.7, 1.9, 2.5, 4.0, math.e], ids=repr)
 def test_block_starts_are_exact(D):
-    # ceil(D^l) of the float's exact value, at every level Blocks validates:
-    # up to the first start beyond 2^48
+    # ceil(D^l) of the float's exact value, up to the first start beyond
+    # 2^48, far past the levels Blocks checks
     spec = Blocks(D)
     for l in itertools.count(1):
         exact = math.ceil(Fraction(D) ** l)
         assert spec.block_start(l) == exact, l
         if exact > 1 << 48:
             break
+
+
+@pytest.mark.parametrize("D, levels", [(4.0, 1), (2.5, 1), (1.9, 3), (1.7, 5)], ids=repr)
+def test_blocks_checks_only_the_levels_before_its_proof(monkeypatch, D, levels):
+    # construction reads block starts only until the no-overlap proof takes
+    # over, not up to a fixed depth: Blocks(4) once, not 25 times
+    calls = []
+    block_start = Blocks.block_start
+    monkeypatch.setattr(Blocks, "block_start",
+                        lambda self, l: calls.append(l) or block_start(self, l))
+    Blocks(D)
+    assert calls == list(range(1, levels + 1))
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(st.floats(1.0, 4.0, exclude_min=True))
+def test_accepted_blocks_never_overlap(D):
+    # brute-force guard of the proof: a D that Blocks accepts has no block
+    # starting before its predecessor ends, far beyond the levels it checked
+    try:
+        spec = Blocks(D)
+    except ValueError:
+        return
+    end = 0
+    for l in range(1, 201):
+        d = spec.block_start(l)
+        assert d >= end, l
+        end = d + l
 
 
 def test_deep_block_indices():

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from conftest import assert_canonical, random_poly
 from seqclt.trigpoly import (
+    ZERO,
     c1_norm,
     cosine,
+    cosine_terms,
     derivative,
     evaluate,
     grid_values,
@@ -17,6 +19,7 @@ from seqclt.trigpoly import (
     linear_combine,
     make_trigpoly,
     project_measurable,
+    slope_bound,
     transfer,
     trigpoly_from_obj,
     trigpoly_to_obj,
@@ -244,6 +247,33 @@ def test_evaluate_accuracy_contract():
     budget = max(g.degree, 1) * 2.0**-50 * g.abs_coeff_sum()
     for i in range(0, pts, 97):
         assert abs(evaluate(g, i / pts) - vals[i]) <= max(budget, 1e-12)
+
+
+def test_cosine_terms_reproduce_evaluate():
+    # the orbit kernel's form sum amp*cos(w*x + ph) is g, to the accuracy
+    # contract of evaluate
+    assert cosine_terms(ZERO) == ()
+    rng = np.random.default_rng(14)
+    for _ in range(20):
+        g = random_poly(rng, max_degree=40, density=0.6)
+        terms = cosine_terms(g)
+        assert [w for _, w, _ in terms] == [2.0 * math.pi * n for n, _ in g.coeffs]
+        budget = max(g.degree, 1) * 2.0**-50 * g.abs_coeff_sum()
+        for x in rng.random(16):
+            total = 0.0
+            for amp, w, ph in terms:
+                total += amp * math.cos(w * x + ph)
+            assert abs(total - evaluate(g, x)) <= max(budget, 1e-12)
+
+
+def test_slope_bound_bounds_the_derivative():
+    assert slope_bound(ZERO) == 0.0
+    assert slope_bound(cosine(3)) == pytest.approx(6.0 * math.pi)  # sup|(cos 2 pi 3x)'|
+    rng = np.random.default_rng(15)
+    for _ in range(20):
+        g = random_poly(rng, max_degree=40, density=0.6)
+        grid_max = float(np.max(np.abs(grid_values(derivative(g), 1 << 12))))
+        assert grid_max <= slope_bound(g)
 
 
 def test_serialization_round_trip():
