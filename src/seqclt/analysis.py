@@ -11,10 +11,17 @@ computes, exactly in the Fourier domain:
   growth;
 * Var(S_n) of the Birkhoff sum S_n(x) = sum_{k<=n} f(a_k...a_1 x mod 1) by
   two independent exact routes (pair covariances with a sharp cutoff, and
-  the martingale-defect decomposition), cross-checkable to 1e-9;
+  the martingale-defect decomposition), which give the same rational, so
+  the cross-check between them is an equality;
 * certified geometric decay of iterated transfer operators, truncated
   Neumann sums, shadowing distances inside constant runs, and the
   large-multiplier separation machinery (threshold certificates).
+
+Every coefficient is a double, so a dyadic rational, and the transfer
+operators and projections only relabel coefficients.  So the variances and
+the angle records' norms are integers at the scale 2^-2e, with e the dyadic
+exponent of f alone: both routes sum them exactly and round each reported
+value once.  The u_k themselves are float sums, deepest term first.
 
 Everything here is pure; per-index work may be distributed at will as long
 as reductions keep a fixed summation order.
@@ -34,11 +41,13 @@ from .trigpoly import (
     ZERO,
     C1Norm,
     TrigPoly,
+    _dyadic_exponent,
+    _dyadic_float,
+    _dyadic_inner,
+    _dyadic_sum,
     c1_norm,
     grid_values,
-    l2_inner,
     linear_combine,
-    project_measurable,
     slope_bound,
     transfer,
 )
@@ -65,8 +74,6 @@ __all__ = [
     "separation_bound_check",
 ]
 
-CROSS_CHECK_RTOL = 1e-9
-
 # Resolution of the arc search grid for threshold certificates.
 _ARC_GRID = 1 << 12
 _ARC_EPS_EXPONENTS = range(1, 11)
@@ -82,22 +89,27 @@ class AngleRecord:
     cos_sq is ||P u_k||^2 / ||u_k||^2 with P the projection onto functions
     measurable for the (k+1)-th map's preimage algebra; when u_k = 0 the
     angle is undefined and we take cos_sq = 1 (zero transversality), the
-    conservative convention.  A record depends only on (walk_k, a_{k+1}), so
-    indices that share the pair share one record object.
+    conservative convention.  exact holds 2^2e ||u_k||^2 and 2^2e ||P u_k||^2
+    as integers, e the dyadic exponent of f; u_norm_sq, proj_norm_sq and
+    cos_sq are each rounded once from them, and sin_sq is 1.0 - cos_sq.  A
+    record depends only on (walk_k, a_{k+1}), so indices that share the pair
+    share one record object.
     """
 
     u_norm_sq: float
     proj_norm_sq: float
     cos_sq: float
     sin_sq: float
+    exact: tuple[int, int]
 
 
 @dataclass(frozen=True)
 class VarianceReport:
     """Per-step records and the three curves over k = 1..n.
 
-    cov_curve and mart_curve are Var(S_k) by the two routes; acc_curve is
-    the running (left-to-right) sum of min-pair sines for k = 1..n-1.
+    cov_curve and mart_curve are Var(S_k) by the two routes, each value
+    rounded once from its exact rational; acc_curve is the running
+    (left-to-right) float sum of min-pair sines for k = 1..n-1.
     variance_report builds the curves as array('d') columns, 8 bytes a
     value, which hold each double bit for bit; per_step holds references to
     shared records.
@@ -125,8 +137,9 @@ class VarianceReport:
         return self.acc_curve[-1] if self.acc_curve else 0.0
 
     def consistent(self) -> bool:
-        """Do the two independent variance routes agree to CROSS_CHECK_RTOL?"""
-        return abs(self.var_cov - self.var_mart) <= CROSS_CHECK_RTOL * max(1.0, abs(self.var_cov))
+        """Do the two independent variance routes agree?  Both round the same
+        rational once, so they agree only when they are equal."""
+        return self.var_cov == self.var_mart
 
 
 @dataclass(frozen=True)
@@ -213,6 +226,11 @@ def _u_of_walk(f: TrigPoly, walk: Iterable[int]) -> TrigPoly:
     return linear_combine([(1.0, t) for t in reversed(terms)])
 
 
+def _exact_u(f: TrigPoly, e: int, walk: Iterable[int]) -> dict:
+    """u_k exactly, at the scale 2^-e: f plus its backward images along walk."""
+    return _dyadic_sum([f, *_backward_images(f, walk)], e)
+
+
 def _by_window(f: TrigPoly, spec: SequenceSpec, n: int, compute: Callable) -> Iterator:
     """Segments (compute(walk_k), a_{k+1}, count) covering k = 1..n in order:
     compute runs once per distinct walk_k, all that u_k and the k-th covariance
@@ -228,17 +246,6 @@ def _by_window(f: TrigPoly, spec: SequenceSpec, n: int, compute: Callable) -> It
 def _per_index(segments: Iterable) -> Iterator:
     """The value of each segment, count times over: one entry per index."""
     return itertools.chain.from_iterable(itertools.repeat(v, count) for v, _, count in segments)
-
-
-def _kahan_prefix(values: Iterable[float]) -> Iterator[float]:
-    """The running compensated (Kahan) sums of values, one per value."""
-    total = comp = 0.0
-    for v in values:
-        y = v - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        yield total
 
 
 def _last(values: Iterable[float]) -> float:
@@ -262,26 +269,30 @@ def u_at(f: TrigPoly, spec: SequenceSpec, k: int) -> TrigPoly:
     return _u_of_walk(f, (spec.value_at(j) for j in range(k, 1, -1)))
 
 
-def _angle_record(u: TrigPoly, a_next: int) -> AngleRecord:
-    """The angle between u and the functions measurable for x -> a_next x.
+def _angle_record(u: dict, e: int, a_next: int) -> AngleRecord:
+    """The angle between u, held exactly at 2^-e, and the functions measurable
+    for x -> a_next x.
 
-    ||P u||^2 = <P u, u>, since P is an orthogonal projection.
+    ||P u||^2 = <P u, u>, since P is an orthogonal projection, and it is at
+    most ||u||^2 exactly, so cos_sq, one int division, is at most 1.
     """
-    u_norm_sq = l2_inner(u, u)
-    proj_norm_sq = l2_inner(project_measurable(a_next, u), u)
-    cos_sq = min(proj_norm_sq / u_norm_sq, 1.0) if u_norm_sq > 0.0 else 1.0
-    return AngleRecord(u_norm_sq, proj_norm_sq, cos_sq, 1.0 - cos_sq)
+    norm, proj = _dyadic_inner(u, u), _dyadic_inner(u, u, a_next)
+    cos_sq = proj / norm if norm else 1.0
+    return AngleRecord(_dyadic_float(norm, 2 * e), _dyadic_float(proj, 2 * e), cos_sq,
+                       1.0 - cos_sq, (norm, proj))
 
 
 def _angle_records(f: TrigPoly, spec: SequenceSpec, n: int) -> Iterator[AngleRecord]:
     """The records of angle_profile, one per index, as a stream."""
-    def record(entry: tuple[TrigPoly, dict], a_next: int, count: int) -> Iterator[AngleRecord]:
+    e = _dyadic_exponent(f)
+
+    def record(entry: tuple[dict, dict], a_next: int, count: int) -> Iterator[AngleRecord]:
         u, by_next = entry  # u_k of one walk, and its record for each a_{k+1} met so far
         if a_next not in by_next:
-            by_next[a_next] = _angle_record(u, a_next)
+            by_next[a_next] = _angle_record(u, e, a_next)
         return itertools.repeat(by_next[a_next], count)
 
-    segments = _by_window(f, spec, n, lambda walk: (_u_of_walk(f, walk), {}))
+    segments = _by_window(f, spec, n, lambda walk: (_exact_u(f, e, walk), {}))
     return itertools.chain.from_iterable(itertools.starmap(record, segments))
 
 
@@ -294,27 +305,36 @@ def angle_profile(f: TrigPoly, spec: SequenceSpec, n: int) -> list[AngleRecord]:
     return list(_angle_records(f, spec, n))
 
 
+def _acc_prefix(profile: Iterable[AngleRecord]) -> Iterator[float]:
+    """sum_{k=1}^{N} min(sin^2 chi_k, sin^2 chi_{k+1}) for N = 1, 2, ...,
+    each the float sum of its terms from left to right."""
+    return itertools.accumulate(min(a.sin_sq, b.sin_sq) for a, b in itertools.pairwise(profile))
+
+
 def accumulated_transversality(profile: list[AngleRecord], N: int) -> float:
-    """sum_{k=1}^{N} min(sin^2 chi_k, sin^2 chi_{k+1}); needs records 1..N+1."""
+    """sum_{k=1}^{N} min(sin^2 chi_k, sin^2 chi_{k+1}); needs records 1..N+1.
+
+    The sum is variance_report's acc_curve[N - 1] bit for bit.
+    """
     N = strict_int(N, "N", 0)
     if len(profile) < N + 1 and N > 0:
         raise InputError(f"profile of length {len(profile)} too short for N={N}")
-    return math.fsum(
-        min(profile[k - 1].sin_sq, profile[k].sin_sq) for k in range(1, N + 1)
-    )
+    return _last(itertools.chain((0.0,), _acc_prefix(itertools.islice(profile, N + 1))))
 
 
 def _covariance_prefix(f: TrigPoly, spec: SequenceSpec, n: int) -> Iterator[float]:
-    """Var(S_k) for k = 1..n from pair covariances, as a stream."""
-    norm_sq = l2_inner(f, f)
+    """Var(S_k) for k = 1..n from pair covariances, as a stream: each the
+    exact sum of its steps at 2^-2e, rounded once."""
+    e = _dyadic_exponent(f)
+    f_exact = _dyadic_sum([f], e)
+    norm_sq = _dyadic_inner(f_exact, f_exact)
 
-    def step(walk: tuple[int, ...]) -> float:
-        total = norm_sq
-        for g in _backward_images(f, walk):
-            total += 2.0 * l2_inner(g, f)
-        return total
+    def step(walk: tuple[int, ...]) -> int:
+        return norm_sq + 2 * sum(_dyadic_inner(_dyadic_sum([g], e), f_exact)
+                                 for g in _backward_images(f, walk))
 
-    return _kahan_prefix(_per_index(_by_window(f, spec, n, step)))
+    steps = _per_index(_by_window(f, spec, n, step))
+    return map(_dyadic_float, itertools.accumulate(steps), itertools.repeat(2 * e))
 
 
 def variance_covariance_curve(f: TrigPoly, spec: SequenceSpec, n: int) -> list[float]:
@@ -334,13 +354,14 @@ def variance_covariance(f: TrigPoly, spec: SequenceSpec, n: int) -> float:
     return _last(_covariance_prefix(f, spec, n))
 
 
-def _martingale_prefix(records: Iterable[AngleRecord]) -> Iterator[float]:
+def _martingale_prefix(records: Iterable[AngleRecord], e: int) -> Iterator[float]:
     """Var(S_k) for k = 1, 2, ... from records 1, 2, ...: the running defect
-    sum over i < k plus ||u_k||^2.  records is iterated once: the defect sum
-    reads each record one step after the curve does, so tee holds one."""
+    sum over i < k plus ||u_k||^2, exact at 2^-2e and rounded once.  records
+    is iterated once: the defect sum reads each record one step after the
+    curve does, so tee holds one."""
     records, ahead = itertools.tee(records)
-    defects = itertools.chain((0.0,), _kahan_prefix(r.u_norm_sq - r.proj_norm_sq for r in ahead))
-    return (d + r.u_norm_sq for r, d in zip(records, defects))
+    defects = itertools.chain((0,), itertools.accumulate(r.exact[0] - r.exact[1] for r in ahead))
+    return (_dyadic_float(d + r.exact[0], 2 * e) for r, d in zip(records, defects))
 
 
 def variance_martingale_curve(
@@ -360,13 +381,13 @@ def variance_martingale_curve(
         profile = angle_profile(f, spec, n)
     if len(profile) < n:
         raise InputError("profile too short for requested horizon")
-    return list(_martingale_prefix(itertools.islice(profile, n)))
+    return list(_martingale_prefix(itertools.islice(profile, n), _dyadic_exponent(f)))
 
 
 def variance_martingale(f: TrigPoly, spec: SequenceSpec, n: int) -> float:
     """Var(S_n) from the martingale decomposition: the last value of the
     martingale curve's stream, without the curve or the profile."""
-    return _last(_martingale_prefix(_angle_records(f, spec, n)))
+    return _last(_martingale_prefix(_angle_records(f, spec, n), _dyadic_exponent(f)))
 
 
 def variance_report(f: TrigPoly, spec: SequenceSpec, n: int) -> VarianceReport:
@@ -383,8 +404,7 @@ def variance_report(f: TrigPoly, spec: SequenceSpec, n: int) -> VarianceReport:
     profile = tuple(angle_profile(f, spec, n))
     cov = array("d", variance_covariance_curve(f, spec, n))
     mart = array("d", variance_martingale_curve(f, spec, n, profile))
-    pairs = (min(a.sin_sq, b.sin_sq) for a, b in itertools.pairwise(profile))
-    return VarianceReport(profile, cov, mart, array("d", itertools.accumulate(pairs)))
+    return VarianceReport(profile, cov, mart, array("d", _acc_prefix(profile)))
 
 
 def verify_decay(f: TrigPoly, maps: list[int]) -> DecayReport:
@@ -524,5 +544,6 @@ def separation_bound_check(f: TrigPoly, spec: SequenceSpec, cert: ThresholdCert,
         raise InputError(
             f"separation bound needs min(a_k, a_k+1) > L={cert.L}, got {min(a_k, a_next)}"
         )
-    rec = _angle_record(u, a_next)
+    e = _dyadic_exponent(u)
+    rec = _angle_record(_dyadic_sum([u], e), e, a_next)
     return rec.u_norm_sq - rec.proj_norm_sq >= cert.delta**2 * cert.eps / 64.0

@@ -11,6 +11,11 @@ summable solution exists precisely when every chain total vanishes, in which
 case u is itself a trigonometric polynomial.  A nonzero chain total is a
 compact non-solvability certificate: any candidate u would need infinitely
 many coefficients of that fixed modulus.
+
+The coefficients of f are doubles, so every partial sum is an integer times
+2^-e, with e the dyadic exponent of f.  Both functions sum in those integers:
+a chain total is zero or it is not, with no tolerance, for the function as
+given.  The residual and u's coefficients are the exact sums rounded once.
 """
 
 from __future__ import annotations
@@ -18,14 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._strict import check_multiplier
-from .trigpoly import TrigPoly, koopman, linear_combine, make_trigpoly, trigpoly_to_obj
+from .trigpoly import (TrigPoly, _dyadic_complex, _dyadic_exponent, _dyadic_poly, _dyadic_sum,
+                       trigpoly_to_obj)
 
 __all__ = ["CoboundaryResult", "solve", "verify", "result_to_obj"]
-
-# Inputs are dyadic-representable doubles, so true chain cancellations are
-# exact; the tolerance, relative to sum |c_n| of f, only absorbs accumulated
-# rounding, at whatever scale f is given.
-RESIDUAL_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -50,56 +51,59 @@ def solve(f: TrigPoly, b: int) -> CoboundaryResult:
     """Solve f = (u o T_b) - u or certify that no L2 solution exists.
 
     Returns the explicit trigonometric-polynomial solution when every
-    frequency chain sums to zero; otherwise the smallest violating chain
-    root together with its nonzero total.
+    frequency chain sums to exactly zero; otherwise the smallest violating
+    chain root together with its nonzero total, rounded once.
     """
     b = check_multiplier(b, "base")
-    coeffs = dict(f.coeffs)
-    deg = f.degree
-    tol = RESIDUAL_RTOL * f.abs_coeff_sum()
-    roots = sorted({_chain_root(n, b) for n in coeffs})
-    solution_entries = []
-    for r in roots:
-        partial = 0j
+    e = _dyadic_exponent(f)
+    coeffs = _dyadic_sum([f], e)
+    partials = {}
+    for r in sorted({_chain_root(n, b) for n in coeffs}):
+        re = im = 0
         m = r
-        while m <= deg:
-            partial += coeffs.get(m, 0j)
-            solution_entries.append((m, -partial))
+        while m <= f.degree:
+            dre, dim = coeffs.get(m, (0, 0))
+            re, im = re + dre, im + dim
+            partials[m] = (-re, -im)
             m *= b
-        if abs(partial) > tol:
-            return CoboundaryResult("obstruction", None, r, partial)
-    return CoboundaryResult("solution", make_trigpoly(solution_entries), None, None)
+        if re or im:
+            return CoboundaryResult("obstruction", None, r, _dyadic_complex((re, im), e))
+    return CoboundaryResult("solution", _dyadic_poly(partials, e), None, None)
 
 
 def verify(f: TrigPoly, b: int, result: CoboundaryResult) -> bool:
     """Independent check of either branch of a coboundary result.
 
-    Both branches hold to the tolerance `solve` uses, RESIDUAL_RTOL times
-    sum |c_n| of f.  Solution branch: (u o T_b) - u must reproduce f
-    coefficientwise.  Obstruction branch: the chain total is recomputed by
-    brute force over the powers r*b^i <= degree(f) and must be nonzero
-    (which rules out any square-summable solution).
+    Each partial sum is recomputed exactly from f by its own downward walk
+    m, m/b, m/b^2, ... to the chain's root, and each chain total is the
+    partial sum at its first element past degree(f).  Solution branch: every
+    chain total is zero and u equals the negated partial sums, rounded,
+    exactly.  Obstruction branch: the root's chain total is nonzero (which
+    rules out any square-summable solution) and rounds to the residual.
     """
     b = check_multiplier(b, "base")
-    tol = RESIDUAL_RTOL * f.abs_coeff_sum()
-    if result.status == "solution":
-        if result.solution is None:
-            return False
-        diff = linear_combine(
-            [(1.0, koopman(b, result.solution)), (-1.0, result.solution), (-1.0, f)]
-        )
-        return all(abs(c) <= tol for _, c in diff.coeffs)
-    if result.status == "obstruction":
-        r = result.root
-        if r is None or result.residual is None or r < 1 or r % b == 0:
-            return False
-        coeffs = dict(f.coeffs)
-        total = 0j
-        m = r
+    e = _dyadic_exponent(f)
+    coeffs = _dyadic_sum([f], e)
+
+    def partial(m: int) -> tuple[int, int]:
+        parts = [coeffs.get(m, (0, 0))]
+        while m % b == 0:
+            m //= b
+            parts.append(coeffs.get(m, (0, 0)))
+        return sum(re for re, _ in parts), sum(im for _, im in parts)
+
+    u, totals = {}, {}  # by frequency up to degree(f), and by chain root
+    for m in coeffs:
         while m <= f.degree:
-            total += coeffs.get(m, 0j)
+            re, im = partial(m)
+            u[m] = (-re, -im)
             m *= b
-        return abs(total) > tol and abs(total - result.residual) <= tol
+        totals[_chain_root(m, b)] = partial(m)
+    if result.status == "solution":
+        return all(t == (0, 0) for t in totals.values()) and result.solution == _dyadic_poly(u, e)
+    if result.status == "obstruction":  # a root of no chain of f, or no root, has total 0
+        total = totals.get(result.root, (0, 0))
+        return total != (0, 0) and _dyadic_complex(total, e) == result.residual
     return False
 
 

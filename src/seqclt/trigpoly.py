@@ -22,8 +22,12 @@ zero are dropped, so degree bookkeeping is exact and every value has one
 canonical representation.
 
 This module owns that format: no other module turns a function's
-coefficients into numbers, they call the functions below (coboundary's
-chain elimination reads them by frequency only).  A function is evaluated in
+coefficients into numbers, they call the functions below.  It also owns the
+exact form of a function.  A double is a dyadic rational, so at the dyadic
+exponent e of f the coefficients of f and of its transfer images are integer
+pairs at the scale 2^-e.  The private _dyadic_* functions sum such pairs and
+take their inner products exactly, and round a result to a float once;
+analysis and coboundary decide with them.  A function is evaluated in
 one of two forms.  :func:`evaluate` sums 2*(Re c_n cos t - Im c_n sin t) at
 t = 2*pi*n*x, which rounds less; the Monte Carlo orbit kernel sums
 amp*cos(w*x + ph) over :func:`cosine_terms`, one cos per term.  ROADMAP
@@ -80,10 +84,6 @@ class TrigPoly:
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def abs_coeff_sum(self) -> float:
-        """sum_n |c_n| over stored (positive) frequencies."""
-        return math.fsum(abs(c) for _, c in self.coeffs)
 
 
 ZERO = TrigPoly(())
@@ -174,6 +174,56 @@ def linear_combine(terms) -> TrigPoly:
             prev = out.get(n)
             out[n] = s * c if prev is None else prev + s * c
     return _canonical(out)
+
+
+def _dyadic_exponent(g: TrigPoly) -> int:
+    """The least e >= 0 that puts every coefficient of g on the grid 2^-e (Z + iZ).
+
+    Every double is a dyadic rational, so e exists and is at most 1074.
+    """
+    return max((x.as_integer_ratio()[1].bit_length() - 1
+                for _, c in g.coeffs for x in (c.real, c.imag)), default=0)
+
+
+def _dyadic_sum(polys: list[TrigPoly], e: int) -> dict[int, tuple[int, int]]:
+    """The coefficientwise sum of polys, exactly, at the scale 2^-e: frequency
+    -> (2^e Re, 2^e Im), the integer pair of the function's exact form.
+
+    Every coefficient must lie on the grid 2^-e, as those of f and of its
+    transfer images do at e = _dyadic_exponent(f).
+    """
+    out: dict[int, tuple[int, int]] = {}
+    for g in polys:
+        for n, c in g.coeffs:
+            (p, q), (r, s) = c.real.as_integer_ratio(), c.imag.as_integer_ratio()
+            re, im = out.get(n, (0, 0))  # q and s divide 2^e: shift by what is left
+            out[n] = (re + (p << (e + 1 - q.bit_length())), im + (r << (e + 1 - s.bit_length())))
+    return out
+
+
+def _dyadic_inner(g: dict, h: dict, a: int = 1) -> int:
+    """2^2e <g, h> exactly, for g and h from _dyadic_sum at one e; with a > 1,
+    over the frequencies divisible by a alone (<P g, h>, P as in project_measurable)."""
+    return 2 * sum(re * h[n][0] + im * h[n][1] for n, (re, im) in g.items()
+                   if n % a == 0 and n in h)
+
+
+def _dyadic_float(num: int, s: int) -> float:
+    """num * 2^-s correctly rounded, and +-inf beyond float range."""
+    try:
+        return num / (1 << s)
+    except OverflowError:  # int / int raises where a float operation would round to inf
+        return math.inf if num > 0 else -math.inf
+
+
+def _dyadic_complex(pair: tuple[int, int], e: int) -> complex:
+    """The complex number of an integer pair at 2^-e, each part rounded once."""
+    return complex(_dyadic_float(pair[0], e), _dyadic_float(pair[1], e))
+
+
+def _dyadic_poly(pairs: dict, e: int) -> TrigPoly:
+    """The TrigPoly of integer pairs at 2^-e, each part rounded once."""
+    return _canonical({n: _dyadic_complex(pair, e) for n, pair in pairs.items()})
 
 
 def derivative(g: TrigPoly) -> TrigPoly:

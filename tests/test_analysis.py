@@ -1,7 +1,9 @@
+import functools
 import itertools
 import math
 import struct
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -58,15 +60,39 @@ def _direct_u(f, spec, k):
     return linear_combine([(1.0, t) for t in terms])
 
 
+# Exact arithmetic for the references: a function as {frequency: complex
+# Fraction pair}, its inner product, and f's dyadic exponent, all written
+# out here, apart from the library's integer primitive.
+def _fractions(g):
+    return {n: (Fraction(c.real), Fraction(c.imag)) for n, c in g.coeffs}
+
+
+def _inner(g, h, a=1):
+    return sum(2 * (re * h[n][0] + im * h[n][1])
+               for n, (re, im) in g.items() if n in h and n % a == 0)
+
+
+@functools.cache  # a pure function of two values: each distinct pair is summed once
+def _exact_inner(g, h):
+    return _inner(_fractions(g), _fractions(h))
+
+
+def _exponent(f):
+    # the least e >= 0 with every part of every coefficient in 2^-e Z
+    return max((x.denominator.bit_length() - 1 for pair in _fractions(f).values() for x in pair),
+               default=0)
+
+
 # Reference walks: the covariance curve and the Neumann sum written out as
 # explicit loops, independent of the shared backward-walk generator.  The
-# library must reproduce them bit for bit.
-def _reference_covariance_curve(f, spec, n):
-    norm_sq = l2_inner(f, f)
+# covariance curve sums each step's covariances in Fractions and rounds
+# each row once; the library must reproduce it bit for bit.
+def _covariance_steps(f, spec, n, floats=False):
+    # Var(S_k) - Var(S_{k-1}) for k = 1..n: ||f||^2 + 2 sum_j <T*_{[j+1..k]} f, f>,
+    # in Fractions, or in floats through l2_inner
+    inner = l2_inner if floats else _exact_inner
+    norm_sq = inner(f, f)
     deg = f.degree
-    curve = []
-    total = 0.0
-    comp = 0.0
     for k in range(1, n + 1):
         step = norm_sq
         g = f
@@ -80,8 +106,22 @@ def _reference_covariance_curve(f, spec, n):
             g = transfer(a, g)
             if g.is_zero:
                 break
-            step += 2.0 * l2_inner(g, f)
+            step += 2 * inner(g, f)
             j -= 1
+        yield step
+
+
+def _reference_covariance_curve(f, spec, n):
+    return [float(total) for total in itertools.accumulate(_covariance_steps(f, spec, n))]
+
+
+# The float route it replaced, a Kahan loop over float steps, kept as a
+# second oracle: it rounds per step, so it agrees to n * 2^-52 relative.
+def _kahan_covariance_curve(f, spec, n):
+    curve = []
+    total = 0.0
+    comp = 0.0
+    for step in _covariance_steps(f, spec, n, floats=True):
         y = step - comp
         t = total + y
         comp = (t - total) - y
@@ -101,22 +141,43 @@ def _reference_u_sequence(f, spec, n):
     return us
 
 
+# The angle records from the plain u-recursion in Fractions, u_k = f +
+# T*_{a_k} u_{k-1}: each norm exact, each float rounded once from it.
+# Several tests compare with the same cases, so each is computed once.
+@functools.cache
 def _reference_angle_profile(f, spec, n):
     records = []
-    for k, u in enumerate(_reference_u_sequence(f, spec, n), start=1):
-        a_next = generate(spec, k + 1)
-        u_norm_sq = l2_inner(u, u)
-        proj_norm_sq = math.fsum(
-            2.0 * (c.real * c.real + c.imag * c.imag) for q, c in u.coeffs if q % a_next == 0
-        )
-        cos_sq = min(proj_norm_sq / u_norm_sq, 1.0) if u_norm_sq > 0.0 else 1.0
-        records.append(AngleRecord(u_norm_sq, proj_norm_sq, cos_sq, 1.0 - cos_sq))
-    return records
+    scale = 4 ** _exponent(f)
+    f_exact, u = _fractions(f), {}
+    for k in range(1, n + 1):
+        a, prev, u = generate(spec, k), u, dict(f_exact)
+        for q, (re, im) in prev.items():
+            if q % a == 0:
+                old = u.get(q // a, (0, 0))
+                u[q // a] = (old[0] + re, old[1] + im)
+        norm, proj = _inner(u, u), _inner(u, u, generate(spec, k + 1))
+        assert (norm * scale).denominator == (proj * scale).denominator == 1
+        cos_sq = float(proj / norm) if norm else 1.0
+        records.append(AngleRecord(float(norm), float(proj), cos_sq, 1.0 - cos_sq,
+                                   (int(norm * scale), int(proj * scale))))
+    return tuple(records)
 
 
-# The martingale curve as one Kahan loop over the records: Var(S_k) is the
-# compensated sum of the first k - 1 defects plus ||u_k||^2.
-def _reference_martingale_curve(profile, n):
+# The martingale curve in Fractions over the records' exact norms: Var(S_k)
+# is the sum of the first k - 1 defects plus ||u_k||^2, rounded once.
+def _reference_martingale_curve(profile, n, e):
+    curve = []
+    defects = Fraction(0)
+    for rec in profile[:n]:
+        norm, proj = (Fraction(x, 4**e) for x in rec.exact)
+        curve.append(float(defects + norm))
+        defects += norm - proj
+    return curve
+
+
+# The float route it replaced, one Kahan loop over the records' floats,
+# kept as a second oracle, to n * 2^-52 relative.
+def _kahan_martingale_curve(profile, n):
     curve = []
     defects = 0.0
     comp = 0.0
@@ -127,6 +188,10 @@ def _reference_martingale_curve(profile, n):
         comp = (t - defects) - y
         defects = t
     return curve
+
+
+def _close(curve, oracle, n):
+    return all(abs(x - y) <= n * 2.0**-52 * abs(x) for x, y in zip(curve, oracle, strict=True))
 
 
 # The Neumann sum transfers until the image is zero and adds the terms
@@ -213,17 +278,28 @@ def test_a_run_costs_a_few_segments(spec, n, runs):
 @pytest.mark.parametrize("spec, cases", WALK_CASES)
 def test_covariance_curve_matches_reference_walk(spec, cases):
     for f, n in cases:
-        assert variance_covariance_curve(f, spec, n) == _reference_covariance_curve(f, spec, n)
+        curve = variance_covariance_curve(f, spec, n)
+        assert curve == _reference_covariance_curve(f, spec, n)
+        assert _close(curve, _kahan_covariance_curve(f, spec, n), n)
 
 
 @pytest.mark.parametrize("spec, cases", WALK_CASES)
 def test_martingale_curve_matches_reference_loop(spec, cases):
     for f, n in cases:
-        profile = _reference_angle_profile(f, spec, n)
-        assert variance_martingale_curve(f, spec, n) == _reference_martingale_curve(profile, n)
+        profile, e = _reference_angle_profile(f, spec, n), _exponent(f)
+        curve = variance_martingale_curve(f, spec, n)
+        assert curve == _reference_martingale_curve(profile, n, e)
+        assert _close(curve, _kahan_martingale_curve(profile, n), n)
         # a profile longer than the horizon: only its first records count
         short = variance_martingale_curve(f, spec, n - 1, profile)
-        assert short == _reference_martingale_curve(profile, n - 1)
+        assert short == _reference_martingale_curve(profile, n - 1, e)
+
+
+@pytest.mark.parametrize("spec, cases", WALK_CASES)
+def test_the_two_routes_agree_row_for_row(spec, cases):
+    # both round the same rational once per row
+    for f, n in cases:
+        assert variance_covariance_curve(f, spec, n) == variance_martingale_curve(f, spec, n)
 
 
 @pytest.mark.parametrize("spec, cases", WALK_CASES)
@@ -266,16 +342,18 @@ def test_scalar_variances_hold_no_curve(f1, fn, curve):
 def test_memoised_u_recursion_matches_plain_recursion(spec, cases):
     for f, n in cases:
         assert u_sequence(f, spec, n) == _reference_u_sequence(f, spec, n)
-        assert angle_profile(f, spec, n) == _reference_angle_profile(f, spec, n)
+        assert angle_profile(f, spec, n) == list(_reference_angle_profile(f, spec, n))
 
 
 def _counting(monkeypatch, name):
+    # the walks that analysis.name is called on, its last argument
     calls = []
     real = getattr(analysis, name)
 
-    def counted(f, walk):
+    def counted(*args):
+        *rest, walk = args
         calls.append(tuple(walk))
-        return real(f, walk)
+        return real(*rest, walk)
 
     monkeypatch.setattr(analysis, name, counted)
     return calls
@@ -292,9 +370,9 @@ def test_each_memo_is_keyed_by_what_its_value_depends_on(monkeypatch):
     u_calls = _counting(monkeypatch, "_u_of_walk")
     u_sequence(f, spec, n)
     assert sorted(u_calls) == sorted(walks)
-    u_calls.clear()
+    exact_calls = _counting(monkeypatch, "_exact_u")
     profile = angle_profile(f, spec, n)
-    assert sorted(u_calls) == sorted(walks)
+    assert sorted(exact_calls) == sorted(walks)
     # one record object per pair, held by every index with that pair
     record_of = {}
     for pair, record in zip(index_pairs, profile):
@@ -542,16 +620,18 @@ def test_variance_report_holds_float64_columns(f1, spec):
     assert live <= 40 * n and peak <= 64 * n
 
 
-def test_acc_transversality_running_sum_close_to_fsum():
-    # the running sum and the fsum reference differ only by rounding:
-    # at most (n - 1) half-ulps of the total
+def test_accumulated_transversality_is_the_reports_running_sum():
+    # one sum, left to right, for the report's curve and the function alike
     rng = np.random.default_rng(42)
     f = random_poly(rng, max_degree=64, density=1.0, quantize=7)
     n = 2000
     rep = variance_report(f, Blocks(4), n)
-    reference = accumulated_transversality(list(rep.per_step), n - 1)
-    assert reference > 0.0
-    assert abs(rep.acc_transversality - reference) <= n * 2.0**-52 * reference
+    profile = list(rep.per_step)
+    assert rep.acc_transversality > 0.0
+    assert accumulated_transversality(profile, 0) == 0.0
+    for N in range(1, n):
+        assert struct.pack("<d", accumulated_transversality(profile, N)) == struct.pack(
+            "<d", rep.acc_curve[N - 1])
 
 
 def test_blocks4_variance_grows_like_log_squared(f1):

@@ -703,7 +703,9 @@ def test_json_keeps_the_float_type_of_integral_values(tmp_path, capsys):
     assert main(["coboundary", path, "--base", "2"]) == EXIT_OK
     (u,) = json.loads(capsys.readouterr().out)["u"]
     assert u == {"freq": 1, "re": 0.5, "im": 0.0} and type(u["im"]) is float
-    assert math.copysign(1.0, u["im"]) == -1.0
+    # an exact sum has no signed zero, so -0.0 comes from _dumps itself
+    negative_zero = json.loads(cli._dumps({"im": -0.0}))["im"]
+    assert cli._dumps(-0.0) == "-0.0" and math.copysign(1.0, negative_zero) == -1.0
 
 
 # The per-cell writers that cli's column writers replaced, kept as oracles:
@@ -812,7 +814,7 @@ def test_first_non_finite_cell_in_row_order_is_named(sin_sq, named):
     # unless record 4's sine is -inf, which makes min_pair_sin_sq at k=3 the first
     report = analysis.variance_report(make_trigpoly([(1, 0.5), (2, 0.25)]), Blocks(4), 6)
     rec = report.per_step[3]
-    bad = analysis.AngleRecord(math.nan, rec.proj_norm_sq, rec.cos_sq, sin_sq or rec.sin_sq)
+    bad = dataclasses.replace(rec, u_norm_sq=math.nan, sin_sq=sin_sq or rec.sin_sq)
     report = analysis.VarianceReport(
         report.per_step[:3] + (bad, bad, bad),
         tuple(report.cov_curve[:2]) + (math.inf,) * 4,
@@ -962,6 +964,21 @@ def test_coboundary_prints_only_a_verified_result(tmp_path, capsys, monkeypatch)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_coboundary_decides_sums_beyond_float_range(tmp_path, capsys):
+    # the chain from 1 passes 2e308 on its way to its total 1e308
+    big = [{"freq": m, "re": re, "im": 0.0} for m, re in ((1, 1e308), (2, 1e308), (4, -1e308))]
+    path = write_scenario(tmp_path, function=big)
+    assert main(["coboundary", path, "--base", "2"]) == EXIT_OBSTRUCTION
+    out = json.loads(capsys.readouterr().out)
+    assert (out["root"], out["residual"]) == (1, {"re": 1e308, "im": 0.0})
+    # a total of 0, but u = -2e308 at frequency 2: a failed computation, not bad input
+    path = write_scenario(tmp_path, function=big + [{"freq": 8, "re": -1e308, "im": 0.0}])
+    assert main(["coboundary", path, "--base", "2"]) == EXIT_INCONSISTENT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cannot write the non-finite value -inf in re in u\n"
 
 
 def test_coboundary_rejects_base_one(tmp_path):

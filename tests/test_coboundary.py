@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -51,6 +54,48 @@ def test_verify_rejects_wrong_solution_at_small_scale():
     assert not verify(f, 2, CoboundaryResult("solution", make_trigpoly([(3, 0.5e-13)]), None, None))
 
 
+def _chain_totals(f, b):
+    """Every chain's total in Fractions, by root: the exact obstruction of f."""
+    totals = {}
+    for n, c in f.coeffs:
+        r = n
+        while r % b == 0:
+            r //= b
+        re, im = totals.get(r, (0, 0))
+        totals[r] = (re + Fraction(c.real), im + Fraction(c.imag))
+    return totals
+
+
+# six powers of two from the subnormal band up to 2^996
+POWERS = [-1040, -500, -20, 0, 500, 996]
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5]),
+    st.sampled_from(POWERS),
+    st.dictionaries(
+        st.integers(1, 30),
+        st.tuples(st.integers(-2**20, 2**20), st.integers(-2**20, 2**20)),
+        min_size=1,
+        max_size=12,
+    ),
+)
+def test_verify_accepts_valid_solutions_at_every_scale(b, s, coeffs):
+    # f = (g o T_b) - g with g on the grid 2^(s-20) and of modulus up to 2^s,
+    # so every float operation is exact: solve's u is g itself and passes,
+    # and the same u scaled by 2 must not, unless f is 0
+    g = make_trigpoly([(k, complex(math.ldexp(re, s - 20), math.ldexp(im, s - 20)))
+                       for k, (re, im) in coeffs.items()])
+    f = linear_combine([(1.0, koopman(b, g)), (-1.0, g)])
+    res = solve(f, b)
+    assert res.solvable and res.solution == g
+    assert verify(f, b, res)
+    if not f.is_zero:
+        doubled = linear_combine([(2.0, res.solution)])
+        assert not verify(f, b, CoboundaryResult("solution", doubled, None, None))
+
+
 # six bands from the subnormal range up to near the largest double
 SCALES = [1e-320, 1e-200, 1e-3, 1e6, 1e150, 1e300]
 
@@ -66,16 +111,50 @@ SCALES = [1e-320, 1e-200, 1e-3, 1e6, 1e150, 1e300]
         max_size=12,
     ),
 )
-def test_verify_accepts_valid_solutions_at_every_scale(b, scale, coeffs):
-    # f = (g o T_b) - g for g of modulus about scale: solve's u must pass,
-    # and the same u scaled by 2 must not, unless f is 0
+def test_float_drawn_coboundaries_are_decided_by_their_exact_totals(b, scale, coeffs):
+    # f = (g o T_b) - g for g of modulus about scale, rounded in floats: f as
+    # given is a coboundary exactly when every chain total is 0 in Fractions
     g = make_trigpoly([(k, complex(re * scale, im * scale)) for k, (re, im) in coeffs.items()])
     f = linear_combine([(1.0, koopman(b, g)), (-1.0, g)])
     res = solve(f, b)
     assert verify(f, b, res)
-    if not f.is_zero:
-        doubled = linear_combine([(2.0, res.solution)])
-        assert not verify(f, b, CoboundaryResult("solution", doubled, None, None))
+    assert res.solvable == all(total == (0, 0) for total in _chain_totals(f, b).values())
+
+
+def test_near_cancelling_chains_are_decided_exactly():
+    # c e_1 + (-c + 2^k) e_b: the chain from 1 totals 2^k when -c + 2^k is
+    # exact, and 0 or a rounding error of c when it is not
+    rng = np.random.default_rng(33)
+    obstructions = 0
+    for _ in range(2000):
+        c, k, b = float(rng.uniform(-1.0, 1.0)), int(rng.integers(-60, -29)), int(rng.choice([2, 3, 5]))
+        f = make_trigpoly([(1, c), (b, -c + 2.0**k)])
+        total, _ = _chain_totals(f, b)[1]
+        res = solve(f, b)
+        assert verify(f, b, res)
+        assert res.solvable == (total == 0), (c, k, b)
+        if not res.solvable:
+            obstructions += 1
+            assert (res.root, res.residual) == (1, complex(float(total), 0.0))
+    assert 1000 < obstructions < 2000
+
+
+def test_a_total_below_any_tolerance_is_an_obstruction():
+    f = make_trigpoly([(1, 0.5), (2, -0.5 + 2.0**-42)])
+    res = solve(f, 2)
+    assert (res.status, res.root, res.residual) == ("obstruction", 1, 2.0**-42)
+    assert verify(f, 2, res)
+    assert not verify(f, 2, CoboundaryResult("solution", make_trigpoly([(1, -0.5)]), None, None))
+
+
+def test_a_rounded_coboundary_is_the_obstruction_it_is():
+    # koopman(2, u) - u rounds 0.75 + 0.3 at frequency 2, so the chain from 1
+    # totals 2^-54: the function as given is no coboundary
+    u = make_trigpoly([(1, 0.75), (2, -0.3)])
+    f = linear_combine([(1.0, koopman(2, u)), (-1.0, u)])
+    res = solve(f, 2)
+    assert (res.status, res.root, res.residual) == ("obstruction", 1, 2.0**-54)
+    assert verify(f, 2, res)
 
 
 def test_verify_rejects_wrong_certificate(f1):

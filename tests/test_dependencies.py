@@ -103,16 +103,15 @@ def test_analysis_walks_backward_in_one_place():
 
 def test_only_trigpoly_reads_a_functions_coefficients():
     # trigpoly owns the coefficient format (positive frequencies with a
-    # Hermitian factor 2): every other module calls it.  coboundary's chain
-    # elimination also reads .coeffs, but works on frequencies alone and
-    # uses no factor 2
+    # Hermitian factor 2, and the exact integer pairs): every other module
+    # calls it, coboundary's chain elimination included
     readers = {
         path.name
         for path in SRC.glob("*.py")
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Attribute) and node.attr == "coeffs"
     }
-    assert readers == {"trigpoly.py", "coboundary.py"}
+    assert readers == {"trigpoly.py"}
 
 
 def test_montecarlo_runs_one_grain_of_work():
@@ -313,7 +312,9 @@ def _write_scenario(tmp_path, **extra) -> str:
 
 def test_operator_commands_leave_numpy_out(tmp_path):
     # the exact operators are pure Python: only the Monte Carlo commands,
-    # c1_norm and the threshold search import numpy
+    # c1_norm and the threshold search import numpy.  Their exact sums are
+    # Python ints: no command loads fractions or decimal, which would cost
+    # every run of it their import
     path = _write_scenario(tmp_path)
     analyze = ["analyze", path, "--out", str(tmp_path / "r")]
     coboundary = ["coboundary", path, "--base", "2"]
@@ -323,8 +324,13 @@ def test_operator_commands_leave_numpy_out(tmp_path):
         f"from seqclt import cli\nassert cli.main({analyze!r}) == 0",
         f"from seqclt import cli\nassert cli.main({coboundary!r}) == 0",
     ):
-        assert "numpy" not in _modules_loaded_by(code), code
+        modules = _modules_loaded_by(code)
+        assert not modules & {"numpy", "fractions", "decimal"}, code
     assert (tmp_path / "r.csv").exists()
+    simulate = ["simulate", _write_scenario(tmp_path, samples=20, seed=3), "--out",
+                str(tmp_path / "m"), "--threads", "1"]
+    modules = _modules_loaded_by(f"from seqclt import cli\nassert cli.main({simulate!r}) == 0")
+    assert "numpy" in modules and not modules & {"fractions", "decimal"}
 
 
 def test_monte_carlo_names_load_through_the_package():

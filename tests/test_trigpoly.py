@@ -1,4 +1,6 @@
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +10,11 @@ from hypothesis import strategies as st
 from conftest import assert_canonical, random_poly
 from seqclt.trigpoly import (
     ZERO,
+    _dyadic_exponent,
+    _dyadic_float,
+    _dyadic_inner,
+    _dyadic_poly,
+    _dyadic_sum,
     c1_norm,
     cosine,
     cosine_terms,
@@ -177,7 +184,7 @@ def test_adjointness_random():
         a = int(rng.integers(2, 8))
         lhs = l2_inner(koopman(a, g), h)
         rhs = l2_inner(g, transfer(a, h))
-        scale = g.abs_coeff_sum() * h.abs_coeff_sum()
+        scale = math.fsum(abs(c) for _, c in g.coeffs) * math.fsum(abs(c) for _, c in h.coeffs)
         assert abs(lhs - rhs) <= 1e-12 * max(scale, 1e-30)
 
 
@@ -244,7 +251,7 @@ def test_evaluate_accuracy_contract():
     # FFT values are an independent evaluation route
     pts = 1 << 12
     vals = grid_values(g, pts)
-    budget = max(g.degree, 1) * 2.0**-50 * g.abs_coeff_sum()
+    budget = max(g.degree, 1) * 2.0**-50 * math.fsum(abs(c) for _, c in g.coeffs)
     for i in range(0, pts, 97):
         assert abs(evaluate(g, i / pts) - vals[i]) <= max(budget, 1e-12)
 
@@ -258,7 +265,7 @@ def test_cosine_terms_reproduce_evaluate():
         g = random_poly(rng, max_degree=40, density=0.6)
         terms = cosine_terms(g)
         assert [w for _, w, _ in terms] == [2.0 * math.pi * n for n, _ in g.coeffs]
-        budget = max(g.degree, 1) * 2.0**-50 * g.abs_coeff_sum()
+        budget = max(g.degree, 1) * 2.0**-50 * math.fsum(abs(c) for _, c in g.coeffs)
         for x in rng.random(16):
             total = 0.0
             for amp, w, ph in terms:
@@ -298,3 +305,69 @@ def test_serialization_rejects_duplicates():
         trigpoly_from_obj(
             [{"freq": 1, "re": 0.5, "im": 0.0}, {"freq": 1, "re": 0.25, "im": 0.0}]
         )
+
+
+def _fraction_coeffs(polys):
+    out = {}
+    for g in polys:
+        for n, c in g.coeffs:
+            re, im = out.get(n, (0, 0))
+            out[n] = (re + Fraction(c.real), im + Fraction(c.imag))
+    return out
+
+
+def test_dyadic_exponent_is_the_finest_grid_of_the_coefficients():
+    assert _dyadic_exponent(ZERO) == 0
+    assert _dyadic_exponent(make_trigpoly([(1, 3.0), (4, complex(2.0**600, -5.0))])) == 0
+    assert _dyadic_exponent(make_trigpoly([(1, 0.75), (2, complex(0.5, 2.0**-9))])) == 9
+    assert _dyadic_exponent(make_trigpoly([(3, 5e-324)])) == 1074
+    assert _dyadic_exponent(make_trigpoly([(3, 0.1)])) == 55  # 0.1 = 3602879701896397 / 2^55
+
+
+def test_dyadic_sums_and_inner_products_are_exact():
+    rng = np.random.default_rng(50)
+    for _ in range(100):
+        polys = [random_poly(rng, max_degree=24, density=0.6) for _ in range(3)]
+        polys.append(linear_combine([(2.0**-1000, polys[0])]))  # a subnormal tail
+        e = max(map(_dyadic_exponent, polys))
+        exact = _dyadic_sum(polys, e)
+        reference = _fraction_coeffs(polys)
+        assert exact.keys() == reference.keys()
+        assert all(Fraction(re, 2**e) == reference[n][0] and Fraction(im, 2**e) == reference[n][1]
+                   for n, (re, im) in exact.items())
+        h = _dyadic_sum(polys[1:2], e)
+        for a in (1, 2, 3):
+            total = sum(2 * (x[0] * h[n][0] + x[1] * h[n][1])
+                        for n, x in exact.items() if n in h and n % a == 0)
+            assert _dyadic_inner(exact, h, a) == total
+
+
+def _fraction_float(num, s):
+    try:
+        return float(Fraction(num, 2**s))
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
+
+
+def test_dyadic_float_rounds_once_and_overflows_to_inf():
+    rng = np.random.default_rng(51)
+    top, _ = sys.float_info.max.as_integer_ratio()
+    cases = [(0, 0), (1, 1074), (1, 1075), (3, 1075), (-1, 1076), (-5, 1076), (top, 0),
+             (-top, 0), (top << 70, 70), ((top << 70) + (1 << 1040), 70),
+             ((2 * top + 1) << 969, 970), ((2 * top + 1) << 969, 969), (-(top + 1) << 10, 10)]
+    for _ in range(500):
+        num = int.from_bytes(rng.bytes(int(rng.integers(1, 300))), "little")
+        cases.append((num * int(rng.choice([-1, 1])), int(rng.integers(0, 2400))))
+    for num, s in cases:
+        value = _dyadic_float(num, s)
+        assert value == _fraction_float(num, s), (num, s)
+        assert math.copysign(1.0, value) == math.copysign(1.0, _fraction_float(num, s))
+    assert _dyadic_float(top, 0) == sys.float_info.max
+    assert _dyadic_float(top + 2**970, 0) == math.inf  # the halfway point rounds up to inf
+
+
+def test_dyadic_poly_rounds_each_part_once():
+    pairs = {1: (3, -1), 2: (0, 0), 5: (0, 2**1100), 7: (-(2**1100), 1)}
+    g = _dyadic_poly(pairs, 2)
+    assert g.coeffs == ((1, complex(0.75, -0.25)), (5, complex(0.0, math.inf)),
+                        (7, complex(-math.inf, 0.25)))
